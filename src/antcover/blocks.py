@@ -4,8 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .graph import Graph, connected_components, remove_vertices, shape_check
+from .errors import InputError, NotBlockGraphError
+from .graph import (
+    Graph,
+    connected_components,
+    missing_clique_pair,
+    remove_vertices,
+    shape_check,
+)
 
 
 @dataclass(frozen=True)
@@ -119,17 +125,32 @@ def classify_blocks(bd: BlockDecomposition) -> list[BlockClass]:
     return out
 
 
+def blocks_are_cliques(bd: BlockDecomposition) -> bool:
+    """True iff every block of the decomposition induces a clique.
+
+    Blocks partition the edges and a block on k vertices holds at most
+    k(k-1)/2 of them, so all blocks are cliques exactly when these maxima
+    add up to the edge count.
+    """
+    return sum(len(b) * (len(b) - 1) // 2 for b in bd.blocks) == bd.host.edge_count
+
+
 def is_block_graph(g: Graph) -> bool:
     """True iff every block induces a clique."""
+    return blocks_are_cliques(block_decomposition(g))
+
+
+def checked_block_decomposition(g: Graph) -> BlockDecomposition:
+    """Block decomposition of a block graph.
+
+    Raises NotBlockGraphError naming a missing pair of the first block
+    that is not a clique.
+    """
     bd = block_decomposition(g)
-    for b in bd.blocks:
-        members = sorted(b)
-        for i, u in enumerate(members):
-            nbrs = g.neighbors(u)
-            for v in members[i + 1:]:
-                if v not in nbrs:
-                    return False
-    return True
+    if not blocks_are_cliques(bd):
+        u, v = next(filter(None, (missing_clique_pair(g, b) for b in bd.blocks)))
+        raise NotBlockGraphError(f"block containing {u} and {v} is not a clique")
+    return bd
 
 
 def is_pointed(g: Graph) -> bool:

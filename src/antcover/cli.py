@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .blocks import BlockDecomposition, block_decomposition, block_cut_tree_dot
 from .cover import (
     Cover,
+    IterationTrace,
     box_to_dict,
     cover_from_dict,
     cover_to_box_representation,
@@ -34,6 +34,7 @@ from .graph import (
     serialize_structured,
 )
 from .oracle import brute_coboxicity, brute_cothdim
+from .peel import COINTERVAL, THRESHOLD
 
 PALETTE = (
     "red", "blue", "forestgreen", "darkorange", "purple",
@@ -41,45 +42,44 @@ PALETTE = (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    format: str = "edgelist"
-    seed: int | None = None
-    oracle: bool = False
-    output_path: str | None = None
-    kind: str = "cointerval"
-    cover_path: str | None = None
-    n: int = 50
-    edge_block_prob: float = 0.6
-    max_block: int = 5
-    with_cover: bool = False
-    dot_path: str | None = None
-    quick: bool = False
-
-
 def _read_text(path: str | None) -> str:
     if path in (None, "-"):
         return sys.stdin.read()
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    text = _read_text(cfg.input_path)
-    if cfg.format == "structured":
+def _load_graph(args: argparse.Namespace) -> Graph:
+    text = _read_text(args.input)
+    if args.format == "structured":
         return parse_structured(text)
     return parse_edgelist(text)
+
+
+def _load_cover(g: Graph, path: str) -> Cover:
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed cover JSON: {exc}") from None
+    return cover_from_dict(g, payload)
+
+
+def _solve(g: Graph, kind: str, traced: bool) -> tuple[Cover, list[IterationTrace]]:
+    """Minimum cover of the given kind; component snapshots only if traced."""
+    solver = min_threshold_cover if kind == THRESHOLD else min_cointerval_cover
+    return solver(g, trace_components=traced)
 
 
 def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
@@ -103,43 +103,33 @@ def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
     return "\n".join(lines) + "\n" + block_cut_tree_dot(bd)
 
 
-def _cmd_value(cfg: RunConfig, threshold: bool) -> int:
-    g = _load_graph(cfg)
-    if threshold:
-        cover, traces = min_threshold_cover(g)
-    else:
-        cover, traces = min_cointerval_cover(g)
-    if cfg.oracle:
-        brute = brute_cothdim(g) if threshold else brute_coboxicity(g)
+def _cmd_value(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    cover, traces = _solve(g, args.kind, args.with_cover)
+    if args.oracle:
+        brute = brute_cothdim(g) if args.kind == THRESHOLD else brute_coboxicity(g)
         agree = "agree" if brute == len(cover.elements) else "DISAGREE"
         print(f"oracle {brute} ({agree})", file=sys.stderr)
         if brute != len(cover.elements):
             raise InternalInvariantError("algorithm disagrees with the exact oracle")
     print(len(cover.elements))
-    if cfg.with_cover:
-        _write_text(cfg.output_path, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
+    if args.with_cover:
+        _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
     return 0
 
 
-def _cmd_cover(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.kind == "threshold":
-        cover, traces = min_threshold_cover(g)
-    else:
-        cover, traces = min_cointerval_cover(g)
-    _write_text(cfg.output_path, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
-    if cfg.dot_path:
-        _write_text(cfg.dot_path, export_dot(g, block_decomposition(g), cover))
+def _cmd_cover(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    cover, traces = _solve(g, args.kind, True)
+    _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
+    if args.dot_path:
+        _write_text(args.dot_path, export_dot(g, block_decomposition(g), cover))
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    try:
-        payload = json.loads(_read_text(cfg.cover_path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed cover JSON: {exc}") from None
-    cover = cover_from_dict(g, payload)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    cover = _load_cover(g, args.cover_path)
     report = verify_cover(g, cover)
     if report.valid:
         print("valid")
@@ -154,57 +144,31 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 1
 
 
-def _cmd_boxrep(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.cover_path:
-        cover = cover_from_dict(g, json.loads(_read_text(cfg.cover_path)))
+def _cmd_boxrep(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    if args.cover_path:
+        cover = _load_cover(g, args.cover_path)
     else:
         cover, _ = min_cointerval_cover(g)
     rep = cover_to_box_representation(g, cover)
-    _write_text(cfg.output_path, json.dumps(box_to_dict(rep), indent=2) + "\n")
+    _write_text(args.output, json.dumps(box_to_dict(rep), indent=2) + "\n")
     return 0
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    if cfg.seed is None:
-        raise InputError("gen requires --seed")
-    g = random_block_graph(cfg.n, cfg.seed, cfg.edge_block_prob, cfg.max_block)
-    text = serialize_structured(g) if cfg.format == "structured" else serialize_edgelist(g)
-    _write_text(cfg.output_path, text)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    g = random_block_graph(args.n, args.seed, args.edge_block_prob, args.max_block)
+    text = serialize_structured(g) if args.format == "structured" else serialize_edgelist(g)
+    _write_text(args.output, text)
     return 0
 
 
-def _cmd_harness(cfg: RunConfig) -> int:
+def _cmd_harness(args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
-    results = run_all(fast=cfg.quick)
+    results = run_all(fast=args.quick)
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 1
-
-
-def run(cfg: RunConfig) -> int:
-    """Dispatch one command; returns the process exit status."""
-    handlers = {
-        "coboxicity": lambda: _cmd_value(cfg, threshold=False),
-        "cothdim": lambda: _cmd_value(cfg, threshold=True),
-        "cover": lambda: _cmd_cover(cfg),
-        "verify": lambda: _cmd_verify(cfg),
-        "boxrep": lambda: _cmd_boxrep(cfg),
-        "gen": lambda: _cmd_gen(cfg),
-        "harness": lambda: _cmd_harness(cfg),
-    }
-    try:
-        return handlers[cfg.command]()
-    except NotBlockGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,29 +182,34 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", default=None, help="graph file ('-' for stdin)")
         p.add_argument("--format", "-f", choices=["edgelist", "structured"], default="edgelist")
 
-    for name in ("coboxicity", "cothdim"):
+    for name, kind in (("coboxicity", COINTERVAL), ("cothdim", THRESHOLD)):
         p = sub.add_parser(name, help=f"print the {name} of a block graph")
+        p.set_defaults(handler=_cmd_value, kind=kind)
         add_input(p)
         p.add_argument("--oracle", action="store_true", help="cross-check against the exact oracle")
         p.add_argument("--cover", dest="with_cover", action="store_true", help="also emit the cover as JSON")
         p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("cover", help="emit a minimum cover with iteration traces")
+    p.set_defaults(handler=_cmd_cover)
     add_input(p)
-    p.add_argument("--kind", choices=["cointerval", "threshold"], default="cointerval")
+    p.add_argument("--kind", choices=[COINTERVAL, THRESHOLD], default=COINTERVAL)
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--dot", dest="dot_path", default=None, help="also write a DOT rendering")
 
     p = sub.add_parser("verify", help="verify a cover against a graph")
+    p.set_defaults(handler=_cmd_verify)
     add_input(p)
     p.add_argument("--cover", dest="cover_path", required=True, help="cover JSON file")
 
     p = sub.add_parser("boxrep", help="emit a box intersection model of the complement")
+    p.set_defaults(handler=_cmd_boxrep)
     add_input(p)
     p.add_argument("--cover", dest="cover_path", default=None, help="use this cover instead of computing one")
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("gen", help="generate a seeded random block graph")
+    p.set_defaults(handler=_cmd_gen)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--edge-block-prob", type=float, default=0.6)
@@ -249,27 +218,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("harness", help="run the acceptance suite")
+    p.set_defaults(handler=_cmd_harness)
     p.add_argument("--quick", action="store_true", help="reduced sizes for a smoke run")
 
     return parser
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for field in (
-        "input_path", "format", "seed", "oracle", "output_path", "kind",
-        "cover_path", "n", "edge_block_prob", "max_block", "with_cover",
-        "dot_path", "quick",
-    ):
-        attr = {"input_path": "input", "output_path": "output"}.get(field, field)
-        if hasattr(ns, attr):
-            setattr(cfg, field, getattr(ns, attr))
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    return run(parse_args(argv))
+    """Run one command; returns the process exit status."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except NotBlockGraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

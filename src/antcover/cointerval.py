@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .blocks import block_decomposition, is_block_graph
-from .errors import InputError, NotBlockGraphError
-from .graph import Edge, Graph, norm_edge
+from .blocks import BlockDecomposition, checked_block_decomposition
+from .errors import InputError
+from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
 from .recognition import cointerval_order_and_intervals, prefix_neighbourhood_order_ok
 
 
@@ -65,14 +65,12 @@ class IntervalRepresentation:
         for ln in text.splitlines():
             if not ln.strip():
                 continue
-            v, lo, hi = (int(x) for x in ln.split())
+            try:
+                v, lo, hi = (int(x) for x in ln.split())
+            except ValueError:
+                raise InputError(f"malformed interval line {ln!r}") from None
             intervals[v] = (lo, hi)
         return cls(intervals)
-
-
-def _clique_edges(block: Iterable[int]) -> set[Edge]:
-    members = sorted(block)
-    return {(u, v) for i, u in enumerate(members) for v in members[i + 1:]}
 
 
 def sigma_subgraph(g: Graph, sigma: Sequence[int]) -> EdgeSubgraph:
@@ -103,13 +101,10 @@ def big_ant(g: Graph, q: Iterable[int], u: int, v: int) -> BigAnt:
     block = frozenset(q)
     if u not in block or v not in block:
         raise InputError("apexes must lie in the clique")
-    members = sorted(block)
-    for i, a in enumerate(members):
-        nbrs = g.neighbors(a)
-        for b in members[i + 1:]:
-            if b not in nbrs:
-                raise InputError(f"vertex set is not a clique: missing edge ({a}, {b})")
-    edges = _clique_edges(block)
+    missing = missing_clique_pair(g, block)
+    if missing is not None:
+        raise InputError(f"vertex set is not a clique: missing edge {missing}")
+    edges = set(clique_edges(block))
     edges.update(norm_edge(u, w) for w in g.neighbors(u))
     edges.update(norm_edge(v, w) for w in g.neighbors(v))
     vertices = block | g.neighbors(u) | g.neighbors(v)
@@ -179,9 +174,22 @@ def is_threshold(h: Graph) -> bool:
     return True
 
 
-def _maximal_ants(g: Graph, candidates: Iterable[tuple[frozenset[int], int, int]]) -> list[BigAnt]:
-    """Build ants, drop edge-dominated ones, dedupe equal edge sets."""
-    ants = [big_ant(g, q, u, v) for q, u, v in candidates]
+def maximal_ants(bd: BlockDecomposition, two_apex: bool) -> list[BigAnt]:
+    """Maximal big ants of a block graph, given its block decomposition.
+
+    Two-apex ants are its maximal co-interval subgraphs, one-apex ants its
+    maximal threshold subgraphs. Edge-dominated ants are dropped and equal
+    edge sets deduplicated.
+    """
+    g = bd.host
+    ants = []
+    for b in bd.blocks:
+        if len(b) < 2:
+            continue
+        members = sorted(b)
+        for i, u in enumerate(members):
+            for v in members[i:] if two_apex else (u,):
+                ants.append(big_ant(g, b, u, v))
     by_edges: dict[frozenset[Edge], BigAnt] = {}
     for ant in ants:
         key = ant.edges
@@ -200,32 +208,12 @@ def _maximal_ants(g: Graph, candidates: Iterable[tuple[frozenset[int], int, int]
 
 def maximal_cointerval_subgraphs(g: Graph) -> list[BigAnt]:
     """All maximal co-interval subgraphs of a block graph, as big ants."""
-    if not is_block_graph(g):
-        raise NotBlockGraphError("maximal co-interval enumeration needs a block graph")
-    bd = block_decomposition(g)
-    candidates = []
-    for b in bd.blocks:
-        if len(b) < 2:
-            continue
-        members = sorted(b)
-        for i, u in enumerate(members):
-            for v in members[i:]:
-                candidates.append((b, u, v))
-    return _maximal_ants(g, candidates)
+    return maximal_ants(checked_block_decomposition(g), two_apex=True)
 
 
 def maximal_threshold_subgraphs(g: Graph) -> list[BigAnt]:
     """All maximal threshold subgraphs of a block graph: one-apex big ants."""
-    if not is_block_graph(g):
-        raise NotBlockGraphError("maximal threshold enumeration needs a block graph")
-    bd = block_decomposition(g)
-    candidates = []
-    for b in bd.blocks:
-        if len(b) < 2:
-            continue
-        for u in sorted(b):
-            candidates.append((b, u, u))
-    return _maximal_ants(g, candidates)
+    return maximal_ants(checked_block_decomposition(g), two_apex=False)
 
 
 def check_cointerval_order(edges: frozenset[Edge], order: Sequence[int]) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import block_decomposition, is_block_graph
+from .blocks import checked_block_decomposition
 from .cointerval import (
     BigAnt,
     EdgeSubgraph,
@@ -20,8 +20,8 @@ from .cointerval import (
     is_cointerval,
     is_threshold,
 )
-from .errors import InputError, NotBlockGraphError
-from .graph import Edge, Graph, norm_edge
+from .errors import InputError
+from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
 from .peel import COINTERVAL, THRESHOLD, IterationTrace, peel_cover
 
 __all__ = [
@@ -83,20 +83,6 @@ class BoxRepresentation:
         return True
 
 
-def _checked_block_graph(g: Graph):
-    bd = block_decomposition(g)
-    for b in bd.blocks:
-        members = sorted(b)
-        for i, u in enumerate(members):
-            nbrs = g.neighbors(u)
-            for v in members[i + 1:]:
-                if v not in nbrs:
-                    raise NotBlockGraphError(
-                        f"block containing {u} and {v} is not a clique"
-                    )
-    return bd
-
-
 def min_cointerval_cover(
     g: Graph, trace_components: bool = True
 ) -> tuple[Cover, list[IterationTrace]]:
@@ -106,7 +92,7 @@ def min_cointerval_cover(
     vertex id, so the output is deterministic. Set trace_components=False
     on very large inputs to skip the per-iteration component snapshots.
     """
-    bd = _checked_block_graph(g)
+    bd = checked_block_decomposition(g)
     elements, traces = peel_cover(g, bd, COINTERVAL, trace_components)
     return Cover(g, tuple(elements), COINTERVAL), traces
 
@@ -115,7 +101,7 @@ def min_threshold_cover(
     g: Graph, trace_components: bool = True
 ) -> tuple[Cover, list[IterationTrace]]:
     """Minimum threshold cover of a block graph; elements are one-apex ants."""
-    bd = _checked_block_graph(g)
+    bd = checked_block_decomposition(g)
     elements, traces = peel_cover(g, bd, THRESHOLD, trace_components)
     return Cover(g, tuple(elements), THRESHOLD), traces
 
@@ -210,14 +196,10 @@ def is_structural_big_ant(g: Graph, element) -> bool:
     u, v = element.apex_u, element.apex_v
     if u not in block or v not in block:
         return False
-    members = sorted(block)
-    for i, a in enumerate(members):
-        nbrs = g.neighbors(a)
-        for b in members[i + 1:]:
-            if b not in nbrs:
-                return False
-            if norm_edge(a, b) not in element.edges:
-                return False
+    if missing_clique_pair(g, block) is not None:
+        return False
+    if not element.edges.issuperset(clique_edges(block)):
+        return False
     for a, b in element.edges:
         if a in block and b in block:
             continue

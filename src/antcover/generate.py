@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, clique_edges
 
 
 def random_block_graph(
@@ -36,7 +36,5 @@ def random_block_graph(
         attach = rng.randrange(count)
         members = [attach] + list(range(count, count + size - 1))
         count += size - 1
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                edges.append((a, b))
+        edges += clique_edges(members)
     return build_graph(n, edges)

@@ -61,7 +61,8 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        """Half the degree sum; unlike edges, builds no edge set."""
+        return sum(map(len, self._adj.values())) // 2
 
     def neighbors(self, v: int) -> set[int]:
         try:
@@ -116,6 +117,24 @@ def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(adj)
+
+
+def clique_edges(vertices: Iterable[int]) -> list[Edge]:
+    """Every pair of the given vertices as a (min, max) edge, in sorted order."""
+    members = sorted(vertices)
+    return [(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
+
+
+def missing_clique_pair(g: Graph, vertices: Iterable[int]) -> Edge | None:
+    """The first pair of the given vertices, in sorted order, that is not an
+    edge of g; None when they form a clique."""
+    members = sorted(vertices)
+    for i, a in enumerate(members):
+        nbrs = g.neighbors(a)
+        for b in members[i + 1:]:
+            if b not in nbrs:
+                return (a, b)
+    return None
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

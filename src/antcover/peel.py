@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .blocks import BlockDecomposition
 from .cointerval import BigAnt
 from .errors import InternalInvariantError
-from .graph import Edge, Graph, connected_components, norm_edge
+from .graph import Edge, Graph, clique_edges, connected_components, norm_edge
 
 COINTERVAL = "cointerval"
 THRESHOLD = "threshold"
@@ -59,6 +59,20 @@ class _Region:
         self.bigleaf: list[tuple[int, int]] = []
         self.nearleaf: list[tuple[int, int]] = []
         self.vheap: list[int] = []
+
+
+class _Scan:
+    """Search state of one fragment while a region is being split."""
+
+    __slots__ = ("queue", "seen", "verts", "nblocks", "nedge", "ncut")
+
+    def __init__(self, seed: int):
+        self.queue = [seed]
+        self.seen = {seed}
+        self.verts: set[int] = set()
+        self.nblocks = 0
+        self.nedge = 0
+        self.ncut = 0
 
 
 class _Peel:
@@ -210,17 +224,6 @@ class _Peel:
         entries, filtered on pop). Returns (new regions, inheritor alive).
         """
 
-        class _Scan:
-            __slots__ = ("queue", "seen", "verts", "nblocks", "nedge", "ncut")
-
-            def __init__(self, seed: int):
-                self.queue = [seed]
-                self.seen = {seed}
-                self.verts: set[int] = set()
-                self.nblocks = 0
-                self.nedge = 0
-                self.ncut = 0
-
         scans = [_Scan(b) for b in seeds]
         active = scans[:]
         done: list[_Scan] = []
@@ -330,11 +333,6 @@ class _Peel:
         return sorted(leaves)
 
 
-def _clique_edges(block: set[int] | frozenset[int]) -> set[Edge]:
-    members = sorted(block)
-    return {(a, b) for i, a in enumerate(members) for b in members[i + 1:]}
-
-
 def peel_cover(
     g: Graph,
     bd: BlockDecomposition,
@@ -414,7 +412,7 @@ def _case_one(g, st: _Peel, rg: _Region, snapshot, idx):
         if block != verts:
             raise InternalInvariantError("single-block region is not a clique")
         u = min(block)
-        element = BigAnt(g, block, u, u, verts, frozenset(_clique_edges(block)))
+        element = BigAnt(g, block, u, u, verts, frozenset(clique_edges(block)))
         apexes = (u,)
     else:
         x = next(iter(rg.verts))
@@ -437,7 +435,7 @@ def _case_two(g, st: _Peel, rg: _Region, b: int, snapshot, idx):
     block = frozenset(st.bverts[b])
     v = next(x for x in sorted(block) if len(st.vblocks[x]) >= 2)
     nres = st.residual_neighbors(v)
-    edges = _clique_edges(block)
+    edges = set(clique_edges(block))
     edges.update(norm_edge(v, w) for w in nres)
     element = BigAnt(g, block, v, v, frozenset(block | nres), frozenset(edges))
     trace = (snapshot, "2", block, None, (v,), block, idx)
@@ -456,7 +454,7 @@ def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int | 
 
 
 def _ant_edges(st: _Peel, block, apexes) -> tuple[frozenset[int], frozenset[Edge]]:
-    edges = _clique_edges(block)
+    edges = set(clique_edges(block))
     verts = set(block)
     for a in apexes:
         nres = st.residual_neighbors(a)

@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 import itertools
-import random
 
+from antcover.acceptance import free_trees, path_graph, random_graph  # noqa: F401 (re-exported)
 from antcover.blocks import block_decomposition, find_near_leaf_block
 from antcover.graph import Graph, build_graph, connected_components, norm_edge, shape_check
 from antcover.cover import min_cointerval_cover, min_threshold_cover
-
-
-def path_graph(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(leaves: int) -> Graph:
@@ -24,11 +20,6 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return build_graph(n, edges)
 
 
 def spider_graph() -> Graph:
@@ -208,14 +199,3 @@ def engine_run_tuples(g: Graph, kind: str):
         for t in traces
     ]
     return els, trs
-
-
-def free_trees_upto(max_order: int):
-    import networkx as nx
-
-    out = []
-    for order in range(2, max_order + 1):
-        for t in nx.nonisomorphic_trees(order):
-            mapping = {v: i for i, v in enumerate(sorted(t.nodes))}
-            out.append(build_graph(order, [(mapping[a], mapping[b]) for a, b in t.edges]))
-    return out

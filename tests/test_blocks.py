@@ -1,6 +1,8 @@
 """Block decomposition, classification, core and near-leaf detection."""
 
+import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -8,19 +10,20 @@ import pytest
 from antcover.blocks import (
     block_cut_tree_dot,
     block_decomposition,
+    checked_block_decomposition,
     classify_blocks,
     core,
     find_near_leaf_block,
     is_block_graph,
     is_pointed,
 )
-from antcover.errors import InputError
+from antcover.errors import InputError, NotBlockGraphError
 from antcover.generate import random_block_graph
-from antcover.graph import build_graph, connected_components, remove_vertices
+from antcover.graph import build_graph, connected_components, disjoint_union, remove_vertices
 from helpers import (
     complete_graph,
     cycle_graph,
-    free_trees_upto,
+    free_trees,
     near_leaf_candidates,
     path_graph,
     random_graph,
@@ -103,10 +106,65 @@ def test_classify_blocks():
 
 
 def test_is_block_graph():
-    for tree in free_trees_upto(7):
+    for tree in free_trees(7):
         assert is_block_graph(tree)
     assert not is_block_graph(cycle_graph(4))
     assert is_block_graph(two_triangles())
+
+
+def brute_is_block_graph(g) -> bool:
+    """Every biconnected component (networkx) induces a clique, pair by pair."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    return all(
+        g.has_edge(a, b)
+        for comp in nx.biconnected_components(nxg)
+        for a, b in itertools.combinations(comp, 2)
+    )
+
+
+def k4_minus_edge():
+    return build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def test_is_block_graph_matches_per_block_definition():
+    isolated = build_graph(3, [])
+    fixed = [
+        k4_minus_edge(),
+        cycle_graph(3),
+        cycle_graph(4),
+        cycle_graph(7),
+        disjoint_union(isolated, two_triangles()),
+        disjoint_union(cycle_graph(5), isolated),
+        disjoint_union(k4_minus_edge(), complete_graph(4)),
+        build_graph(0, []),
+    ]
+    rng = random.Random(11)
+    graphs = fixed + [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(400)]
+    verdicts = [is_block_graph(g) for g in graphs]
+    assert verdicts == [brute_is_block_graph(g) for g in graphs]
+    assert verdicts[:8] == [False, True, False, False, True, False, False, True]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_not_block_graph_error_names_a_missing_pair_of_one_block():
+    rng = random.Random(12)
+    graphs = [k4_minus_edge(), cycle_graph(6), disjoint_union(path_graph(3), k4_minus_edge())]
+    graphs += [random_graph(rng.randint(4, 12), rng.random(), rng) for _ in range(200)]
+    rejected = 0
+    for g in graphs:
+        if is_block_graph(g):
+            assert checked_block_decomposition(g).blocks == block_decomposition(g).blocks
+            continue
+        rejected += 1
+        with pytest.raises(NotBlockGraphError) as info:
+            checked_block_decomposition(g)
+        match = re.fullmatch(r"block containing (\d+) and (\d+) is not a clique", str(info.value))
+        u, v = int(match[1]), int(match[2])
+        assert not g.has_edge(u, v)
+        assert any({u, v} <= b for b in block_decomposition(g).blocks)
+    assert rejected > 50
 
 
 def test_is_pointed():

@@ -94,6 +94,12 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     assert main(["coboxicity", "-i", str(path)]) == 2
 
 
+def test_exit_code_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00 3 2\n")
+    assert main(["coboxicity", "-i", str(path)]) == 2
+
+
 def test_exit_code_non_block_graph(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(4))
     assert main(["coboxicity", "-i", str(path)]) == 3
@@ -110,6 +116,32 @@ def test_structured_format_flag(tmp_path, capsys):
     path.write_text(serialize_structured(path_graph(4)))
     assert main(["coboxicity", "-i", str(path), "-f", "structured"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):
+    gpath = write_graph(tmp_path, path_graph(4))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["boxrep", "-i", gpath, "--cover", str(bad)]) == 2
+    assert "malformed cover JSON" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    gpath = write_graph(tmp_path, path_graph(4))
+    out = str(tmp_path / "missing-dir" / "cover.json")
+    assert main(["cover", "-i", gpath, "-o", out]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_value_command_cover_matches_cover_command(tmp_path, capsys):
+    gpath = write_graph(tmp_path, path_graph(9))
+    for value, kind in (("coboxicity", "cointerval"), ("cothdim", "threshold")):
+        from_value = tmp_path / f"{value}.json"
+        from_cover = tmp_path / f"{kind}.json"
+        assert main([value, "-i", gpath, "--cover", "-o", str(from_value)]) == 0
+        assert main(["cover", "-i", gpath, "--kind", kind, "-o", str(from_cover)]) == 0
+        assert from_value.read_text() == from_cover.read_text()
+        assert all(t["component"] for t in json.loads(from_value.read_text())["traces"])
 
 
 def test_export_dot_shapes():

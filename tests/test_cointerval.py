@@ -6,6 +6,7 @@ import random
 import pytest
 
 from antcover.cointerval import (
+    IntervalRepresentation,
     check_cointerval_order,
     cointerval_representation,
     is_cointerval,
@@ -134,10 +135,14 @@ def test_representation_rejects_non_cointerval():
 
 def test_representation_serialization_round_trip():
     rep = cointerval_representation(path_graph(4))
-    from antcover.cointerval import IntervalRepresentation
-
     again = IntervalRepresentation.parse(rep.serialize())
     assert again.intervals == rep.intervals
+
+
+@pytest.mark.parametrize("text", ["0 1 2\n1 x 3\n", "0 1\n", "0 1 2 3\n"])
+def test_representation_parse_rejects_malformed_lines(text):
+    with pytest.raises(InputError):
+        IntervalRepresentation.parse(text)
 
 
 def test_is_threshold_known():

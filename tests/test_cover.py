@@ -1,10 +1,18 @@
 """Cover loop: formula values, oracle equivalence, validity, box models."""
 
 import random
+import sys
 
 import pytest
 
-from antcover.cointerval import EdgeSubgraph, is_cointerval, is_threshold
+from antcover import blocks
+from antcover.cointerval import (
+    EdgeSubgraph,
+    is_cointerval,
+    is_threshold,
+    maximal_cointerval_subgraphs,
+    maximal_threshold_subgraphs,
+)
 from antcover.cover import (
     Cover,
     coboxicity,
@@ -22,12 +30,17 @@ from antcover.cover import (
 from antcover.errors import InputError, NotBlockGraphError
 from antcover.generate import random_block_graph
 from antcover.graph import Graph, build_graph, disjoint_union
-from antcover.oracle import brute_coboxicity, brute_cothdim
+from antcover.oracle import (
+    brute_coboxicity,
+    brute_cothdim,
+    enumerate_maximal_cointerval_edge_sets,
+    maximal_threshold_edge_sets,
+)
 from helpers import (
     complete_graph,
     cycle_graph,
     engine_run_tuples,
-    free_trees_upto,
+    free_trees,
     naive_cover,
     path_graph,
     spider_graph,
@@ -79,6 +92,35 @@ def test_rejects_non_block_graph():
         cothdim(cycle_graph(5))
 
 
+def test_one_block_decomposition_per_call(monkeypatch):
+    original = blocks.block_decomposition
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "antcover" and getattr(module, "block_decomposition", None) is original:
+            monkeypatch.setattr(module, "block_decomposition", counting)
+    large = random_block_graph(60, seed=5)
+    small = random_block_graph(9, seed=6)
+    for fn, g in [
+        (blocks.is_block_graph, large),
+        (coboxicity, large),
+        (cothdim, large),
+        (min_cointerval_cover, large),
+        (min_threshold_cover, large),
+        (maximal_cointerval_subgraphs, small),
+        (maximal_threshold_subgraphs, small),
+        (enumerate_maximal_cointerval_edge_sets, small),
+        (maximal_threshold_edge_sets, small),
+    ]:
+        calls.clear()
+        fn(g)
+        assert calls == [g], fn.__name__
+
+
 def test_p7_run_is_deterministic_and_traced():
     g = path_graph(7)
     cover, traces = min_cointerval_cover(g)
@@ -121,7 +163,7 @@ def test_every_element_passes_its_recognition():
 
 
 def test_engine_matches_naive_reference():
-    graphs = free_trees_upto(7)
+    graphs = free_trees(7)
     for i in range(120):
         graphs.append(random_block_graph(2 + (i % 13), seed=1800 + i))
     graphs.append(spider_graph())
