@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .errors import InputError, NotBlockGraphError
 from .graph import (
     Graph,
+    compact_ids,
     connected_components,
     missing_clique_pair,
     remove_vertices,
@@ -49,69 +50,82 @@ class NearLeafResult:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Iterative depth-first search for blocks and articulation vertices.
+    """Blocks and articulation vertices by one iterative Hopcroft-Tarjan pass.
 
-    Blocks are listed by (minimum vertex id, sorted vertex tuple) so the
-    output is deterministic regardless of traversal.
+    The search runs over vertex indices with list-held discovery times, low
+    points and cut flags, and keeps a stack of vertices: when no edge from
+    a child's subtree reaches above its parent, the vertices stacked since
+    the child, plus the parent, form a block. Blocks are listed by (minimum
+    vertex id, sorted vertex tuple), so the output does not depend on the
+    traversal.
     """
-    adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    counter = 0
-    cut: set[int] = set()
-    raw_blocks: list[frozenset[int]] = []
-    estack: list[tuple[int, int]] = []
-
-    for root in sorted(adj):
-        if root in disc:
+    ids = compact_ids(g)
+    if ids is None:
+        adj = [g.neighbors(v) for v in range(g.vertex_count)]
+    else:
+        pos = {v: k for k, v in enumerate(ids)}
+        adj = [[pos[w] for w in g.neighbors(v)] for v in ids]
+    n = len(adj)
+    disc = [0] * n  # discovery time, from 1; 0 marks an unvisited vertex
+    low = [0] * n
+    is_cut = [False] * n
+    raw_blocks: list[list[int]] = []
+    vstack: list[int] = []
+    t = 0
+    for root in range(n):
+        if disc[root]:
             continue
-        disc[root] = low[root] = counter
-        counter += 1
+        if not adj[root]:
+            raw_blocks.append([root])
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        vstack.append(root)
         root_children = 0
-        stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
+        # frames: (vertex, iterator over its neighbours, its vstack position)
+        stack = [(root, iter(adj[root]), 0)]
         while stack:
-            v, parent, idx = stack[-1]
-            if idx < len(adj[v]):
-                stack[-1] = (v, parent, idx + 1)
-                w = adj[v][idx]
-                if w not in disc:
-                    estack.append((v, w))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, 0))
-                elif w != parent and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                continue
-            stack.pop()
-            if parent is None:
-                continue
-            if low[v] < low[parent]:
-                low[parent] = low[v]
-            if low[v] >= disc[parent]:
-                if parent == root:
-                    root_children += 1
-                else:
-                    cut.add(parent)
-                members: set[int] = set()
-                while True:
-                    a, b = estack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (parent, v):
-                        break
-                raw_blocks.append(frozenset(members))
-        if root_children >= 2:
-            cut.add(root)
+            v, nbrs, _ = stack[-1]
+            for w in nbrs:
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    stack.append((w, iter(adj[w]), len(vstack)))
+                    vstack.append(w)
+                    break
+                # the tree edge to the parent counts too: it can only pull
+                # low[v] down to disc[parent], which still closes a block
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                _, _, at = stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:  # then also low[v] < disc[p]: no block
+                    low[p] = low[v]
+                elif low[v] >= disc[p]:
+                    block = vstack[at:]
+                    del vstack[at:]
+                    block.append(p)
+                    raw_blocks.append(block)
+                    if p == root:
+                        root_children += 1
+                    else:
+                        is_cut[p] = True
+        is_cut[root] = root_children >= 2
+        vstack.clear()
 
-    for v in sorted(adj):
-        if not adj[v]:
-            raw_blocks.append(frozenset([v]))
-
-    blocks = tuple(sorted(raw_blocks, key=lambda b: (min(b), tuple(sorted(b)))))
+    # sorted lists compare like the (minimum, sorted tuple) key; indices
+    # follow id order, so mapping them to ids keeps the order
+    ordered = sorted(sorted(b) for b in raw_blocks)
+    cut = [v for v in range(n) if is_cut[v]]
+    if ids is not None:
+        ordered = [[ids[x] for x in b] for b in ordered]
+        cut = [ids[x] for x in cut]
     cut_frozen = frozenset(cut)
-    block_cuts = tuple(tuple(sorted(b & cut_frozen)) for b in blocks)
+    blocks = tuple(map(frozenset, ordered))
+    block_cuts = tuple(tuple(x for x in b if x in cut_frozen) for b in ordered)
     return BlockDecomposition(g, blocks, cut_frozen, block_cuts)
 
 

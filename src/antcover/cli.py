@@ -12,16 +12,17 @@ import json
 import sys
 from pathlib import Path
 
-from .blocks import BlockDecomposition, block_decomposition, block_cut_tree_dot
+from .blocks import BlockDecomposition, block_cut_tree_dot
 from .cover import (
     Cover,
-    IterationTrace,
     box_to_dict,
+    coboxicity,
+    cothdim,
     cover_from_dict,
     cover_to_box_representation,
     cover_to_dict,
     min_cointerval_cover,
-    min_threshold_cover,
+    min_cover,
     verify_cover,
 )
 from .errors import InputError, InternalInvariantError, NotBlockGraphError
@@ -76,12 +77,6 @@ def _load_cover(g: Graph, path: str) -> Cover:
     return cover_from_dict(g, payload)
 
 
-def _solve(g: Graph, kind: str, traced: bool) -> tuple[Cover, list[IterationTrace]]:
-    """Minimum cover of the given kind; component snapshots only if traced."""
-    solver = min_threshold_cover if kind == THRESHOLD else min_cointerval_cover
-    return solver(g, trace_components=traced)
-
-
 def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
     """DOT text for the graph (cover elements as colored edge groups)
     followed by its block-cut tree."""
@@ -105,14 +100,18 @@ def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
 
 def _cmd_value(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cover, traces = _solve(g, args.kind, args.with_cover)
+    if args.with_cover:
+        cover, traces, _ = min_cover(g, args.kind)
+        value = len(cover.elements)
+    else:
+        value = (cothdim if args.kind == THRESHOLD else coboxicity)(g)
     if args.oracle:
         brute = brute_cothdim(g) if args.kind == THRESHOLD else brute_coboxicity(g)
-        agree = "agree" if brute == len(cover.elements) else "DISAGREE"
+        agree = "agree" if brute == value else "DISAGREE"
         print(f"oracle {brute} ({agree})", file=sys.stderr)
-        if brute != len(cover.elements):
+        if brute != value:
             raise InternalInvariantError("algorithm disagrees with the exact oracle")
-    print(len(cover.elements))
+    print(value)
     if args.with_cover:
         _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
     return 0
@@ -120,10 +119,10 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cover, traces = _solve(g, args.kind, True)
+    cover, traces, bd = min_cover(g, args.kind)
     _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
     if args.dot_path:
-        _write_text(args.dot_path, export_dot(g, block_decomposition(g), cover))
+        _write_text(args.dot_path, export_dot(g, bd, cover))
     return 0
 
 

@@ -9,9 +9,11 @@ the threshold variant). The number of elements equals the co-boxicity
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .blocks import checked_block_decomposition
+from .blocks import BlockDecomposition, checked_block_decomposition
 from .cointerval import (
     BigAnt,
     EdgeSubgraph,
@@ -22,7 +24,7 @@ from .cointerval import (
 )
 from .errors import InputError
 from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
-from .peel import COINTERVAL, THRESHOLD, IterationTrace, peel_cover
+from .peel import COINTERVAL, THRESHOLD, IterationTrace, peel_count, peel_cover
 
 __all__ = [
     "Cover",
@@ -83,6 +85,35 @@ class BoxRepresentation:
         return True
 
 
+@contextmanager
+def _gc_paused():
+    """Cyclic GC off for the block, restored afterwards even on an exception.
+
+    The solvers build many small containers that make no reference cycles
+    and stay alive until the solve ends, so collections during it scan
+    live state and free nothing. GC stays off if the caller had turned it
+    off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def min_cover(
+    g: Graph, kind: str, trace_components: bool = True
+) -> tuple[Cover, list[IterationTrace], BlockDecomposition]:
+    """Minimum cover of the given kind, its traces and the block
+    decomposition it was computed from."""
+    with _gc_paused():
+        bd = checked_block_decomposition(g)
+        elements, traces = peel_cover(g, bd, kind, trace_components)
+    return Cover(g, tuple(elements), kind), traces, bd
+
+
 def min_cointerval_cover(
     g: Graph, trace_components: bool = True
 ) -> tuple[Cover, list[IterationTrace]]:
@@ -92,30 +123,33 @@ def min_cointerval_cover(
     vertex id, so the output is deterministic. Set trace_components=False
     on very large inputs to skip the per-iteration component snapshots.
     """
-    bd = checked_block_decomposition(g)
-    elements, traces = peel_cover(g, bd, COINTERVAL, trace_components)
-    return Cover(g, tuple(elements), COINTERVAL), traces
+    cover, traces, _ = min_cover(g, COINTERVAL, trace_components)
+    return cover, traces
 
 
 def min_threshold_cover(
     g: Graph, trace_components: bool = True
 ) -> tuple[Cover, list[IterationTrace]]:
     """Minimum threshold cover of a block graph; elements are one-apex ants."""
-    bd = checked_block_decomposition(g)
-    elements, traces = peel_cover(g, bd, THRESHOLD, trace_components)
-    return Cover(g, tuple(elements), THRESHOLD), traces
+    cover, traces, _ = min_cover(g, THRESHOLD, trace_components)
+    return cover, traces
+
+
+def _cover_size(g: Graph, kind: str) -> int:
+    """Size of a minimum cover, from the cover loop run without elements."""
+    with _gc_paused():
+        size, _ = peel_count(g, checked_block_decomposition(g), kind)
+    return size
 
 
 def coboxicity(g: Graph) -> int:
     """Minimum number of co-interval subgraphs covering all edges of g."""
-    cover, _ = min_cointerval_cover(g, trace_components=False)
-    return len(cover.elements)
+    return _cover_size(g, COINTERVAL)
 
 
 def cothdim(g: Graph) -> int:
     """Minimum number of threshold subgraphs covering all edges of g."""
-    cover, _ = min_threshold_cover(g, trace_components=False)
-    return len(cover.elements)
+    return _cover_size(g, THRESHOLD)
 
 
 def path_coboxicity(n: int) -> int:
@@ -135,7 +169,7 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
     recognition_failures = []
     covered: set[Edge] = set()
     for i, el in enumerate(c.elements):
-        if not (el.vertices <= set(g.vertices) and el.edges <= g.edges):
+        if not (g.vertices >= el.vertices and el.edges <= g.edges):
             not_subgraphs.append(i)
             continue
         covered |= el.edges

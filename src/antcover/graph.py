@@ -119,6 +119,17 @@ def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
     return Graph(adj)
 
 
+def compact_ids(g: Graph) -> list[int] | None:
+    """None when the vertex ids are exactly 0..n-1, so that each id is its
+    own index; otherwise the ids in increasing order, so that index k
+    stands for the k-th smallest id. Index-addressed state then has n slots
+    however large the ids are, and index order is id order."""
+    n = g.vertex_count
+    if n == 0 or (min(g.vertices) == 0 and max(g.vertices) == n - 1):
+        return None
+    return sorted(g.vertices)
+
+
 def clique_edges(vertices: Iterable[int]) -> list[Edge]:
     """Every pair of the given vertices as a (min, max) edge, in sorted order."""
     members = sorted(vertices)

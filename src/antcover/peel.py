@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .blocks import BlockDecomposition
 from .cointerval import BigAnt
 from .errors import InternalInvariantError
-from .graph import Edge, Graph, clique_edges, connected_components, norm_edge
+from .graph import Graph, clique_edges, compact_ids, norm_edge
 
 COINTERVAL = "cointerval"
 THRESHOLD = "threshold"
@@ -62,7 +62,7 @@ class _Region:
 
 
 class _Scan:
-    """Search state of one fragment while a region is being split."""
+    """Search state of one region or fragment, grown block by block."""
 
     __slots__ = ("queue", "seen", "verts", "nblocks", "nedge", "ncut")
 
@@ -76,55 +76,99 @@ class _Scan:
 
 
 class _Peel:
+    """Residual block structure, held in lists addressed by vertex index
+    and block index.
+
+    Vertex ids that are not exactly 0..n-1 are compacted (ids[k] is the id
+    of index k), so per-vertex lists have n slots; the run is mapped back
+    to ids at the end. Index order is id order, so every minimum-id choice
+    is the same in both.
+    """
+
     def __init__(self, g: Graph, bd: BlockDecomposition):
-        self.g = g
-        self.bverts: list[set[int]] = [set(b) for b in bd.blocks if len(b) >= 2]
+        self.ids = compact_ids(g)
+        blocks = [b for b in bd.blocks if len(b) >= 2]
+        if self.ids is not None:
+            pos = {v: k for k, v in enumerate(self.ids)}
+            blocks = [[pos[v] for v in b] for b in blocks]
+        n = g.vertex_count
+        self.bverts: list[set[int]] = [set(b) for b in blocks]
         nb = len(self.bverts)
-        self.vblocks: dict[int, set[int]] = {v: set() for v in g.vertices}
+        vblocks: list[set[int]] = [set() for _ in range(n)]
         for i, b in enumerate(self.bverts):
             for v in b:
-                self.vblocks[v].add(i)
+                vblocks[v].add(i)
+        self.vblocks = vblocks
         self.alive = [True] * nb
         self.counted_edge = [len(b) == 2 for b in self.bverts]
-        self.bcut = [
-            sum(1 for x in b if len(self.vblocks[x]) >= 2) for b in self.bverts
-        ]
+        cuts = [x for x in range(n) if len(vblocks[x]) >= 2]
+        self.bcut = [0] * nb
+        for x in cuts:
+            for i in vblocks[x]:
+                self.bcut[i] += 1
         self.is_int = [c >= 2 for c in self.bcut]
-        self.vint: dict[int, set[int]] = {
-            v: {i for i in bl if self.is_int[i]} for v, bl in self.vblocks.items()
-        }
-        self.catt = [
-            sum(1 for x in b if len(self.vint[x]) >= 2) for b in self.bverts
-        ]
-        self.comp_id: dict[int, int] = {}
+        # nint[v]: internal blocks at v; v attaches its blocks to the
+        # internal part of the tree when it has two or more
+        self.nint = [0] * n
+        for i, b in enumerate(self.bverts):
+            if self.is_int[i]:
+                for x in b:
+                    self.nint[x] += 1
+        self.catt = [0] * nb
+        for x in cuts:
+            if self.nint[x] >= 2:
+                for i in vblocks[x]:
+                    self.catt[i] += 1
+        self.comp_id = [-1] * n
         self.next_rid = 0
 
     # -- region construction -------------------------------------------
 
     def initial_regions(self) -> list[_Region]:
+        """One region per connected component with an edge."""
         regions: list[_Region] = []
-        by_rid: dict[int, _Region] = {}
-        for comp in connected_components(self.g):
-            if len(comp) < 2:
-                continue
-            rg = _Region(self.next_rid)
-            self.next_rid += 1
-            rg.verts = set(comp)
-            rg.vheap = list(comp)
-            heapq.heapify(rg.vheap)
-            for v in comp:
-                self.comp_id[v] = rg.rid
-                if len(self.vblocks[v]) >= 2:
-                    rg.ncut += 1
-            regions.append(rg)
-            by_rid[rg.rid] = rg
-        for i, b in enumerate(self.bverts):
-            rg = by_rid[self.comp_id[next(iter(b))]]
-            rg.nblocks += 1
-            if self.counted_edge[i]:
-                rg.nedge += 1
-            self._push_if_eligible(rg, i)
+        for x, xbl in enumerate(self.vblocks):
+            if xbl and self.comp_id[x] < 0:
+                sc = _Scan(next(iter(xbl)))
+                while self._scan_block(sc):
+                    pass
+                regions.append(self._new_region(sc))
         return regions
+
+    def _scan_block(self, sc: _Scan) -> bool:
+        """Add the next queued block to the scan; True while more are queued."""
+        queue, seen, verts, vblocks = sc.queue, sc.seen, sc.verts, self.vblocks
+        b = queue.pop()
+        sc.nblocks += 1
+        if self.counted_edge[b]:
+            sc.nedge += 1
+        for x in self.bverts[b]:
+            if x in verts:
+                continue
+            verts.add(x)
+            xbl = vblocks[x]
+            if len(xbl) >= 2:
+                sc.ncut += 1
+                for j in xbl:
+                    if j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+        return bool(queue)
+
+    def _new_region(self, sc: _Scan) -> _Region:
+        rg = _Region(self.next_rid)
+        self.next_rid += 1
+        rg.verts = sc.verts
+        rg.nblocks = sc.nblocks
+        rg.nedge = sc.nedge
+        rg.ncut = sc.ncut
+        rg.vheap = list(sc.verts)
+        heapq.heapify(rg.vheap)
+        for x in sc.verts:
+            self.comp_id[x] = rg.rid
+        for b in sc.seen:
+            self._push_if_eligible(rg, b)
+        return rg
 
     def _push_if_eligible(self, rg: _Region, i: int) -> None:
         if self.bcut[i] == 1 and len(self.bverts[i]) >= 3:
@@ -141,12 +185,11 @@ class _Peel:
         if self.is_int[i] and self.bcut[i] < 2:
             self.is_int[i] = False
             for x in self.bverts[i]:
-                vx = self.vint[x]
-                vx.discard(i)
-                if len(vx) == 1:
-                    j = next(iter(vx))
+                self.nint[x] -= 1
+                if self.nint[x] == 1:
+                    j = next(j for j in self.vblocks[x] if self.is_int[j])
                     self.catt[j] -= 1
-                    if self.is_int[j] and self.catt[j] <= 1:
+                    if self.catt[j] <= 1:
                         heapq.heappush(rg.nearleaf, (min(self.bverts[j]), j))
             if self.bcut[i] == 1 and size >= 3:
                 heapq.heappush(rg.bigleaf, (min(self.bverts[i]), i))
@@ -183,12 +226,13 @@ class _Peel:
         if was_cut:
             rg.ncut -= 1
         rg.verts.discard(r)
-        if len(self.vint[r]) >= 2:
-            for i in self.vint[r]:
-                self.catt[i] -= 1
-                if self.is_int[i] and self.catt[i] <= 1:
-                    heapq.heappush(rg.nearleaf, (min(self.bverts[i]), i))
-        self.vint[r] = set()
+        if self.nint[r] >= 2:
+            for i in vbl:
+                if self.is_int[i]:
+                    self.catt[i] -= 1
+                    if self.catt[i] <= 1:
+                        heapq.heappush(rg.nearleaf, (min(self.bverts[i]), i))
+        self.nint[r] = 0
         survivors: list[int] = []
         orphan_seeds: list[int] = []
         for i in sorted(vbl):
@@ -223,53 +267,21 @@ class _Peel:
         largest fragment inherits the region record (its heaps keep stale
         entries, filtered on pop). Returns (new regions, inheritor alive).
         """
-
-        scans = [_Scan(b) for b in seeds]
-        active = scans[:]
+        active = [_Scan(b) for b in seeds]
         done: list[_Scan] = []
         while len(active) > 1:
             still = []
             for sc in active:
-                b = sc.queue.pop()
-                sc.nblocks += 1
-                if self.counted_edge[b]:
-                    sc.nedge += 1
-                for x in self.bverts[b]:
-                    if x in sc.verts:
-                        continue
-                    sc.verts.add(x)
-                    xbl = self.vblocks[x]
-                    if len(xbl) >= 2:
-                        sc.ncut += 1
-                        for j in xbl:
-                            if j not in sc.seen:
-                                sc.seen.add(j)
-                                sc.queue.append(j)
-                if sc.queue:
-                    still.append(sc)
-                else:
-                    done.append(sc)
+                (still if self._scan_block(sc) else done).append(sc)
             active = still
 
         new_regions = []
         for sc in done:
-            piece = _Region(self.next_rid)
-            self.next_rid += 1
-            piece.verts = sc.verts
-            piece.nblocks = sc.nblocks
-            piece.nedge = sc.nedge
-            piece.ncut = sc.ncut
-            piece.vheap = list(sc.verts)
-            heapq.heapify(piece.vheap)
-            for x in sc.verts:
-                self.comp_id[x] = piece.rid
             rg.verts -= sc.verts
             rg.nblocks -= sc.nblocks
             rg.nedge -= sc.nedge
             rg.ncut -= sc.ncut
-            for b in sc.seen:
-                self._push_if_eligible(piece, b)
-            new_regions.append(piece)
+            new_regions.append(self._new_region(sc))
         inheritor = bool(active)
         if not inheritor and (rg.nblocks != 0 or rg.verts):
             raise InternalInvariantError("region accounting drifted across a split")
@@ -340,9 +352,29 @@ def peel_cover(
     trace_components: bool = True,
 ) -> tuple[list[BigAnt], list[IterationTrace]]:
     """Run the cover loop over every component; see cover.min_cointerval_cover."""
+    elements: list[BigAnt] = []
+    traces = _peel(g, bd, kind, trace_components, elements)
+    return elements, traces
+
+
+def peel_count(g: Graph, bd: BlockDecomposition, kind: str) -> tuple[int, list[IterationTrace]]:
+    """The cover size from the loop of peel_cover, run without building any
+    element; also returns the iteration traces, without component snapshots."""
+    traces = _peel(g, bd, kind, False, None)
+    return len(traces), traces
+
+
+def _peel(
+    g: Graph,
+    bd: BlockDecomposition,
+    kind: str,
+    trace_components: bool,
+    elements: list[BigAnt] | None,
+) -> list[IterationTrace]:
+    """The cover loop. One element per iteration is appended to elements,
+    unless that is None; the traces are returned."""
     st = _Peel(g, bd)
     stack = sorted(st.initial_regions(), key=lambda rg: min(rg.verts), reverse=True)
-    elements: list[BigAnt] = []
     traces: list[IterationTrace] = []
 
     while stack:
@@ -352,32 +384,23 @@ def peel_cover(
         snapshot = frozenset(rg.verts) if trace_components else None
 
         if rg.nblocks == 1 or (rg.nedge == rg.nblocks and rg.ncut == 1):
-            element, trace_args = _case_one(g, st, rg, snapshot, len(elements))
-            elements.append(element)
-            traces.append(IterationTrace(*trace_args))
-            st.remove_plain(rg, sorted(element.vertices))
-            continue
-
-        b = st.pop_big_leaf(rg)
-        if b is not None:
-            element, trace_args, plain, designated = _case_two(
-                g, st, rg, b, snapshot, len(elements)
-            )
-        elif kind == COINTERVAL:
-            b = st.pop_near_leaf(rg)
-            element, trace_args, plain, designated = _case_three(
-                g, st, rg, b, snapshot, len(elements)
-            )
+            step = _case_one(st, rg)
         else:
-            b = st.pop_near_leaf(rg)
-            element, trace_args, plain, designated = _case_three_threshold(
-                g, st, rg, b, snapshot, len(elements)
-            )
-        elements.append(element)
-        trace = IterationTrace(*trace_args)
-        traces.append(trace)
+            b = st.pop_big_leaf(rg)
+            if b is not None:
+                step = _case_two(st, b)
+            elif kind == COINTERVAL:
+                step = _case_three(st, st.pop_near_leaf(rg))
+            else:
+                step = _case_three_threshold(st, st.pop_near_leaf(rg))
+        ant_block, apexes, case, chosen, protected, removed, plain, designated = step
+        if elements is not None:
+            elements.append(_ant(g, st, ant_block, apexes))
+        traces.append(
+            IterationTrace(snapshot, case, chosen, protected, apexes, removed, len(traces))
+        )
         planned = set(plain) if designated is None else set(plain) | {designated}
-        if planned != set(trace.removed):
+        if planned != removed:
             raise InternalInvariantError("removal plan diverges from the trace")
 
         st.remove_plain(rg, plain)
@@ -388,10 +411,6 @@ def peel_cover(
             seeds = survivors + orphans
             if len(seeds) >= 2:
                 pieces, keep_rg = st.split(rg, seeds)
-            else:
-                keep_rg = rg.nblocks > 0
-        else:
-            keep_rg = rg.nblocks > 0
 
         pending = pieces + ([rg] if keep_rg and rg.nblocks > 0 else [])
         pending.sort(
@@ -400,84 +419,97 @@ def peel_cover(
         )
         stack.extend(pending)
 
-    return elements, traces
+    if st.ids is not None:
+        _relabel(st.ids, elements, traces)
+    return traces
 
 
-def _case_one(g, st: _Peel, rg: _Region, snapshot, idx):
-    verts = frozenset(rg.verts)
-    if rg.nblocks == 1:
-        x = next(iter(rg.verts))
-        b = next(iter(st.vblocks[x]))
-        block = frozenset(st.bverts[b])
-        if block != verts:
-            raise InternalInvariantError("single-block region is not a clique")
-        u = min(block)
-        element = BigAnt(g, block, u, u, verts, frozenset(clique_edges(block)))
-        apexes = (u,)
-    else:
-        x = next(iter(rg.verts))
-        if len(st.vblocks[x]) >= 2:
-            center = x
-        else:
-            b0 = next(iter(st.vblocks[x]))
-            others = st.bverts[b0] - {x}
-            center = next(iter(others))
-        leaves = verts - {center}
-        block = frozenset({center, min(leaves)})
-        edges = frozenset(norm_edge(center, leaf) for leaf in leaves)
-        element = BigAnt(g, block, center, center, verts, edges)
-        apexes = (center,)
-    trace = (snapshot, "1", None, None, apexes, verts, idx)
-    return element, trace
+def _relabel(ids: list[int], elements: list[BigAnt] | None, traces: list[IterationTrace]) -> None:
+    """Map a run over vertex indices back to the vertex ids, in place."""
+    def lab(s):
+        return None if s is None else frozenset(ids[x] for x in s)
+
+    for k, t in enumerate(traces):
+        traces[k] = IterationTrace(
+            lab(t.component),
+            t.case_taken,
+            lab(t.chosen_block),
+            None if t.protected_vertex is None else ids[t.protected_vertex],
+            tuple(ids[a] for a in t.apexes),
+            lab(t.removed),
+            t.added_element_index,
+        )
+    for k, el in enumerate(elements or ()):
+        elements[k] = BigAnt(
+            el.host,
+            lab(el.block),
+            ids[el.apex_u],
+            ids[el.apex_v],
+            lab(el.vertices),
+            frozenset((ids[a], ids[b]) for a, b in el.edges),
+        )
 
 
-def _case_two(g, st: _Peel, rg: _Region, b: int, snapshot, idx):
-    block = frozenset(st.bverts[b])
-    v = next(x for x in sorted(block) if len(st.vblocks[x]) >= 2)
-    nres = st.residual_neighbors(v)
-    edges = set(clique_edges(block))
-    edges.update(norm_edge(v, w) for w in nres)
-    element = BigAnt(g, block, v, v, frozenset(block | nres), frozenset(edges))
-    trace = (snapshot, "2", block, None, (v,), block, idx)
-    plain = sorted(block - {v})
-    return element, trace, plain, v
+# Each case returns the step of one iteration:
+# (element block, apexes, case, chosen block, protected vertex, removed,
+#  vertices to delete without splitting, vertex whose deletion may split).
 
 
-def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int | None, int]:
-    cuts = sorted(x for x in block if len(st.vblocks[x]) >= 2)
-    attach = [x for x in sorted(block) if len(st.vint[x]) >= 2]
-    if len(attach) > 1:
-        raise InternalInvariantError("near-leaf block with several internal attachments")
-    anchor = attach[0] if attach else None
-    v = anchor if anchor is not None else cuts[0]
-    return cuts, anchor, v
-
-
-def _ant_edges(st: _Peel, block, apexes) -> tuple[frozenset[int], frozenset[Edge]]:
+def _ant(g: Graph, st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) -> BigAnt:
+    """The big ant over block with the given apexes in the residual graph:
+    the block's clique plus every residual edge at an apex."""
     edges = set(clique_edges(block))
     verts = set(block)
     for a in apexes:
         nres = st.residual_neighbors(a)
         verts |= nres
         edges.update(norm_edge(a, w) for w in nres)
-    return frozenset(verts), frozenset(edges)
+    return BigAnt(g, block, min(apexes), max(apexes), frozenset(verts), frozenset(edges))
 
 
-def _case_three(g, st: _Peel, rg: _Region, b: int, snapshot, idx):
+def _case_one(st: _Peel, rg: _Region):
+    verts = frozenset(rg.verts)
+    x = next(iter(rg.verts))
+    if rg.nblocks == 1:
+        block = frozenset(st.bverts[next(iter(st.vblocks[x]))])
+        if block != verts:
+            raise InternalInvariantError("single-block region is not a clique")
+        center = min(block)
+    else:
+        if len(st.vblocks[x]) >= 2:
+            center = x
+        else:
+            others = st.bverts[next(iter(st.vblocks[x]))] - {x}
+            center = next(iter(others))
+        block = frozenset({center, min(verts - {center})})
+    return block, (center,), "1", None, None, verts, sorted(verts), None
+
+
+def _case_two(st: _Peel, b: int):
     block = frozenset(st.bverts[b])
-    cuts, _anchor, v = _pick_protected(st, block)
+    v = next(x for x in sorted(block) if len(st.vblocks[x]) >= 2)
+    return block, (v,), "2", block, None, block, sorted(block - {v}), v
+
+
+def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int]:
+    cuts = sorted(x for x in block if len(st.vblocks[x]) >= 2)
+    attach = [x for x in sorted(block) if st.nint[x] >= 2]
+    if len(attach) > 1:
+        raise InternalInvariantError("near-leaf block with several internal attachments")
+    v = attach[0] if attach else cuts[0]
+    return cuts, v
+
+
+def _case_three(st: _Peel, b: int):
+    block = frozenset(st.bverts[b])
+    cuts, v = _pick_protected(st, block)
     if len(cuts) == 2:
         u = cuts[0] if cuts[1] == v else cuts[1]
-        verts, edges = _ant_edges(st, block, (u, v))
-        element = BigAnt(g, block, *sorted((u, v)), verts, edges)
         removed = frozenset(block | st.residual_neighbors(u))
-        trace = (snapshot, "3a", block, v, (u, v), removed, idx)
         plain = st.pendant_leaves(u) + sorted(block - set(cuts)) + [u]
-        return element, trace, plain, v
+        return block, (u, v), "3a", block, v, removed, plain, v
     rest = [c for c in cuts if c != v]
     u, w = rest[0], rest[1]
-    verts, edges = _ant_edges(st, block, (u, w))
-    element = BigAnt(g, block, *sorted((u, w)), verts, edges)
     if len(cuts) == 3:
         removed = frozenset((block | st.residual_neighbors(u) | st.residual_neighbors(w)) - {v})
         plain = (
@@ -491,24 +523,17 @@ def _case_three(g, st: _Peel, rg: _Region, b: int, snapshot, idx):
         s_w = st.pendant_leaves(w)
         removed = frozenset(set(s_u) | set(s_w) | {u, w})
         plain = s_u + s_w + [u, w]
-    trace = (snapshot, "3b", block, v, (u, w), removed, idx)
-    return element, trace, plain, None
+    return block, (u, w), "3b", block, v, removed, plain, None
 
 
-def _case_three_threshold(g, st: _Peel, rg: _Region, b: int, snapshot, idx):
+def _case_three_threshold(st: _Peel, b: int):
     block = frozenset(st.bverts[b])
-    cuts, _anchor, v = _pick_protected(st, block)
+    cuts, v = _pick_protected(st, block)
     u = next(c for c in cuts if c != v)
-    verts, edges = _ant_edges(st, block, (u,))
-    element = BigAnt(g, block, u, u, verts, edges)
     if len(cuts) == 2:
         removed = frozenset((block | st.residual_neighbors(u)) - {v})
         plain = st.pendant_leaves(u) + sorted(block - {u, v}) + [u]
-        label = "3*-2cuts"
-    else:
-        s_u = st.pendant_leaves(u)
-        removed = frozenset(set(s_u) | {u})
-        plain = s_u + [u]
-        label = "3*-many"
-    trace = (snapshot, label, block, v, (u,), removed, idx)
-    return element, trace, plain, None
+        return block, (u,), "3*-2cuts", block, v, removed, plain, None
+    s_u = st.pendant_leaves(u)
+    removed = frozenset(set(s_u) | {u})
+    return block, (u,), "3*-many", block, v, removed, s_u + [u], None

@@ -22,6 +22,31 @@ def cycle_graph(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def caterpillar_graph(spine: int, legs: int) -> Graph:
+    """A spine path with `legs` pendant leaves on every spine vertex."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+    return build_graph(spine * (legs + 1), edges)
+
+
+def golden_corpus() -> dict[str, Graph]:
+    """Fixed seeded graphs whose cover JSON is pinned by hash: random block
+    graphs and the path, star, caterpillar and large-block families."""
+    from antcover.generate import random_block_graph
+
+    return {
+        "random-40": random_block_graph(40, seed=1),
+        "random-150": random_block_graph(150, seed=2),
+        "random-300": random_block_graph(300, seed=3),
+        "random-edgy-200": random_block_graph(200, seed=4, edge_block_prob=0.9),
+        "random-cliquey-200": random_block_graph(200, seed=5, edge_block_prob=0.2, max_block=8),
+        "path-100": path_graph(100),
+        "star-60": star_graph(60),
+        "caterpillar-30x3": caterpillar_graph(30, 3),
+        "large-blocks-300": random_block_graph(300, seed=6, edge_block_prob=0.0, max_block=40),
+    }
+
+
 def spider_graph() -> Graph:
     """Triangle 0,1,2 with one pendant edge at each triangle vertex."""
     return build_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])

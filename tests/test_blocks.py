@@ -19,7 +19,7 @@ from antcover.blocks import (
 )
 from antcover.errors import InputError, NotBlockGraphError
 from antcover.generate import random_block_graph
-from antcover.graph import build_graph, connected_components, disjoint_union, remove_vertices
+from antcover.graph import Graph, build_graph, connected_components, disjoint_union, remove_vertices
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -67,13 +67,21 @@ def test_decomposition_matches_networkx_on_random_graphs():
     for _ in range(150):
         g = random_graph(rng.randint(1, 12), rng.random(), rng)
         bd = block_decomposition(g)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(g.vertices)
-        nxg.add_edges_from(g.edges)
-        want_blocks = {frozenset(c) for c in nx.biconnected_components(nxg)}
-        want_blocks |= {frozenset({v}) for v in g.vertices if g.degree(v) == 0}
-        assert set(bd.blocks) == want_blocks
-        assert bd.cut_vertices == set(nx.articulation_points(nxg))
+        assert set(bd.blocks) == networkx_blocks(g)
+        assert bd.cut_vertices == set(nx.articulation_points(to_networkx(g)))
+
+
+def to_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+def networkx_blocks(g):
+    """Biconnected components, plus a singleton block per isolated vertex."""
+    want = {frozenset(c) for c in nx.biconnected_components(to_networkx(g))}
+    return want | {frozenset({v}) for v in g.vertices if g.degree(v) == 0}
 
 
 def test_edge_partition_over_blocks():
@@ -114,12 +122,9 @@ def test_is_block_graph():
 
 def brute_is_block_graph(g) -> bool:
     """Every biconnected component (networkx) induces a clique, pair by pair."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.vertices)
-    nxg.add_edges_from(g.edges)
     return all(
         g.has_edge(a, b)
-        for comp in nx.biconnected_components(nxg)
+        for comp in nx.biconnected_components(to_networkx(g))
         for a, b in itertools.combinations(comp, 2)
     )
 
@@ -146,6 +151,16 @@ def test_is_block_graph_matches_per_block_definition():
     assert verdicts == [brute_is_block_graph(g) for g in graphs]
     assert verdicts[:8] == [False, True, False, False, True, False, False, True]
     assert 0 < sum(verdicts) < len(verdicts)
+    # ids far from 0..n-1, and not contiguous: same verdicts, networkx's blocks
+    for g, verdict in zip(graphs, verdicts):
+        far = Graph.from_data(
+            [3 * v + 10**9 for v in g.vertices], [(3 * a + 10**9, 3 * b + 10**9) for a, b in g.edges]
+        )
+        assert is_block_graph(far) == brute_is_block_graph(far) == verdict
+        bd = block_decomposition(far)
+        assert set(bd.blocks) == networkx_blocks(far)
+        assert [sorted(b) for b in bd.blocks] == sorted(sorted(b) for b in bd.blocks)
+        assert all(set(cuts) == b & bd.cut_vertices for b, cuts in zip(bd.blocks, bd.block_cuts))
 
 
 def test_not_block_graph_error_names_a_missing_pair_of_one_block():

@@ -1,11 +1,16 @@
 """Cover loop: formula values, oracle equivalence, validity, box models."""
 
+import gc
+import hashlib
+import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
-from antcover import blocks
+from antcover import blocks, cli
+from antcover import cover as cover_module
 from antcover.cointerval import (
     EdgeSubgraph,
     is_cointerval,
@@ -22,6 +27,7 @@ from antcover.cover import (
     cover_to_dict,
     is_structural_big_ant,
     min_cointerval_cover,
+    min_cover,
     min_threshold_cover,
     path_coboxicity,
     validate_run,
@@ -29,18 +35,20 @@ from antcover.cover import (
 )
 from antcover.errors import InputError, NotBlockGraphError
 from antcover.generate import random_block_graph
-from antcover.graph import Graph, build_graph, disjoint_union
+from antcover.graph import Graph, build_graph, disjoint_union, serialize_edgelist
 from antcover.oracle import (
     brute_coboxicity,
     brute_cothdim,
     enumerate_maximal_cointerval_edge_sets,
     maximal_threshold_edge_sets,
 )
+from antcover.peel import COINTERVAL, THRESHOLD, peel_count, peel_cover
 from helpers import (
     complete_graph,
     cycle_graph,
     engine_run_tuples,
     free_trees,
+    golden_corpus,
     naive_cover,
     path_graph,
     spider_graph,
@@ -92,7 +100,7 @@ def test_rejects_non_block_graph():
         cothdim(cycle_graph(5))
 
 
-def test_one_block_decomposition_per_call(monkeypatch):
+def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
     original = blocks.block_decomposition
     calls = []
 
@@ -105,12 +113,20 @@ def test_one_block_decomposition_per_call(monkeypatch):
             monkeypatch.setattr(module, "block_decomposition", counting)
     large = random_block_graph(60, seed=5)
     small = random_block_graph(9, seed=6)
+    graph_file = tmp_path / "large.txt"
+    graph_file.write_text(serialize_edgelist(large))
+
+    def cli_cover_dot(g):
+        args = ["cover", "-i", str(graph_file), "-o", str(tmp_path / "c.json")]
+        assert cli.main(args + ["--dot", str(tmp_path / "c.dot")]) == 0
+
     for fn, g in [
         (blocks.is_block_graph, large),
         (coboxicity, large),
         (cothdim, large),
         (min_cointerval_cover, large),
         (min_threshold_cover, large),
+        (cli_cover_dot, large),
         (maximal_cointerval_subgraphs, small),
         (maximal_threshold_subgraphs, small),
         (enumerate_maximal_cointerval_edge_sets, small),
@@ -172,6 +188,118 @@ def test_engine_matches_naive_reference():
             assert engine_run_tuples(g, kind) == naive_cover(g, kind)
 
 
+# sha256 of json.dumps(cover_to_dict(cover, traces)) on helpers.golden_corpus,
+# recorded at commit 5e6d02b; cover JSON and traces stay byte-identical
+# unless a change says why they differ
+GOLDEN_COVER_SHA256 = {
+    ("random-40", "cointerval"): "0ec1a3e16e5549f263545bd4cdce52b30e5f7bfb563b0983cc6b7d7a0c6aa8fe",
+    ("random-40", "threshold"): "85e7c0eed4247558c451e49de2954a4d107a21f38567e06f618072b64c688dff",
+    ("random-150", "cointerval"): "521d76a289e0682b657a748ce26a5378b5558aa3347b9997ae132b0676ddec25",
+    ("random-150", "threshold"): "415a846be03ffab81f987a61ccd9ab1c4b67884ebd0d00e0ec17464aaa74b67b",
+    ("random-300", "cointerval"): "4a1b2d7bb6e0155ae244300ed0cbb24cd791dc89d8721b8ef34eff5a5a9d0b78",
+    ("random-300", "threshold"): "780ccf844214d2eb6aaba188067b16aae5a5abc32f1eceb11f9b03d7432782a9",
+    ("random-edgy-200", "cointerval"): "ea6b280289f53c863f0e39fe3f4aee9fedc56c6c3a62cd5035c69babd18a97dc",
+    ("random-edgy-200", "threshold"): "11d92fe6bd76b608c099497db145a85b4272a407ee03544c83a0b75f46b4f886",
+    ("random-cliquey-200", "cointerval"): "50630de5d8539575e0553f31d75b631b3153e45b9dc6ab57f2111a0ecad95a94",
+    ("random-cliquey-200", "threshold"): "cdf51772d57710080911eb492ca5b1b88088f28940ef071b3ed3a29ca105a2b3",
+    ("path-100", "cointerval"): "860d9924ca44475ba043fde4a2c45c95bfed7c58c20871150f10f3202eafb50e",
+    ("path-100", "threshold"): "5f3910df56f889af53f80eebe9f94d5474e0d0cf61be8fa9b380a156392322d9",
+    ("star-60", "cointerval"): "1f99024e8dac4a2a468cb79ad238901c44685836f64b6aa5fd968801091cdf3b",
+    ("star-60", "threshold"): "7e1f754557a0544d3563d7197558328249523470d9524c7e12273c6f1f236cd3",
+    ("caterpillar-30x3", "cointerval"): "186f786c28c98c07459c55cd26e6c5bb5f13abba5dcf81f644360a5bb42897d8",
+    ("caterpillar-30x3", "threshold"): "3919c4fb4c364aa95f80c3ad08861222f55a26c104d8471f9b380a541c5fea90",
+    ("large-blocks-300", "cointerval"): "ca25b045214252c430b34813046e8ca6eab5a827fd6f9d9398ca42e2ca194836",
+    ("large-blocks-300", "threshold"): "84a0c2b02cecac0558f65a299c29ab97b10bf9c96a1aa19fe0bcecbeae9d502c",
+}
+
+
+def test_cover_json_matches_golden_hashes():
+    cases = set()
+    for name, g in golden_corpus().items():
+        for kind in (COINTERVAL, THRESHOLD):
+            cover, traces, _ = min_cover(g, kind)
+            text = json.dumps(cover_to_dict(cover, traces))
+            assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COVER_SHA256[name, kind], (name, kind)
+            cases.update(t.case_taken for t in traces)
+    assert cases == {"1", "2", "3a", "3b", "3*-2cuts", "3*-many"}
+
+
+def test_count_path_takes_the_same_iterations():
+    rng = random.Random(56)
+    for i in range(60):
+        g = random_block_graph(rng.randint(2, 150), seed=2200 + i)
+        bd = blocks.block_decomposition(g)
+        for kind, value in ((COINTERVAL, coboxicity), (THRESHOLD, cothdim)):
+            elements, traces = peel_cover(g, bd, kind, False)
+            size, count_traces = peel_count(g, bd, kind)
+            assert count_traces == traces  # same cases, removed sets and order
+            assert size == value(g) == len(elements)
+
+
+def test_solvers_leave_gc_as_they_found_it(monkeypatch):
+    seen = []
+    original = cover_module.peel_count
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return original(*args)
+
+    monkeypatch.setattr(cover_module, "peel_count", recording)
+    solvers = (coboxicity, cothdim, min_cointerval_cover, min_threshold_cover)
+    assert gc.isenabled()
+    for solve in solvers:
+        with pytest.raises(NotBlockGraphError):
+            solve(cycle_graph(4))
+        assert gc.isenabled(), solve.__name__
+    assert coboxicity(path_graph(9)) == 3
+    assert seen == [False]  # paused while solving
+    gc.disable()
+    try:
+        for solve in solvers:
+            solve(path_graph(9))
+            assert not gc.isenabled(), solve.__name__
+            with pytest.raises(NotBlockGraphError):
+                solve(cycle_graph(4))
+            assert not gc.isenabled(), solve.__name__
+    finally:
+        gc.enable()
+
+
+def shift_ids(x, offset):
+    """Every vertex id inside a run's tuples moved by offset."""
+    if isinstance(x, int):
+        return x + offset
+    if isinstance(x, (tuple, frozenset, list)):
+        return type(x)(shift_ids(y, offset) for y in x)
+    return x  # case labels and None
+
+
+def test_covers_on_ids_far_from_zero():
+    offset = 10**9
+    rng = random.Random(57)
+    for i in range(40):
+        g = random_block_graph(rng.randint(2, 80), seed=2300 + i)
+        far = Graph.from_data(
+            [v + offset for v in g.vertices], [(a + offset, b + offset) for a, b in g.edges]
+        )
+        for kind in (COINTERVAL, THRESHOLD):
+            assert engine_run_tuples(far, kind) == shift_ids(engine_run_tuples(g, kind), offset)
+        assert (coboxicity(far), cothdim(far)) == (coboxicity(g), cothdim(g))
+    # index-addressed state has one slot per vertex, not one per id up to the largest
+    g = random_block_graph(2000, seed=58)
+    far = Graph.from_data(
+        [v + offset for v in g.vertices], [(a + offset, b + offset) for a, b in g.edges]
+    )
+    tracemalloc.start()
+    try:
+        min_cointerval_cover(far, trace_components=False)
+        coboxicity(far)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024 * 1024
+
+
 def test_matches_oracle_on_random_block_graphs():
     rng = random.Random(53)
     for i in range(150):
@@ -224,6 +352,14 @@ def test_verify_cover_reports():
         "cointerval",
     )
     assert verify_cover(g, foreign).not_subgraphs == (0,)
+
+    outside = Cover(
+        g,
+        (EdgeSubgraph(g, frozenset({0, 1, 99}), frozenset({(0, 1)})),),
+        "cointerval",
+    )
+    report = verify_cover(g, outside)
+    assert report.not_subgraphs == (0,) and not report.valid
 
 
 def test_box_representation_k2():
