@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import InputError, NotBlockGraphError
 from .graph import (
@@ -13,6 +15,38 @@ from .graph import (
     remove_vertices,
     shape_check,
 )
+
+
+@dataclass(frozen=True)
+class BlockIndex:
+    """Everything one Hopcroft-Tarjan pass finds, cached on its graph.
+
+    Index k stands for the k-th smallest vertex id (ids[k]; ids is None
+    when the ids are exactly 0..n-1, so that each id is its own index).
+    blocks, cut_vertices and block_cuts are in ids; the other fields are in
+    indices, for the peel engine. Components are numbered by increasing
+    minimum vertex. The index refers to no graph, so a graph and its cached
+    index form no reference cycle.
+    """
+
+    ids: list[int] | None
+    blocks: tuple[frozenset[int], ...]
+    cut_vertices: frozenset[int]
+    block_cuts: tuple[tuple[int, ...], ...]
+    members: tuple[frozenset[int], ...]  # blocks[i] in indices
+    cuts: tuple[int, ...]  # cut-vertex indices, increasing
+    incidence: tuple[tuple[int, ...], ...]  # the blocks at each index, increasing
+    vertex_comp: tuple[int, ...]  # the component of each index
+    block_comp: tuple[int, ...]  # the component of each block
+    components: int
+
+    def position(self, v: int) -> int | None:
+        """The index of vertex id v; None when v is not a vertex."""
+        ids = self.ids
+        if ids is None:
+            return v if 0 <= v < len(self.incidence) else None
+        k = bisect_left(ids, v)
+        return k if k < len(ids) and ids[k] == v else None
 
 
 @dataclass(frozen=True)
@@ -29,10 +63,12 @@ class BlockDecomposition:
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
     block_cuts: tuple[tuple[int, ...], ...]
+    index: BlockIndex = field(repr=False, compare=False)
 
     def blocks_at(self, v: int) -> tuple[int, ...]:
-        """Indices of the blocks containing vertex v."""
-        return tuple(i for i, b in enumerate(self.blocks) if v in b)
+        """Indices of the blocks containing vertex v, in increasing order."""
+        k = self.index.position(v)
+        return () if k is None else self.index.incidence[k]
 
 
 @dataclass(frozen=True)
@@ -50,14 +86,24 @@ class NearLeafResult:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
+    """Blocks and cut-vertices of g. The first call runs one Hopcroft-Tarjan
+    pass and caches its BlockIndex on the graph, whose edges never change;
+    later calls wrap the cached index again."""
+    ix = g._block_index
+    if ix is None:
+        ix = g._block_index = _hopcroft_tarjan(g)
+    return BlockDecomposition(g, ix.blocks, ix.cut_vertices, ix.block_cuts, ix)
+
+
+def _hopcroft_tarjan(g: Graph) -> BlockIndex:
     """Blocks and articulation vertices by one iterative Hopcroft-Tarjan pass.
 
     The search runs over vertex indices with list-held discovery times, low
     points and cut flags, and keeps a stack of vertices: when no edge from
     a child's subtree reaches above its parent, the vertices stacked since
-    the child, plus the parent, form a block. Blocks are listed by (minimum
-    vertex id, sorted vertex tuple), so the output does not depend on the
-    traversal.
+    the child, plus the parent, form a block. Each search root starts a new
+    component. Blocks are listed by (minimum vertex id, sorted vertex
+    tuple), so the output does not depend on the traversal.
     """
     ids = compact_ids(g)
     if ids is None:
@@ -69,12 +115,16 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     disc = [0] * n  # discovery time, from 1; 0 marks an unvisited vertex
     low = [0] * n
     is_cut = [False] * n
+    comp = [0] * n
     raw_blocks: list[list[int]] = []
     vstack: list[int] = []
     t = 0
+    c = -1
     for root in range(n):
         if disc[root]:
             continue
+        c += 1
+        comp[root] = c
         if not adj[root]:
             raw_blocks.append([root])
             continue
@@ -90,6 +140,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 if not disc[w]:
                     t += 1
                     disc[w] = low[w] = t
+                    comp[w] = c
                     stack.append((w, iter(adj[w]), len(vstack)))
                     vstack.append(w)
                     break
@@ -119,14 +170,31 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     # sorted lists compare like the (minimum, sorted tuple) key; indices
     # follow id order, so mapping them to ids keeps the order
     ordered = sorted(sorted(b) for b in raw_blocks)
-    cut = [v for v in range(n) if is_cut[v]]
-    if ids is not None:
-        ordered = [[ids[x] for x in b] for b in ordered]
-        cut = [ids[x] for x in cut]
-    cut_frozen = frozenset(cut)
-    blocks = tuple(map(frozenset, ordered))
-    block_cuts = tuple(tuple(x for x in b if x in cut_frozen) for b in ordered)
-    return BlockDecomposition(g, blocks, cut_frozen, block_cuts)
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for i, b in enumerate(ordered):
+        for x in b:
+            incidence[x].append(i)
+    cuts = tuple(compress(range(n), is_cut))
+    local_cuts = tuple(tuple(filter(is_cut.__getitem__, b)) for b in ordered)
+    members = tuple(map(frozenset, ordered))
+    if ids is None:
+        blocks, cut_vertices, block_cuts = members, frozenset(cuts), local_cuts
+    else:
+        blocks = tuple(frozenset([ids[x] for x in b]) for b in ordered)
+        cut_vertices = frozenset(ids[x] for x in cuts)
+        block_cuts = tuple(tuple(ids[x] for x in bc) for bc in local_cuts)
+    return BlockIndex(
+        ids,
+        blocks,
+        cut_vertices,
+        block_cuts,
+        members,
+        cuts,
+        tuple(map(tuple, incidence)),
+        tuple(comp),
+        tuple(comp[b[0]] for b in ordered),
+        c + 1,
+    )
 
 
 def classify_blocks(bd: BlockDecomposition) -> list[BlockClass]:

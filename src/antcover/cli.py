@@ -21,7 +21,6 @@ from .cover import (
     cover_from_dict,
     cover_to_box_representation,
     cover_to_dict,
-    min_cointerval_cover,
     min_cover,
     verify_cover,
 )
@@ -148,7 +147,7 @@ def _cmd_boxrep(args: argparse.Namespace) -> int:
     if args.cover_path:
         cover = _load_cover(g, args.cover_path)
     else:
-        cover, _ = min_cointerval_cover(g)
+        cover, _, _ = min_cover(g, COINTERVAL, trace_components=False)
     rep = cover_to_box_representation(g, cover)
     _write_text(args.output, json.dumps(box_to_dict(rep), indent=2) + "\n")
     return 0

@@ -18,7 +18,8 @@ def random_block_graph(
 
     Grows a random tree of blocks: each new block is a clique whose size
     is 2 with probability edge_block_prob and otherwise uniform in
-    3..max_block, glued onto a uniformly random existing vertex.
+    3..max_block, glued onto a uniformly random existing vertex. With
+    max_block 2 every block is an edge.
     """
     if n < 1:
         raise InputError("graph needs at least one vertex")
@@ -28,7 +29,7 @@ def random_block_graph(
     edges: list[tuple[int, int]] = []
     count = 1
     while count < n:
-        if rng.random() < edge_block_prob:
+        if rng.random() < edge_block_prob or max_block == 2:
             size = 2
         else:
             size = rng.randint(3, max_block)

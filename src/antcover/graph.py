@@ -21,14 +21,17 @@ class Graph:
     Vertex ids are non-negative integers that survive deletions unchanged,
     so graphs derived from a host keep referring to the host's labels.
     The sets returned by neighbors() are internal state; callers must not
-    mutate them.
+    mutate them. Two caches fill on first use: the edge set, and the
+    blocks.BlockIndex that blocks.block_decomposition computes (it refers
+    to vertex ids only, never back to the graph).
     """
 
-    __slots__ = ("_adj", "_edges")
+    __slots__ = ("_adj", "_edges", "_block_index")
 
     def __init__(self, adj: dict[int, set[int]]):
         self._adj = adj
         self._edges: frozenset[Edge] | None = None
+        self._block_index = None
 
     @classmethod
     def from_data(cls, vertices: Iterable[int], edges: Iterable[Edge]) -> Graph:

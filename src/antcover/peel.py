@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .blocks import BlockDecomposition
 from .cointerval import BigAnt
 from .errors import InternalInvariantError
-from .graph import Graph, clique_edges, compact_ids, norm_edge
+from .graph import Graph, clique_edges, norm_edge
 
 COINTERVAL = "cointerval"
 THRESHOLD = "threshold"
@@ -86,54 +87,60 @@ class _Peel:
     """
 
     def __init__(self, g: Graph, bd: BlockDecomposition):
-        self.ids = compact_ids(g)
-        blocks = [b for b in bd.blocks if len(b) >= 2]
-        if self.ids is not None:
-            pos = {v: k for k, v in enumerate(self.ids)}
-            blocks = [[pos[v] for v in b] for b in blocks]
-        n = g.vertex_count
-        self.bverts: list[set[int]] = [set(b) for b in blocks]
-        nb = len(self.bverts)
-        vblocks: list[set[int]] = [set() for _ in range(n)]
-        for i, b in enumerate(self.bverts):
-            for v in b:
-                vblocks[v].add(i)
-        self.vblocks = vblocks
-        self.alive = [True] * nb
-        self.counted_edge = [len(b) == 2 for b in self.bverts]
-        cuts = [x for x in range(n) if len(vblocks[x]) >= 2]
-        self.bcut = [0] * nb
-        for x in cuts:
-            for i in vblocks[x]:
-                self.bcut[i] += 1
+        ix = bd.index
+        self.ix = ix
+        self.ids = ix.ids
+        # per-vertex and per-block state copied from the graph's cached
+        # block index; singleton blocks are isolated vertices, which no
+        # region reaches, so they start dead
+        self.bverts: list[set[int]] = list(map(set, ix.members))
+        self.vblocks: list[set[int]] = list(map(set, ix.incidence))
+        self.alive = [len(b) >= 2 for b in ix.members]
+        self.counted_edge = [len(b) == 2 for b in ix.members]
+        self.bcut = list(map(len, ix.block_cuts))
         self.is_int = [c >= 2 for c in self.bcut]
         # nint[v]: internal blocks at v; v attaches its blocks to the
         # internal part of the tree when it has two or more
-        self.nint = [0] * n
-        for i, b in enumerate(self.bverts):
-            if self.is_int[i]:
-                for x in b:
-                    self.nint[x] += 1
-        self.catt = [0] * nb
-        for x in cuts:
-            if self.nint[x] >= 2:
-                for i in vblocks[x]:
+        nint = self.nint = [0] * g.vertex_count
+        for b in compress(ix.members, self.is_int):
+            for x in b:
+                nint[x] += 1
+        self.catt = [0] * len(self.bverts)
+        for x in ix.cuts:
+            if nint[x] >= 2:
+                for i in ix.incidence[x]:
                     self.catt[i] += 1
-        self.comp_id = [-1] * n
-        self.next_rid = 0
+        self.comp_id = list(ix.vertex_comp)
+        self.next_rid = ix.components
 
     # -- region construction -------------------------------------------
 
     def initial_regions(self) -> list[_Region]:
-        """One region per connected component with an edge."""
-        regions: list[_Region] = []
-        for x, xbl in enumerate(self.vblocks):
-            if xbl and self.comp_id[x] < 0:
-                sc = _Scan(next(iter(xbl)))
-                while self._scan_block(sc):
-                    pass
-                regions.append(self._new_region(sc))
-        return regions
+        """One region per connected component with an edge, in increasing
+        order of minimum vertex, read off the components of the index."""
+        ix = self.ix
+        regions: dict[int, _Region] = {}
+        for i, c in enumerate(ix.block_comp):
+            if not self.alive[i]:
+                continue
+            rg = regions.get(c)
+            if rg is None:
+                rg = regions[c] = _Region(c)
+            rg.nblocks += 1
+            if self.counted_edge[i]:
+                rg.nedge += 1
+            self._push_if_eligible(rg, i)
+        for x in ix.cuts:
+            regions[ix.vertex_comp[x]].ncut += 1
+        for x, c in enumerate(ix.vertex_comp):
+            rg = regions.get(c)
+            if rg is not None:
+                rg.verts.add(x)
+        for rg in regions.values():
+            rg.vheap = sorted(rg.verts)  # a sorted list is a heap
+        # blocks come by minimum vertex, so each component's first block
+        # holds its minimum vertex and the regions arrive in that order
+        return list(regions.values())
 
     def _scan_block(self, sc: _Scan) -> bool:
         """Add the next queued block to the scan; True while more are queued."""
@@ -374,7 +381,7 @@ def _peel(
     """The cover loop. One element per iteration is appended to elements,
     unless that is None; the traces are returned."""
     st = _Peel(g, bd)
-    stack = sorted(st.initial_regions(), key=lambda rg: min(rg.verts), reverse=True)
+    stack = st.initial_regions()[::-1]
     traces: list[IterationTrace] = []
 
     while stack:
@@ -413,10 +420,7 @@ def _peel(
                 pieces, keep_rg = st.split(rg, seeds)
 
         pending = pieces + ([rg] if keep_rg and rg.nblocks > 0 else [])
-        pending.sort(
-            key=lambda r: min(r.verts) if r is not rg else st.region_min(r),
-            reverse=True,
-        )
+        pending.sort(key=st.region_min, reverse=True)
         stack.extend(pending)
 
     if st.ids is not None:

@@ -163,6 +163,24 @@ def test_is_block_graph_matches_per_block_definition():
         assert all(set(cuts) == b & bd.cut_vertices for b, cuts in zip(bd.blocks, bd.block_cuts))
 
 
+def test_blocks_at_matches_a_scan_of_every_block():
+    rng = random.Random(13)
+    graphs = [random_block_graph(rng.randint(1, 80), seed=2400 + i) for i in range(60)]
+    graphs += [random_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(100)]
+    graphs += [disjoint_union(build_graph(3, []), two_triangles()), build_graph(0, [])]
+    for g in graphs:
+        spread = Graph.from_data(
+            [3 * v + 10**9 for v in g.vertices], [(3 * a + 10**9, 3 * b + 10**9) for a, b in g.edges]
+        )
+        for h in (g, spread):
+            bd = block_decomposition(h)
+            top = max(h.vertices, default=0)
+            probes = set(h.vertices) | {-1, top + 1, 10**9 - 1, 10**9 + 1, 10**9 + 2}
+            for v in sorted(probes):
+                # the old definition: every block, tested for v
+                assert bd.blocks_at(v) == tuple(i for i, b in enumerate(bd.blocks) if v in b)
+
+
 def test_not_block_graph_error_names_a_missing_pair_of_one_block():
     rng = random.Random(12)
     graphs = [k4_minus_edge(), cycle_graph(6), disjoint_union(path_graph(3), k4_minus_edge())]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from antcover import peel
 from antcover.blocks import block_decomposition, is_block_graph
 from antcover.cli import export_dot, main
 from antcover.cover import min_cointerval_cover
@@ -86,6 +87,29 @@ def test_gen_is_byte_deterministic_and_block(tmp_path, capsys):
 def test_gen_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--n", "10"])
+
+
+def test_gen_max_block_two_makes_every_block_an_edge(capsys):
+    for seed, n in ((1, 10), (2, 2), (3, 57)):
+        assert main(["gen", "--seed", str(seed), "--n", str(n), "--max-block", "2"]) == 0
+        g = parse_edgelist(capsys.readouterr().out)
+        assert g.vertex_count == n and g.edge_count == n - 1
+        assert all(len(b) == 2 for b in block_decomposition(g).blocks)
+
+
+def test_boxrep_takes_no_component_snapshots(tmp_path, capsys, monkeypatch):
+    snapshots = []
+    original = peel._peel
+
+    def recording(g, bd, kind, trace_components, elements):
+        snapshots.append(trace_components)
+        return original(g, bd, kind, trace_components, elements)
+
+    monkeypatch.setattr(peel, "_peel", recording)
+    gpath = write_graph(tmp_path, path_graph(7))
+    assert main(["boxrep", "-i", gpath]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 2
+    assert snapshots == [False]
 
 
 def test_exit_code_parse_failure(tmp_path, capsys):

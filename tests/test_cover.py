@@ -4,8 +4,8 @@ import gc
 import hashlib
 import json
 import random
-import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -35,7 +35,7 @@ from antcover.cover import (
 )
 from antcover.errors import InputError, NotBlockGraphError
 from antcover.generate import random_block_graph
-from antcover.graph import Graph, build_graph, disjoint_union, serialize_edgelist
+from antcover.graph import Graph, build_graph, disjoint_union, relabel_offset, serialize_edgelist
 from antcover.oracle import (
     brute_coboxicity,
     brute_cothdim,
@@ -101,40 +101,86 @@ def test_rejects_non_block_graph():
 
 
 def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
-    original = blocks.block_decomposition
-    calls = []
+    """One Hopcroft-Tarjan pass per graph, however many calls read it."""
+    computed = []
+    original = blocks._hopcroft_tarjan
 
     def counting(g):
-        calls.append(g)
+        computed.append(g)
         return original(g)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "antcover" and getattr(module, "block_decomposition", None) is original:
-            monkeypatch.setattr(module, "block_decomposition", counting)
+    monkeypatch.setattr(blocks, "_hopcroft_tarjan", counting)
     large = random_block_graph(60, seed=5)
     small = random_block_graph(9, seed=6)
     graph_file = tmp_path / "large.txt"
     graph_file.write_text(serialize_edgelist(large))
 
-    def cli_cover_dot(g):
-        args = ["cover", "-i", str(graph_file), "-o", str(tmp_path / "c.json")]
-        assert cli.main(args + ["--dot", str(tmp_path / "c.dot")]) == 0
+    for fn in (blocks.is_block_graph, coboxicity, cothdim, min_cointerval_cover, min_threshold_cover):
+        fn(large)
+    assert len(computed) == 1 and computed[0] is large
 
-    for fn, g in [
-        (blocks.is_block_graph, large),
-        (coboxicity, large),
-        (cothdim, large),
-        (min_cointerval_cover, large),
-        (min_threshold_cover, large),
-        (cli_cover_dot, large),
-        (maximal_cointerval_subgraphs, small),
-        (maximal_threshold_subgraphs, small),
-        (enumerate_maximal_cointerval_edge_sets, small),
-        (maximal_threshold_edge_sets, small),
-    ]:
-        calls.clear()
-        fn(g)
-        assert calls == [g], fn.__name__
+    computed.clear()
+    args = ["cover", "-i", str(graph_file), "-o", str(tmp_path / "c.json")]
+    assert cli.main(args + ["--dot", str(tmp_path / "c.dot")]) == 0
+    assert computed == [large]  # the parsed copy, once for the cover and the DOT
+
+    computed.clear()
+    for fn in (
+        maximal_cointerval_subgraphs,
+        maximal_threshold_subgraphs,
+        enumerate_maximal_cointerval_edge_sets,
+        maximal_threshold_edge_sets,
+    ):
+        fn(small)
+    assert len(computed) == 1 and computed[0] is small
+
+
+class WeakGraph(Graph):
+    """A Graph that can be watched through a weak reference."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _solve_everything(g):
+    assert blocks.is_block_graph(g)
+    coboxicity(g)
+    cothdim(g)
+    for kind in (COINTERVAL, THRESHOLD):
+        min_cover(g, kind)
+    bd = blocks.block_decomposition(g)
+    return bd.blocks_at(min(g.vertices))
+
+
+def test_solved_graph_is_freed_without_cyclic_gc():
+    src = random_block_graph(300, seed=7)
+    graphs = [WeakGraph.from_data(h.vertices, h.edges) for h in (src, relabel_offset(src, 10**9))]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = [weakref.ref(g) for g in graphs]
+        for g in graphs:
+            assert _solve_everything(g)
+            assert g._block_index is not None
+        del g, graphs
+        # the cached block index refers to no graph, so reference counting
+        # alone frees each graph once the caller drops it
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_cached_block_index_equals_a_fresh_pass():
+    for name, g in golden_corpus().items():
+        for h in (g, relabel_offset(g, 10**9)):
+            first = blocks.block_decomposition(h)
+            _solve_everything(h)
+            again = blocks.block_decomposition(h)
+            assert again.index is first.index, name
+            fresh = blocks.block_decomposition(Graph.from_data(h.vertices, h.edges))
+            assert again == fresh, name
+            # BlockIndex compares every field: blocks, cuts, incidence, labels
+            assert again.index == fresh.index, name
 
 
 def test_p7_run_is_deterministic_and_traced():
