@@ -1,8 +1,9 @@
 """Command-line surface: compute, verify, generate, export, acceptance harness.
 
 Exit codes: 0 success, 1 failed verification or failed acceptance check,
-2 unreadable or malformed input, 3 non-block-graph input to a block-graph
-command, 4 internal invariant violation.
+2 unreadable or malformed input (or, for harness, networkx missing), 3
+non-block-graph input to a block-graph command, 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -161,6 +162,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_harness(args: argparse.Namespace) -> int:
+    try:
+        import networkx  # noqa: F401  (criterion 2 draws its free trees from it)
+    except ImportError:
+        print(
+            "error: the acceptance harness needs networkx, which the test extra "
+            "installs: pip install 'antcover[test]'",
+            file=sys.stderr,
+        )
+        return 2
     from .acceptance import run_all
 
     results = run_all(fast=args.quick)

@@ -9,6 +9,13 @@ from .errors import InputError
 
 Edge = tuple[int, int]
 
+# The largest vertex count build_graph accepts, a hundred times the
+# 100,000-vertex graphs the solvers are tuned for. Both input formats
+# declare n before any edge and build_graph allocates n adjacency sets, so
+# this bound, checked first, keeps a header such as "1000000000 0" from
+# asking for a billion sets.
+MAX_VERTICES = 10_000_000
+
 
 def norm_edge(u: int, v: int) -> Edge:
     """Canonical (min, max) form of an undirected edge."""
@@ -21,17 +28,20 @@ class Graph:
     Vertex ids are non-negative integers that survive deletions unchanged,
     so graphs derived from a host keep referring to the host's labels.
     The sets returned by neighbors() are internal state; callers must not
-    mutate them. Two caches fill on first use: the edge set, and the
-    blocks.BlockIndex that blocks.block_decomposition computes (it refers
-    to vertex ids only, never back to the graph).
+    mutate them. Three caches fill on first use: the edge set, the
+    blocks.BlockIndex that blocks.block_decomposition computes, and the
+    starting state of the peel runs, which the first peel run computes from
+    that index. The last two refer to vertex ids and block indices only,
+    never back to the graph.
     """
 
-    __slots__ = ("_adj", "_edges", "_block_index")
+    __slots__ = ("_adj", "_edges", "_block_index", "_peel_start")
 
     def __init__(self, adj: dict[int, set[int]]):
         self._adj = adj
         self._edges: frozenset[Edge] | None = None
         self._block_index = None
+        self._peel_start = None
 
     @classmethod
     def from_data(cls, vertices: Iterable[int], edges: Iterable[Edge]) -> Graph:
@@ -107,10 +117,13 @@ class Graph:
 def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
     """Graph on vertices 0..n-1 with the given edges; duplicates collapse.
 
-    Raises InputError on loops or endpoints outside range.
+    Raises InputError on loops, endpoints outside range, or n outside
+    0..MAX_VERTICES.
     """
     if n < 0:
         raise InputError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n):

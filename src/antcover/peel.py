@@ -17,10 +17,10 @@ scanning cost stays near-linear.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
-from .blocks import BlockDecomposition
+from .blocks import BlockDecomposition, BlockIndex
 from .cointerval import BigAnt
 from .errors import InternalInvariantError
 from .graph import Graph, clique_edges, norm_edge
@@ -29,12 +29,12 @@ COINTERVAL = "cointerval"
 THRESHOLD = "threshold"
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """What one iteration of the cover loop did.
 
     component is None when component snapshots are disabled for very large
     inputs; removed always matches the vertex set deleted this iteration.
+    A trace is a tuple of its fields, so it equals that plain tuple.
     """
 
     component: frozenset[int] | None
@@ -51,15 +51,106 @@ class _Region:
 
     __slots__ = ("rid", "verts", "nblocks", "nedge", "ncut", "bigleaf", "nearleaf", "vheap")
 
-    def __init__(self, rid: int):
+    def __init__(
+        self,
+        rid: int,
+        verts: set[int],
+        vheap: list[int],
+        nblocks: int,
+        nedge: int,
+        ncut: int,
+        bigleaf: list[tuple[int, int]],
+        nearleaf: list[tuple[int, int]],
+    ):
         self.rid = rid
-        self.verts: set[int] = set()
-        self.nblocks = 0
-        self.nedge = 0
-        self.ncut = 0
-        self.bigleaf: list[tuple[int, int]] = []
-        self.nearleaf: list[tuple[int, int]] = []
-        self.vheap: list[int] = []
+        self.verts = verts
+        self.vheap = vheap
+        self.nblocks = nblocks
+        self.nedge = nedge
+        self.ncut = ncut
+        self.bigleaf = bigleaf
+        self.nearleaf = nearleaf
+
+
+class _RegionStart(NamedTuple):
+    """A component's region as every peel run starts it."""
+
+    rid: int
+    verts: tuple[int, ...]  # increasing, so also a heap
+    nblocks: int
+    nedge: int
+    ncut: int
+    bigleaf: tuple[tuple[int, int], ...]  # sorted, so also a heap
+    nearleaf: tuple[tuple[int, int], ...]
+
+
+class _Start(NamedTuple):
+    """The state every peel run on one graph starts from, computed once per
+    graph by _start_state and cached on it. It holds vertex and block
+    indices only, never the graph."""
+
+    alive: tuple[bool, ...]
+    counted_edge: tuple[bool, ...]
+    bcut: tuple[int, ...]
+    is_int: tuple[bool, ...]
+    nint: tuple[int, ...]
+    catt: tuple[int, ...]
+    regions: tuple[_RegionStart, ...]
+
+
+def _start_state(ix: BlockIndex) -> _Start:
+    """The block flags, attachment counters and first regions of a peel run
+    over the graph whose block index is ix."""
+    members = ix.members
+    # singleton blocks are isolated vertices, which no region reaches, so
+    # they start dead
+    alive = [len(b) >= 2 for b in members]
+    counted_edge = [len(b) == 2 for b in members]
+    bcut = list(map(len, ix.block_cuts))
+    is_int = [c >= 2 for c in bcut]
+    # nint[v]: internal blocks at v; v attaches its blocks to the internal
+    # part of the tree when it has two or more
+    nint = [0] * len(ix.incidence)
+    for b in compress(members, is_int):
+        for x in b:
+            nint[x] += 1
+    catt = [0] * len(members)
+    for x in ix.cuts:
+        if nint[x] >= 2:
+            for i in ix.incidence[x]:
+                catt[i] += 1
+
+    # one region per component with an edge; components are numbered by
+    # minimum vertex and blocks come by minimum vertex, so the regions
+    # arrive in that order and each block list below is sorted
+    k = ix.components
+    nblocks, nedge, ncut = [0] * k, [0] * k, [0] * k
+    verts: list[list[int]] = [[] for _ in range(k)]
+    bigleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    nearleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for i, c in enumerate(ix.block_comp):
+        if not alive[i]:
+            continue
+        nblocks[c] += 1
+        nedge[c] += counted_edge[i]
+        if bcut[i] == 1 and len(members[i]) >= 3:
+            bigleaf[c].append((min(members[i]), i))
+        if is_int[i] and catt[i] <= 1:
+            nearleaf[c].append((min(members[i]), i))
+    for x in ix.cuts:
+        ncut[ix.vertex_comp[x]] += 1
+    for x, c in enumerate(ix.vertex_comp):
+        verts[c].append(x)
+    regions = tuple(
+        _RegionStart(
+            c, tuple(verts[c]), nblocks[c], nedge[c], ncut[c], tuple(bigleaf[c]), tuple(nearleaf[c])
+        )
+        for c in range(k)
+        if nblocks[c]
+    )
+    return _Start(
+        tuple(alive), tuple(counted_edge), tuple(bcut), tuple(is_int), tuple(nint), tuple(catt), regions
+    )
 
 
 class _Scan:
@@ -88,28 +179,23 @@ class _Peel:
 
     def __init__(self, g: Graph, bd: BlockDecomposition):
         ix = bd.index
-        self.ix = ix
+        # bd is g's decomposition, so ix is the index cached on g and the
+        # start state cached next to it was computed from ix
+        start = g._peel_start
+        if start is None:
+            start = g._peel_start = _start_state(ix)
         self.ids = ix.ids
-        # per-vertex and per-block state copied from the graph's cached
-        # block index; singleton blocks are isolated vertices, which no
-        # region reaches, so they start dead
+        self.region_starts = start.regions
+        # the member and incidence sets shrink during the run, so each run
+        # takes its own copies; the rest is copied from the start state
         self.bverts: list[set[int]] = list(map(set, ix.members))
         self.vblocks: list[set[int]] = list(map(set, ix.incidence))
-        self.alive = [len(b) >= 2 for b in ix.members]
-        self.counted_edge = [len(b) == 2 for b in ix.members]
-        self.bcut = list(map(len, ix.block_cuts))
-        self.is_int = [c >= 2 for c in self.bcut]
-        # nint[v]: internal blocks at v; v attaches its blocks to the
-        # internal part of the tree when it has two or more
-        nint = self.nint = [0] * g.vertex_count
-        for b in compress(ix.members, self.is_int):
-            for x in b:
-                nint[x] += 1
-        self.catt = [0] * len(self.bverts)
-        for x in ix.cuts:
-            if nint[x] >= 2:
-                for i in ix.incidence[x]:
-                    self.catt[i] += 1
+        self.alive = list(start.alive)
+        self.counted_edge = list(start.counted_edge)
+        self.bcut = list(start.bcut)
+        self.is_int = list(start.is_int)
+        self.nint = list(start.nint)
+        self.catt = list(start.catt)
         self.comp_id = list(ix.vertex_comp)
         self.next_rid = ix.components
 
@@ -117,30 +203,14 @@ class _Peel:
 
     def initial_regions(self) -> list[_Region]:
         """One region per connected component with an edge, in increasing
-        order of minimum vertex, read off the components of the index."""
-        ix = self.ix
-        regions: dict[int, _Region] = {}
-        for i, c in enumerate(ix.block_comp):
-            if not self.alive[i]:
-                continue
-            rg = regions.get(c)
-            if rg is None:
-                rg = regions[c] = _Region(c)
-            rg.nblocks += 1
-            if self.counted_edge[i]:
-                rg.nedge += 1
-            self._push_if_eligible(rg, i)
-        for x in ix.cuts:
-            regions[ix.vertex_comp[x]].ncut += 1
-        for x, c in enumerate(ix.vertex_comp):
-            rg = regions.get(c)
-            if rg is not None:
-                rg.verts.add(x)
-        for rg in regions.values():
-            rg.vheap = sorted(rg.verts)  # a sorted list is a heap
-        # blocks come by minimum vertex, so each component's first block
-        # holds its minimum vertex and the regions arrive in that order
-        return list(regions.values())
+        order of minimum vertex."""
+        return [
+            _Region(
+                t.rid, set(t.verts), list(t.verts), t.nblocks, t.nedge, t.ncut,
+                list(t.bigleaf), list(t.nearleaf),
+            )
+            for t in self.region_starts
+        ]
 
     def _scan_block(self, sc: _Scan) -> bool:
         """Add the next queued block to the scan; True while more are queued."""
@@ -163,14 +233,10 @@ class _Peel:
         return bool(queue)
 
     def _new_region(self, sc: _Scan) -> _Region:
-        rg = _Region(self.next_rid)
+        vheap = list(sc.verts)
+        heapq.heapify(vheap)
+        rg = _Region(self.next_rid, sc.verts, vheap, sc.nblocks, sc.nedge, sc.ncut, [], [])
         self.next_rid += 1
-        rg.verts = sc.verts
-        rg.nblocks = sc.nblocks
-        rg.nedge = sc.nedge
-        rg.ncut = sc.ncut
-        rg.vheap = list(sc.verts)
-        heapq.heapify(rg.vheap)
         for x in sc.verts:
             self.comp_id[x] = rg.rid
         for b in sc.seen:
@@ -221,14 +287,36 @@ class _Peel:
                 elif not ybl:
                     rg.verts.discard(y)
 
-    def _remove_vertex(self, rg: _Region, r: int) -> tuple[list[int], list[int]]:
-        """Delete r; return (surviving blocks of r, orphan seed blocks).
+    def _remove_from_block(self, rg: _Region, r: int, vbl: set[int]) -> None:
+        """Delete r, which lies in the one block of vbl.
+
+        The block keeps its cut count, and no block stays internal with
+        fewer than two cuts (every bcut decrement is rechecked at once), so
+        only a block left with two members or fewer needs a recheck. r
+        leaves at most one survivor (its block) or one orphan seed (the
+        block's last member), so its deletion cannot fragment the region.
+        """
+        i = vbl.pop()
+        rg.verts.discard(r)
+        self.nint[r] = 0
+        members = self.bverts[i]
+        members.discard(r)
+        if len(members) <= 2:
+            self._recheck_block(rg, i)
+
+    def _remove_vertex(self, rg: _Region, r: int) -> list[int]:
+        """Delete r; return the seed blocks of the region fragments it may
+        leave: the surviving blocks of r, then the orphan seeds.
 
         An orphan seed is one block of a vertex y that was the last
         co-member of a dying block of r and still touches other blocks;
-        the region fragment through y is reachable only via that seed.
+        the region fragment through y is reachable only via that seed. A
+        vertex in one block cannot fragment the region and reports none.
         """
         vbl = self.vblocks[r]
+        if len(vbl) == 1:
+            self._remove_from_block(rg, r, vbl)
+            return []
         was_cut = len(vbl) >= 2
         if was_cut:
             rg.ncut -= 1
@@ -254,13 +342,12 @@ class _Peel:
             elif last is not None and self.vblocks[last]:
                 orphan_seeds.append(next(iter(self.vblocks[last])))
         self.vblocks[r] = set()
-        return survivors, orphan_seeds
+        return survivors + orphan_seeds
 
     def remove_plain(self, rg: _Region, vertices: list[int]) -> None:
         """Delete vertices that must not fragment the region."""
         for r in vertices:
-            survivors, orphans = self._remove_vertex(rg, r)
-            if len(survivors) + len(orphans) > 1:
+            if len(self._remove_vertex(rg, r)) > 1:
                 raise InternalInvariantError(
                     f"unexpected region fragmentation at vertex {r}"
                 )
@@ -319,17 +406,23 @@ class _Peel:
         return None
 
     def pop_near_leaf(self, rg: _Region) -> int:
-        while rg.nearleaf:
-            key, b = heapq.heappop(rg.nearleaf)
-            if not self.alive[b] or self.block_region(b) != rg.rid:
-                continue
-            if not self.is_int[b] or self.catt[b] > 1:
+        """The near-leaf block at the heap top, which stays in the heap
+        because it may survive this iteration; stale entries are popped."""
+        nearleaf = rg.nearleaf
+        while nearleaf:
+            key, b = nearleaf[0]
+            if (
+                not self.alive[b]
+                or self.block_region(b) != rg.rid
+                or not self.is_int[b]
+                or self.catt[b] > 1
+            ):
+                heapq.heappop(nearleaf)
                 continue
             m = min(self.bverts[b])
             if m != key:
-                heapq.heappush(rg.nearleaf, (m, b))
+                heapq.heapreplace(nearleaf, (m, b))
                 continue
-            heapq.heappush(rg.nearleaf, (m, b))  # may survive this iteration
             return b
         raise InternalInvariantError("no near-leaf block in a pointed non-star region")
 
@@ -414,13 +507,13 @@ def _peel(
         pieces: list[_Region] = []
         keep_rg = True
         if designated is not None:
-            survivors, orphans = st._remove_vertex(rg, designated)
-            seeds = survivors + orphans
+            seeds = st._remove_vertex(rg, designated)
             if len(seeds) >= 2:
                 pieces, keep_rg = st.split(rg, seeds)
 
         pending = pieces + ([rg] if keep_rg and rg.nblocks > 0 else [])
-        pending.sort(key=st.region_min, reverse=True)
+        if len(pending) >= 2:
+            pending.sort(key=st.region_min, reverse=True)
         stack.extend(pending)
 
     if st.ids is not None:

@@ -1,8 +1,14 @@
 """Command-line behaviour: outputs, round trips, exit codes, DOT export."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import antcover
 
 from antcover import peel
 from antcover.blocks import block_decomposition, is_block_graph
@@ -133,6 +139,42 @@ def test_exit_code_missing_file(capsys):
     assert main(["coboxicity", "-i", "/nonexistent/file"]) == 2
 
 
+# Runs CLI commands under tracemalloc in a child whose address space is
+# capped, so that a missing size guard fails there instead of exhausting
+# the machine's memory; prints each exit code, stderr line and peak.
+TRACED_CLI = """
+import json, resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from antcover.cli import main
+for argv in json.loads(sys.argv[1]):
+    tracemalloc.start()
+    code = main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(json.dumps([code, peak]))
+"""
+
+
+def test_oversized_vertex_count_exits_before_allocating(tmp_path):
+    edgelist = tmp_path / "huge.txt"
+    edgelist.write_text("1000000000 0\n")
+    structured = tmp_path / "huge.json"
+    structured.write_text('{"n": 1000000000, "edges": []}\n')
+    commands = [
+        ["coboxicity", "-i", str(edgelist)],
+        ["cover", "-i", str(structured), "-f", "structured"],
+    ]
+    src = str(Path(antcover.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_CLI, json.dumps(commands)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [code for code, _ in results] == [2, 2], done.stderr
+    assert all(peak < 1 << 20 for _, peak in results)
+    assert done.stderr.count("vertex count 1000000000 exceeds the limit") == 2
+
+
 def test_structured_format_flag(tmp_path, capsys):
     from antcover.graph import serialize_structured
 
@@ -192,3 +234,10 @@ def test_harness_quick(capsys):
     assert main(["harness", "--quick"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10
+
+
+def test_harness_without_networkx_names_the_test_extra(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "networkx", None)  # import now fails
+    assert main(["harness", "--quick"]) == 2
+    captured = capsys.readouterr()
+    assert "antcover[test]" in captured.err and not captured.out

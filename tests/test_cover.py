@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from antcover import blocks, cli
+from antcover import blocks, cli, peel
 from antcover import cover as cover_module
 from antcover.cointerval import (
     EdgeSubgraph,
@@ -101,7 +101,8 @@ def test_rejects_non_block_graph():
 
 
 def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
-    """One Hopcroft-Tarjan pass per graph, however many calls read it."""
+    """One Hopcroft-Tarjan pass and one peel start state per graph, however
+    many calls read them."""
     computed = []
     original = blocks._hopcroft_tarjan
 
@@ -109,7 +110,15 @@ def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
         computed.append(g)
         return original(g)
 
+    started = []
+    original_start = peel._start_state
+
+    def counting_start(ix):
+        started.append(ix)
+        return original_start(ix)
+
     monkeypatch.setattr(blocks, "_hopcroft_tarjan", counting)
+    monkeypatch.setattr(peel, "_start_state", counting_start)
     large = random_block_graph(60, seed=5)
     small = random_block_graph(9, seed=6)
     graph_file = tmp_path / "large.txt"
@@ -118,11 +127,15 @@ def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
     for fn in (blocks.is_block_graph, coboxicity, cothdim, min_cointerval_cover, min_threshold_cover):
         fn(large)
     assert len(computed) == 1 and computed[0] is large
+    # four peel runs, one start state, computed from the cached index
+    assert len(started) == 1 and started[0] is large._block_index
 
     computed.clear()
+    started.clear()
     args = ["cover", "-i", str(graph_file), "-o", str(tmp_path / "c.json")]
     assert cli.main(args + ["--dot", str(tmp_path / "c.dot")]) == 0
     assert computed == [large]  # the parsed copy, once for the cover and the DOT
+    assert len(started) == 1
 
     computed.clear()
     for fn in (
@@ -181,6 +194,8 @@ def test_cached_block_index_equals_a_fresh_pass():
             assert again == fresh, name
             # BlockIndex compares every field: blocks, cuts, incidence, labels
             assert again.index == fresh.index, name
+            # no peel run changed the start state the runs share
+            assert h._peel_start == peel._start_state(fresh.index), name
 
 
 def test_p7_run_is_deterministic_and_traced():
