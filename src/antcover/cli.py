@@ -1,9 +1,10 @@
 """Command-line surface: compute, verify, generate, export, acceptance harness.
 
 Exit codes: 0 success, 1 failed verification or failed acceptance check,
-2 unreadable or malformed input (or, for harness, networkx missing), 3
-non-block-graph input to a block-graph command, 4 internal invariant
-violation.
+2 unreadable or malformed input, including a cover element with no valid
+certificate that is too large for the general recogniser (or, for
+harness, networkx missing), 3 non-block-graph input to a block-graph
+command, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .blocks import BlockDecomposition, block_cut_tree_dot
+from .cointerval import COINTERVAL, THRESHOLD
 from .cover import (
     Cover,
     box_to_dict,
@@ -26,7 +28,6 @@ from .cover import (
     verify_cover,
 )
 from .errors import InputError, InternalInvariantError, NotBlockGraphError
-from .generate import random_block_graph
 from .graph import (
     Graph,
     parse_edgelist,
@@ -34,8 +35,9 @@ from .graph import (
     serialize_edgelist,
     serialize_structured,
 )
-from .oracle import brute_coboxicity, brute_cothdim
-from .peel import COINTERVAL, THRESHOLD
+
+if TYPE_CHECKING:
+    from .blocks import BlockDecomposition
 
 PALETTE = (
     "red", "blue", "forestgreen", "darkorange", "purple",
@@ -80,6 +82,8 @@ def _load_cover(g: Graph, path: str) -> Cover:
 def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
     """DOT text for the graph (cover elements as colored edge groups)
     followed by its block-cut tree."""
+    from .blocks import block_cut_tree_dot
+
     if bd.host != g:
         raise InputError("decomposition does not match the graph")
     color: dict[tuple[int, int], str] = {}
@@ -106,6 +110,8 @@ def _cmd_value(args: argparse.Namespace) -> int:
     else:
         value = (cothdim if args.kind == THRESHOLD else coboxicity)(g)
     if args.oracle:
+        from .oracle import brute_coboxicity, brute_cothdim
+
         brute = brute_cothdim(g) if args.kind == THRESHOLD else brute_coboxicity(g)
         agree = "agree" if brute == value else "DISAGREE"
         print(f"oracle {brute} ({agree})", file=sys.stderr)
@@ -150,11 +156,15 @@ def _cmd_boxrep(args: argparse.Namespace) -> int:
     else:
         cover, _, _ = min_cover(g, COINTERVAL, trace_components=False)
     rep = cover_to_box_representation(g, cover)
-    _write_text(args.output, json.dumps(box_to_dict(rep), indent=2) + "\n")
+    # compact: the layout has d intervals per vertex, and indent=2 would
+    # put every coordinate on a line of its own
+    _write_text(args.output, json.dumps(box_to_dict(rep), separators=(",", ":")) + "\n")
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import random_block_graph
+
     g = random_block_graph(args.n, args.seed, args.edge_block_prob, args.max_block)
     text = serialize_structured(g) if args.format == "structured" else serialize_edgelist(g)
     _write_text(args.output, text)

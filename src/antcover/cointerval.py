@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-from .blocks import BlockDecomposition, checked_block_decomposition
 from .errors import InputError
 from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
-from .recognition import cointerval_order_and_intervals, prefix_neighbourhood_order_ok
+
+if TYPE_CHECKING:
+    from .blocks import BlockDecomposition
+
+# The two kinds of cover element: co-interval subgraphs (two-apex big ants)
+# and threshold subgraphs (one-apex big ants).
+COINTERVAL = "cointerval"
+THRESHOLD = "threshold"
 
 
 @dataclass(frozen=True)
@@ -118,12 +125,16 @@ def is_cointerval(h: Graph) -> tuple[int, ...] | None:
     The witness satisfies the prefix-neighbourhood contract: for positions
     i < j < k, an edge at (j, k) forces an edge at (i, k).
     """
+    from .recognition import cointerval_order_and_intervals
+
     result = cointerval_order_and_intervals(h)
     return None if result is None else result[0]
 
 
 def cointerval_representation(h: Graph) -> IntervalRepresentation:
     """Integer interval model of a co-interval graph (disjoint iff edge)."""
+    from .recognition import cointerval_order_and_intervals
+
     result = cointerval_order_and_intervals(h)
     if result is None:
         raise InputError("graph is not co-interval")
@@ -208,14 +219,90 @@ def maximal_ants(bd: BlockDecomposition, two_apex: bool) -> list[BigAnt]:
 
 def maximal_cointerval_subgraphs(g: Graph) -> list[BigAnt]:
     """All maximal co-interval subgraphs of a block graph, as big ants."""
+    from .blocks import checked_block_decomposition
+
     return maximal_ants(checked_block_decomposition(g), two_apex=True)
 
 
 def maximal_threshold_subgraphs(g: Graph) -> list[BigAnt]:
     """All maximal threshold subgraphs of a block graph: one-apex big ants."""
+    from .blocks import checked_block_decomposition
+
     return maximal_ants(checked_block_decomposition(g), two_apex=False)
 
 
+def prefix_counts(
+    vertices: Set[int],
+    edges: Iterable[Edge],
+    order: Sequence[int],
+    threshold: bool = False,
+) -> list[int] | None:
+    """Check a certificate order in O(|V|+|E|); return its prefix counts.
+
+    The order must be a permutation of the vertices, and the earlier
+    neighbours of the vertex at each position k must occupy positions
+    0..p_k-1, where p_k is their number. The intervals [p_k, k] are then
+    disjoint exactly on the edges, so the graph is co-interval. With
+    threshold, every p_k must also be 0 or k: each vertex is isolated from
+    or adjacent to all earlier ones, so the graph is threshold. Each edge
+    must be listed once, as in an edge set of (min, max) pairs. Returns the
+    list of p_k, or None if any check fails.
+    """
+    n = len(order)
+    pos = dict(zip(order, range(n)))
+    if len(pos) != n or pos.keys() != vertices:
+        return None
+    counts = [0] * n
+    top = [-1] * n  # largest earlier neighbour position
+    for a, b in edges:
+        i, j = pos.get(a), pos.get(b)
+        if i is None or j is None or i == j:
+            return None
+        if i > j:
+            i, j = j, i
+        counts[j] += 1
+        if i > top[j]:
+            top[j] = i
+    if [t + 1 for t in top] != counts:
+        return None
+    if threshold and any(p and p != k for k, p in enumerate(counts)):
+        return None
+    return counts
+
+
+def ant_order(element) -> list[int] | None:
+    """The candidate certificate order of a big ant, built from its block
+    and apexes; None when it has no block or an apex lies outside it.
+
+    Two apexes u != v: u, the rest of the block, the outside vertices
+    adjacent to v only, those adjacent to both or neither, v, and the
+    outside vertices adjacent to u only, each group by id. This is the
+    layout of ant_interval_representation sorted by (right end, left end,
+    id). One apex u: the block without u, the outside vertices, then u,
+    which certifies a threshold graph too. Adjacency is read from the
+    element's own edges, and prefix_counts decides whether the order is
+    a certificate, so a tampered element merely fails that check.
+    """
+    block = getattr(element, "block", None)
+    if block is None:
+        return None
+    u, v = element.apex_u, element.apex_v
+    vertices, edges = element.vertices, element.edges
+    if u not in block or v not in block or not block <= vertices:
+        return None
+    middle = sorted(block - {u, v})
+    outside = sorted(vertices - block)
+    if u == v:
+        return middle + outside + [u]
+    only_u, only_v, other = [], [], []
+    for w in outside:
+        at_u = norm_edge(u, w) in edges
+        at_v = norm_edge(v, w) in edges
+        (only_u if at_u and not at_v else only_v if at_v and not at_u else other).append(w)
+    return [u] + middle + only_v + other + [v] + only_u
+
+
 def check_cointerval_order(edges: frozenset[Edge], order: Sequence[int]) -> bool:
-    """Public wrapper for the ordering contract used throughout the tests."""
-    return prefix_neighbourhood_order_ok(edges, tuple(order))
+    """True iff order lists distinct vertices, including every endpoint of
+    the edges, and is a co-interval certificate; see prefix_counts."""
+    return prefix_counts(set(order), edges, order) is not None

@@ -10,25 +10,33 @@ the threshold variant). The number of elements equals the co-boxicity
 from __future__ import annotations
 
 import gc
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .blocks import BlockDecomposition, checked_block_decomposition
 from .cointerval import (
+    COINTERVAL,
+    THRESHOLD,
     BigAnt,
     EdgeSubgraph,
-    IntervalRepresentation,
+    ant_order,
     cointerval_representation,
     is_cointerval,
     is_threshold,
+    prefix_counts,
 )
-from .errors import InputError
+from .errors import InputError, SizeLimitError
 from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
-from .peel import COINTERVAL, THRESHOLD, IterationTrace, peel_count, peel_cover
+
+# verify, boxrep and serialization never solve, so the block decomposition
+# and the peel engine load only when a solver runs
+if TYPE_CHECKING:
+    from .blocks import BlockDecomposition
+    from .peel import IterationTrace
 
 __all__ = [
     "Cover",
-    "IterationTrace",
     "BoxRepresentation",
     "VerificationReport",
     "min_cointerval_cover",
@@ -43,7 +51,16 @@ __all__ = [
     "cover_to_dict",
     "cover_from_dict",
     "box_to_dict",
+    "FALLBACK_MAX_VERTICES",
 ]
+
+# The largest element, in vertices, that verify_cover hands to the general
+# recogniser when the element's certificate order fails or is missing. The
+# recogniser builds the element's complement, so its time and memory grow
+# with the square of this; a larger uncertified element raises
+# SizeLimitError. Elements of the covers this package computes are always
+# certified, whatever their size.
+FALLBACK_MAX_VERTICES = 2_000
 
 
 @dataclass(frozen=True)
@@ -55,34 +72,81 @@ class Cover:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Per-element findings of verify_cover; uncertified lists the elements
+    that the general recogniser had to judge, valid or not."""
+
     not_subgraphs: tuple[int, ...]
     recognition_failures: tuple[int, ...]
     uncovered: frozenset[Edge]
+    uncertified: tuple[int, ...] = ()
 
     @property
     def valid(self) -> bool:
         return not (self.not_subgraphs or self.recognition_failures or self.uncovered)
 
 
+Interval = tuple[int, int]
+
+
 @dataclass(frozen=True)
 class BoxRepresentation:
-    """Axis-parallel integer boxes; disjointness encodes host adjacency."""
+    """Axis-parallel integer boxes; disjointness encodes host adjacency.
 
-    dimension: int
-    boxes: dict[int, tuple[tuple[int, int], ...]]
+    Stored sparsely: dimension i keeps intervals[i], the intervals of the
+    vertices of one cover element, and ranges[i], the interval that every
+    other vertex of the host spans there and that contains all of
+    intervals[i]. The store is linear in the total size of the elements;
+    boxes[v] assembles v's full d-tuple on demand.
+    """
+
+    vertices: frozenset[int]
+    intervals: tuple[dict[int, Interval], ...]
+    ranges: tuple[Interval, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.ranges)
+
+    @property
+    def boxes(self) -> Mapping[int, tuple[Interval, ...]]:
+        return _Boxes(self)
 
     def satisfies(self, g: Graph) -> bool:
+        """Check every pair of boxes against the adjacency of g."""
         verts = sorted(g.vertices)
+        boxes = self.boxes
+        full = [boxes[v] for v in verts]
         for i, u in enumerate(verts):
-            bu = self.boxes[u]
-            for v in verts[i + 1:]:
-                bv = self.boxes[v]
+            bu = full[i]
+            nbrs = g.neighbors(u)
+            for v, bv in zip(verts[i + 1:], full[i + 1:]):
                 disjoint = any(
                     hu < lv or hv < lu for (lu, hu), (lv, hv) in zip(bu, bv)
                 )
-                if disjoint != g.has_edge(u, v):
+                if disjoint != (v in nbrs):
                     return False
         return True
+
+
+class _Boxes(Mapping):
+    """Read-only view of a BoxRepresentation as {vertex: d-tuple of intervals}."""
+
+    __slots__ = ("_rep",)
+
+    def __init__(self, rep: BoxRepresentation):
+        self._rep = rep
+
+    def __getitem__(self, v: int) -> tuple[Interval, ...]:
+        rep = self._rep
+        if v not in rep.vertices:
+            raise KeyError(v)
+        return tuple(iv.get(v, full) for iv, full in zip(rep.intervals, rep.ranges))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rep.vertices)
+
+    def __len__(self) -> int:
+        return len(self._rep.vertices)
 
 
 @contextmanager
@@ -108,6 +172,9 @@ def min_cover(
 ) -> tuple[Cover, list[IterationTrace], BlockDecomposition]:
     """Minimum cover of the given kind, its traces and the block
     decomposition it was computed from."""
+    from .blocks import checked_block_decomposition
+    from .peel import peel_cover
+
     with _gc_paused():
         bd = checked_block_decomposition(g)
         elements, traces = peel_cover(g, bd, kind, trace_components)
@@ -137,6 +204,9 @@ def min_threshold_cover(
 
 def _cover_size(g: Graph, kind: str) -> int:
     """Size of a minimum cover, from the cover loop run without elements."""
+    from .blocks import checked_block_decomposition
+    from .peel import peel_count
+
     with _gc_paused():
         size, _ = peel_count(g, checked_block_decomposition(g), kind)
     return size
@@ -163,27 +233,60 @@ def _element_graph(element) -> Graph:
     return Graph.from_data(element.vertices, element.edges)
 
 
-def verify_cover(g: Graph, c: Cover) -> VerificationReport:
-    """Check subgraph containment, per-element recognition and coverage."""
+Certificate = tuple[list[int], list[int]]  # an order and its prefix counts
+
+
+def _verify(g: Graph, c: Cover) -> tuple[VerificationReport, list[Certificate | None]]:
+    """verify_cover, plus each element's certificate, or None where the
+    element has none."""
+    threshold = c.kind == THRESHOLD
     not_subgraphs = []
     recognition_failures = []
+    uncertified = []
+    certificates: list[Certificate | None] = []
     covered: set[Edge] = set()
+    host_vertices, host_edges = g.vertices, g.edges
     for i, el in enumerate(c.elements):
-        if not (g.vertices >= el.vertices and el.edges <= g.edges):
+        if not (host_vertices >= el.vertices and el.edges <= host_edges):
             not_subgraphs.append(i)
+            certificates.append(None)
             continue
         covered |= el.edges
+        order = ant_order(el)
+        counts = None if order is None else prefix_counts(el.vertices, el.edges, order, threshold)
+        if counts is not None:
+            certificates.append((order, counts))
+            continue
+        certificates.append(None)
+        uncertified.append(i)
+        if len(el.vertices) > FALLBACK_MAX_VERTICES:
+            raise SizeLimitError(
+                f"element {i} has no valid certificate, and its {len(el.vertices)} "
+                f"vertices exceed the recogniser's limit of {FALLBACK_MAX_VERTICES}"
+            )
         eg = _element_graph(el)
-        if c.kind == THRESHOLD:
-            ok = is_threshold(eg)
-        else:
-            ok = is_cointerval(eg) is not None
+        ok = is_threshold(eg) if threshold else is_cointerval(eg) is not None
         if not ok:
             recognition_failures.append(i)
-    uncovered = g.edges - covered
-    return VerificationReport(
-        tuple(not_subgraphs), tuple(recognition_failures), frozenset(uncovered)
+    report = VerificationReport(
+        tuple(not_subgraphs),
+        tuple(recognition_failures),
+        frozenset(host_edges - covered),
+        tuple(uncertified),
     )
+    return report, certificates
+
+
+def verify_cover(g: Graph, c: Cover) -> VerificationReport:
+    """Check subgraph containment, per-element recognition and coverage.
+
+    An element is recognised when the order that ant_order derives from its
+    block and apexes passes prefix_counts against its own edges, in time
+    linear in its size. Elements without a block, or whose order fails,
+    go to the general recogniser and are listed in uncertified; one with
+    more than FALLBACK_MAX_VERTICES vertices raises SizeLimitError instead.
+    """
+    return _verify(g, c)[0]
 
 
 def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
@@ -246,27 +349,33 @@ def is_structural_big_ant(g: Graph, element) -> bool:
 
 
 def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:
-    """Stack one co-interval representation per element into boxes.
+    """One dimension per element, from the certificates of verify_cover.
 
-    Vertices absent from an element get the full range in that dimension,
-    so a pair of boxes is disjoint exactly when some element covers the
-    pair as an edge, which happens exactly on the edges of g.
+    The vertex at position k of an element's certificate order gets
+    [p_k, k], where p_k counts its earlier neighbours; an element the
+    recogniser had to judge gets the recogniser's interval model. Vertices
+    absent from an element span the full range of that dimension, so a
+    pair of boxes is disjoint exactly when some element covers the pair as
+    an edge, which happens exactly on the edges of g.
     """
-    report = verify_cover(g, c)
+    report, certificates = _verify(g, c)
     if not report.valid:
         raise InputError("box representation requires a valid cover")
-    dims: list[dict[int, tuple[int, int]]] = []
-    for el in c.elements:
-        rep = cointerval_representation(_element_graph(el))
-        dims.append(rep.intervals)
-    if not dims:
-        dims = [{}]
-    boxes: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for intervals in dims:
-        top = max((hi for _, hi in intervals.values()), default=0)
-        for v in g.vertices:
-            boxes[v].append(intervals.get(v, (0, top)))
-    return BoxRepresentation(len(dims), {v: tuple(bs) for v, bs in boxes.items()})
+    intervals: list[dict[int, Interval]] = []
+    ranges: list[Interval] = []
+    for el, cert in zip(c.elements, certificates):
+        if cert is None:
+            ivs = cointerval_representation(_element_graph(el)).intervals
+            top = max((hi for _, hi in ivs.values()), default=0)
+        else:
+            order, counts = cert
+            ivs = dict(zip(order, zip(counts, range(len(order)))))
+            top = len(order) - 1
+        intervals.append(ivs)
+        ranges.append((0, top))
+    if not ranges:
+        intervals, ranges = [{}], [(0, 0)]
+    return BoxRepresentation(frozenset(g.vertices), tuple(intervals), tuple(ranges))
 
 
 # -- serialization -------------------------------------------------------
@@ -334,8 +443,9 @@ def cover_from_dict(g: Graph, payload: dict) -> Cover:
 
 
 def box_to_dict(rep: BoxRepresentation) -> dict:
+    boxes = rep.boxes
     return {
         "d": rep.dimension,
-        "boxes": {str(v): [list(iv) for iv in rep.boxes[v]] for v in sorted(rep.boxes)},
+        "boxes": {str(v): [list(iv) for iv in boxes[v]] for v in sorted(boxes)},
     }
 

@@ -10,7 +10,9 @@ class NotBlockGraphError(InputError):
 
 
 class SizeLimitError(InputError):
-    """A brute-force oracle was asked to exceed its configured size bound."""
+    """An exponential or quadratic fallback (the brute-force oracle, the
+    general recogniser behind verify_cover) was asked to exceed its
+    configured size bound."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import heapq
 from itertools import compress
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .blocks import BlockDecomposition, BlockIndex
-from .cointerval import BigAnt
+from .cointerval import COINTERVAL, THRESHOLD, BigAnt  # noqa: F401 (THRESHOLD re-exported)
 from .errors import InternalInvariantError
 from .graph import Graph, clique_edges, norm_edge
 
-COINTERVAL = "cointerval"
-THRESHOLD = "threshold"
+if TYPE_CHECKING:
+    from .blocks import BlockDecomposition, BlockIndex
 
 
 class IterationTrace(NamedTuple):
@@ -477,44 +476,53 @@ def _peel(
     stack = st.initial_regions()[::-1]
     traces: list[IterationTrace] = []
 
-    while stack:
-        rg = stack.pop()
-        if rg.nblocks == 0:
-            continue
-        snapshot = frozenset(rg.verts) if trace_components else None
+    try:
+        while stack:
+            rg = stack.pop()
+            if rg.nblocks == 0:
+                continue
+            case = None
+            snapshot = frozenset(rg.verts) if trace_components else None
 
-        if rg.nblocks == 1 or (rg.nedge == rg.nblocks and rg.ncut == 1):
-            step = _case_one(st, rg)
-        else:
-            b = st.pop_big_leaf(rg)
-            if b is not None:
-                step = _case_two(st, b)
-            elif kind == COINTERVAL:
-                step = _case_three(st, st.pop_near_leaf(rg))
+            if rg.nblocks == 1 or (rg.nedge == rg.nblocks and rg.ncut == 1):
+                step = _case_one(st, rg)
             else:
-                step = _case_three_threshold(st, st.pop_near_leaf(rg))
-        ant_block, apexes, case, chosen, protected, removed, plain, designated = step
-        if elements is not None:
-            elements.append(_ant(g, st, ant_block, apexes))
-        traces.append(
-            IterationTrace(snapshot, case, chosen, protected, apexes, removed, len(traces))
-        )
-        planned = set(plain) if designated is None else set(plain) | {designated}
-        if planned != removed:
-            raise InternalInvariantError("removal plan diverges from the trace")
+                b = st.pop_big_leaf(rg)
+                if b is not None:
+                    step = _case_two(st, b)
+                elif kind == COINTERVAL:
+                    step = _case_three(st, st.pop_near_leaf(rg))
+                else:
+                    step = _case_three_threshold(st, st.pop_near_leaf(rg))
+            ant_block, apexes, case, chosen, protected, removed, plain, designated = step
+            if elements is not None:
+                elements.append(_ant(g, st, ant_block, apexes))
+            traces.append(
+                IterationTrace(snapshot, case, chosen, protected, apexes, removed, len(traces))
+            )
+            planned = set(plain) if designated is None else set(plain) | {designated}
+            if planned != removed:
+                raise InternalInvariantError("removal plan diverges from the trace")
 
-        st.remove_plain(rg, plain)
-        pieces: list[_Region] = []
-        keep_rg = True
-        if designated is not None:
-            seeds = st._remove_vertex(rg, designated)
-            if len(seeds) >= 2:
-                pieces, keep_rg = st.split(rg, seeds)
+            st.remove_plain(rg, plain)
+            pieces: list[_Region] = []
+            keep_rg = True
+            if designated is not None:
+                seeds = st._remove_vertex(rg, designated)
+                if len(seeds) >= 2:
+                    pieces, keep_rg = st.split(rg, seeds)
 
-        pending = pieces + ([rg] if keep_rg and rg.nblocks > 0 else [])
-        if len(pending) >= 2:
-            pending.sort(key=st.region_min, reverse=True)
-        stack.extend(pending)
+            pending = pieces + ([rg] if keep_rg and rg.nblocks > 0 else [])
+            if len(pending) >= 2:
+                pending.sort(key=st.region_min, reverse=True)
+            stack.extend(pending)
+    except InternalInvariantError as exc:
+        # the iteration's case is chosen together with its trace, which
+        # traces then holds; until then case is None
+        where = f"iteration {len(traces) - (case is not None)}, region {rg.rid}"
+        if case is not None:
+            where += f", case {case}"
+        raise InternalInvariantError(f"{exc} ({where})") from exc
 
     if st.ids is not None:
         _relabel(st.ids, elements, traces)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 
+from .cointerval import prefix_counts
 from .errors import InternalInvariantError
 from .graph import Graph
 
@@ -158,25 +159,6 @@ def _order_cliques(
     return order
 
 
-def prefix_neighbourhood_order_ok(edges: frozenset[tuple[int, int]], order: tuple[int, ...]) -> bool:
-    """Check the co-interval ordering contract.
-
-    For positions i < j < k, whenever order[j]order[k] is an edge then
-    order[i]order[k] must be an edge too; equivalently every vertex's
-    earlier neighbours occupy a prefix of the ordering.
-    """
-    pos = {v: i for i, v in enumerate(order)}
-    earlier: dict[int, list[int]] = {v: [] for v in order}
-    for u, v in edges:
-        if pos[u] > pos[v]:
-            u, v = v, u
-        earlier[v].append(pos[u])
-    for v, positions in earlier.items():
-        if positions and max(positions) != len(positions) - 1:
-            return False
-    return True
-
-
 def cointerval_order_and_intervals(
     h: Graph,
 ) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]] | None:
@@ -215,6 +197,6 @@ def cointerval_order_and_intervals(
 
     intervals = {v: (first[v], last[v]) for v in verts}
     ordering = tuple(sorted(verts, key=lambda v: (last[v], first[v], v)))
-    if not prefix_neighbourhood_order_ok(h.edges, ordering):
+    if prefix_counts(h.vertices, h.edges, ordering) is None:
         raise InternalInvariantError("derived ordering violates the prefix contract")
     return ordering, intervals

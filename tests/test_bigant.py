@@ -7,11 +7,13 @@ import pytest
 from antcover.blocks import block_decomposition
 from antcover.cointerval import (
     ant_interval_representation,
+    ant_order,
     big_ant,
     is_cointerval,
     is_threshold,
     maximal_cointerval_subgraphs,
     maximal_threshold_subgraphs,
+    prefix_counts,
     sigma_subgraph,
 )
 from antcover.errors import InputError, NotBlockGraphError
@@ -68,6 +70,27 @@ def test_random_big_ants_are_cointerval_and_one_apex_threshold():
         assert is_threshold(as_graph(one))
         assert ant_interval_representation(two).satisfies(two.vertices, two.edges)
         assert ant_interval_representation(one).satisfies(one.vertices, one.edges)
+
+
+def test_ant_order_is_the_sorted_layout_and_a_certificate():
+    rng = random.Random(62)
+    for i in range(150):
+        g = random_block_graph(rng.randint(2, 40), seed=6200 + i)
+        for block in block_decomposition(g).blocks:
+            if len(block) < 2:
+                continue
+            members = sorted(block)
+            u, v = rng.choice(members), rng.choice(members)
+            if u != v:
+                two = big_ant(g, block, u, v)
+                layout = ant_interval_representation(two).intervals
+                order = ant_order(two)
+                assert order == sorted(layout, key=lambda x: (layout[x][1], layout[x][0], x))
+                assert prefix_counts(two.vertices, two.edges, order) is not None
+            one = big_ant(g, block, u, u)
+            order = ant_order(one)
+            assert order[-1] == u and set(order[: len(block) - 1]) == block - {u}
+            assert prefix_counts(one.vertices, one.edges, order, threshold=True) is not None
 
 
 def test_ant_layout_puts_apexes_at_the_ends():

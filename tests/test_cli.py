@@ -75,9 +75,58 @@ def test_verify_detects_missing_edge(tmp_path, capsys):
 def test_boxrep_command(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(7))
     assert main(["boxrep", "-i", gpath]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["d"] == 2
     assert set(payload["boxes"]) == {str(v) for v in range(7)}
+    assert out == json.dumps(payload, separators=(",", ":")) + "\n"  # compact
+
+
+def test_verify_exits_2_on_an_uncertified_element_above_the_bound(tmp_path, capsys):
+    from antcover.cover import FALLBACK_MAX_VERTICES
+
+    n = FALLBACK_MAX_VERTICES + 1
+    star = build_graph(n, [(0, i) for i in range(1, n)])
+    gpath = write_graph(tmp_path, star)
+    edges = [[0, i] for i in range(1, n)]
+    payload = {
+        "kind": "cointerval",
+        "size": 1,
+        "elements": [{"block": None, "u": None, "v": None, "vertices": list(range(n)), "edges": edges}],
+    }
+    cpath = tmp_path / "cover.json"
+    cpath.write_text(json.dumps(payload))
+    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 2
+    assert "exceed the recogniser's limit" in capsys.readouterr().err
+    # the same star with its block and apex is certified
+    payload["elements"][0].update(block=[0, 1], u=0, v=0)
+    cpath.write_text(json.dumps(payload))
+    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
+def test_cli_import_loads_only_the_modules_commands_run():
+    code = "import sys, antcover.cli; print(' '.join(sorted(sys.modules)))"
+    src = str(Path(antcover.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded = set(done.stdout.split())
+    assert "antcover.cli" in loaded, done.stderr
+    lazy = {"antcover.oracle", "antcover.generate", "antcover.recognition", "antcover.acceptance"}
+    solver = {"antcover.blocks", "antcover.peel"}  # verify and boxrep --cover never solve
+    assert not loaded & (lazy | solver)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from antcover import *", namespace)
+    assert set(antcover.__all__) <= namespace.keys()
+    assert set(antcover.__all__) <= set(dir(antcover))
+    assert namespace["verify_cover"] is antcover.cover.verify_cover
+    with pytest.raises(AttributeError):
+        antcover.no_such_name
 
 
 def test_gen_is_byte_deterministic_and_block(tmp_path, capsys):

@@ -11,6 +11,7 @@ from antcover.cointerval import (
     cointerval_representation,
     is_cointerval,
     is_threshold,
+    prefix_counts,
     sigma_subgraph,
 )
 from antcover.errors import InputError
@@ -106,6 +107,61 @@ def test_is_cointerval_random_medium():
     for _ in range(250):
         g = random_graph(rng.randint(6, 7), rng.choice([0.2, 0.4, 0.6, 0.8]), rng)
         assert (is_cointerval(g) is not None) == brute_is_cointerval(g)
+
+
+def test_prefix_counts_accepts_certificates_and_returns_the_counts():
+    # P3 0-1-2 with the centre last: 0, 2 isolated from what precedes, 1 sees both
+    edges = frozenset({(0, 1), (1, 2)})
+    assert prefix_counts({0, 1, 2}, edges, [0, 2, 1]) == [0, 0, 2]
+    assert prefix_counts({0, 1, 2}, edges, [0, 2, 1], threshold=True) == [0, 0, 2]
+    # the intervals [p_k, k] are disjoint exactly on the edges
+    counts = prefix_counts({0, 1, 2}, edges, [0, 2, 1])
+    rep = IntervalRepresentation({v: (p, k) for k, (v, p) in enumerate(zip([0, 2, 1], counts))})
+    assert rep.satisfies({0, 1, 2}, edges)
+
+
+def test_prefix_counts_rejects_a_swapped_pair():
+    # P3 0-1-2: in the order 0, 2, 1 every earlier neighbourhood is a
+    # prefix; swapping the last pair leaves 1 second, so the earlier
+    # neighbour 1 of vertex 2 sits at position 1 with position 0 missing
+    edges = frozenset({(0, 1), (1, 2)})
+    assert prefix_counts({0, 1, 2}, edges, [0, 2, 1]) is not None
+    assert prefix_counts({0, 1, 2}, edges, [2, 0, 1]) is not None
+    assert prefix_counts({0, 1, 2}, edges, [0, 1, 2]) is None
+    assert not check_cointerval_order(edges, [0, 1, 2])
+
+
+def test_prefix_counts_rejects_a_non_prefix_neighbourhood():
+    # C4 0-1-2-3: vertex 2's earlier neighbours 1 and 3 are positions 1, 2
+    edges = cycle_graph(4).edges
+    assert prefix_counts({0, 1, 2, 3}, edges, [0, 1, 3, 2]) is None
+    assert prefix_counts({0, 1, 2, 3}, edges, [0, 2, 1, 3]) is not None
+
+
+def test_prefix_counts_rejects_non_threshold_counts():
+    # P4 0-1-2-3 is co-interval but not threshold: the order 1, 3, 0, 2 is a
+    # co-interval certificate whose counts 0, 0, 1, 2 have p = 1 at k = 2
+    edges = path_graph(4).edges
+    assert prefix_counts({0, 1, 2, 3}, edges, [1, 3, 0, 2]) == [0, 0, 1, 2]
+    assert prefix_counts({0, 1, 2, 3}, edges, [1, 3, 0, 2], threshold=True) is None
+    # 2K2 has no certificate at all, whatever the order
+    two_k2 = build_graph(4, [(0, 1), (2, 3)]).edges
+    for perm in itertools.permutations(range(4)):
+        assert prefix_counts({0, 1, 2, 3}, two_k2, perm) is None
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 1], [0, 1, 2, 2], [0, 1, 2, 9], [0, 1, 2, 3, 4]],
+    ids=["missing", "repeated", "foreign", "extra"],
+)
+def test_prefix_counts_rejects_orders_that_are_not_permutations(order):
+    assert prefix_counts({0, 1, 2, 3}, frozenset({(0, 1)}), order) is None
+
+
+def test_prefix_counts_rejects_loops_and_edges_outside_the_order():
+    assert prefix_counts({0, 1}, frozenset({(0, 0)}), [0, 1]) is None
+    assert prefix_counts({0, 1}, frozenset({(0, 5)}), [0, 1]) is None
 
 
 def test_representation_k2_and_empty():

@@ -1,9 +1,11 @@
 """Cover loop: formula values, oracle equivalence, validity, box models."""
 
+import dataclasses
 import gc
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 import weakref
 
@@ -33,7 +35,7 @@ from antcover.cover import (
     validate_run,
     verify_cover,
 )
-from antcover.errors import InputError, NotBlockGraphError
+from antcover.errors import InputError, InternalInvariantError, NotBlockGraphError, SizeLimitError
 from antcover.generate import random_block_graph
 from antcover.graph import Graph, build_graph, disjoint_union, relabel_offset, serialize_edgelist
 from antcover.oracle import (
@@ -299,13 +301,14 @@ def test_count_path_takes_the_same_iterations():
 
 def test_solvers_leave_gc_as_they_found_it(monkeypatch):
     seen = []
-    original = cover_module.peel_count
+    original = peel.peel_count
 
     def recording(*args):
         seen.append(gc.isenabled())
         return original(*args)
 
-    monkeypatch.setattr(cover_module, "peel_count", recording)
+    # the solvers import the peel engine when they run, so patch it there
+    monkeypatch.setattr(peel, "peel_count", recording)
     solvers = (coboxicity, cothdim, min_cointerval_cover, min_threshold_cover)
     assert gc.isenabled()
     for solve in solvers:
@@ -421,6 +424,126 @@ def test_verify_cover_reports():
     )
     report = verify_cover(g, outside)
     assert report.not_subgraphs == (0,) and not report.valid
+
+
+def _no_recogniser(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the general recogniser ran")
+
+    for name in ("is_cointerval", "is_threshold", "cointerval_representation"):
+        monkeypatch.setattr(cover_module, name, refuse)
+
+
+def test_certified_verify_and_box_make_no_recogniser_call(monkeypatch):
+    _no_recogniser(monkeypatch)
+    graphs = dict(golden_corpus(), **{"star-3000": star_graph(3000)})
+    for name, g in graphs.items():
+        for kind in (COINTERVAL, THRESHOLD):
+            cover, _, _ = min_cover(g, kind, trace_components=False)
+            start = time.perf_counter()
+            report = verify_cover(g, cover)
+            elapsed = time.perf_counter() - start
+            assert report.valid and report.uncertified == (), (name, kind)
+            # a certificate check is linear in the element; the recogniser
+            # took about 20 s on this star
+            assert elapsed < 2.0, (name, kind, elapsed)
+            rep = cover_to_box_representation(g, cover)
+            assert rep.dimension == len(cover.elements), (name, kind)
+
+
+def _tampered(g, el):
+    """The element with a clique edge dropped, an apex moved, an extra
+    vertex, and no block; each keeps the element a subgraph of g."""
+    out = []
+    block = sorted(el.block)
+    clique = [(a, b) for i, a in enumerate(block) for b in block[i + 1:]]
+    if clique:
+        out.append(dataclasses.replace(el, edges=el.edges - {clique[len(clique) // 2]}))
+    others = [x for x in block if x not in (el.apex_u, el.apex_v)]
+    if others:
+        out.append(dataclasses.replace(el, apex_u=others[0]))
+    spare = sorted(set(g.vertices) - el.vertices)
+    if spare:
+        out.append(dataclasses.replace(el, vertices=el.vertices | {spare[0]}))
+    out.append(EdgeSubgraph(g, el.vertices, el.edges))
+    return out
+
+
+def test_tampered_elements_get_the_recognisers_verdict():
+    rng = random.Random(63)
+    graphs = [spider_graph(), star_graph(5), path_graph(9)]
+    graphs += [random_block_graph(rng.randint(4, 30), seed=6300 + i) for i in range(40)]
+    verdicts = set()
+    for g in graphs:
+        for kind in (COINTERVAL, THRESHOLD):
+            cover, _ = (min_cointerval_cover if kind == COINTERVAL else min_threshold_cover)(g)
+            for el in cover.elements:
+                for bad in _tampered(g, el):
+                    report = verify_cover(g, Cover(g, (bad,), kind))
+                    eg = Graph.from_data(bad.vertices, bad.edges)
+                    ok = is_threshold(eg) if kind == THRESHOLD else is_cointerval(eg) is not None
+                    assert report.recognition_failures == (() if ok else (0,))
+                    if report.uncertified == ():
+                        assert ok  # a certificate is only ever issued to a good element
+                    verdicts.add((ok, report.uncertified))
+    # the tampering produced elements of every kind of verdict
+    assert verdicts == {(True, ()), (True, (0,)), (False, (0,))}
+
+
+def test_uncertified_element_above_the_bound_raises(monkeypatch):
+    g = star_graph(6)
+    el = EdgeSubgraph(g, frozenset(g.vertices), g.edges)  # no block: no certificate
+    cover = Cover(g, (el,), COINTERVAL)
+    monkeypatch.setattr(cover_module, "FALLBACK_MAX_VERTICES", 7)
+    assert verify_cover(g, cover).uncertified == (0,)
+    monkeypatch.setattr(cover_module, "FALLBACK_MAX_VERTICES", 6)
+    with pytest.raises(SizeLimitError):
+        verify_cover(g, cover)
+    with pytest.raises(SizeLimitError):
+        cover_to_box_representation(g, cover)
+
+
+def test_box_model_memory_is_linear():
+    g = random_block_graph(4000, seed=1)
+    cover, _ = min_cointerval_cover(g, trace_components=False)
+    g.edges  # the host's own edge-set cache, not part of the box model
+    tracemalloc.start()
+    try:
+        rep = cover_to_box_representation(g, cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = g.vertex_count * rep.dimension
+    assert rep.dimension == len(cover.elements) > 900
+    # a dense model holds at least one 8-byte reference per cell; the
+    # sparse one stays below one byte per cell
+    assert peak < cells, (peak, cells)
+    sample = sorted(g.vertices)[::97]
+    assert all(len(rep.boxes[v]) == rep.dimension for v in sample)
+
+
+def test_invariant_failure_names_iteration_region_and_case(monkeypatch, tmp_path, capsys):
+    g = random_block_graph(40, seed=1)
+    traces = min_cointerval_cover(g)[1]
+    first = next(t for t, tr in enumerate(traces) if tr.case_taken == "2")
+    original = peel._case_two
+
+    def wrong_plan(st, b):
+        step = original(st, b)
+        return step[:5] + (step[5] | {-1},) + step[6:]
+
+    monkeypatch.setattr(peel, "_case_two", wrong_plan)
+    with pytest.raises(InternalInvariantError) as info:
+        min_cointerval_cover(g)
+    message = str(info.value)
+    assert "removal plan diverges" in message
+    assert f"iteration {first}," in message and message.endswith("case 2)")
+    assert "region " in message
+
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(serialize_edgelist(g))
+    assert cli.main(["cover", "-i", str(graph_file)]) == 4
+    assert f"iteration {first}," in capsys.readouterr().err
 
 
 def test_box_representation_k2():

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antcover.blocks import block_decomposition
-from antcover.cover import coboxicity, cothdim, min_cover, validate_run, verify_cover
+from antcover.cover import (
+    coboxicity,
+    cothdim,
+    cover_to_box_representation,
+    min_cover,
+    validate_run,
+    verify_cover,
+)
 from antcover.generate import random_block_graph
 from antcover.graph import build_graph, disjoint_union, relabel_offset
 from antcover.oracle import brute_coboxicity, brute_cothdim
@@ -46,7 +53,10 @@ def test_engine_agrees_with_its_references(g):
         size, count_traces = peel_count(g, bd, kind)
         assert size == len(cover.elements)
         assert count_traces == [t._replace(component=None) for t in traces]
-        assert verify_cover(g, cover).valid
+        report = verify_cover(g, cover)
+        assert report.valid and report.uncertified == ()  # no recogniser call
+        rep = cover_to_box_representation(g, cover)
+        assert rep.dimension == max(len(cover.elements), 1) and rep.satisfies(g)
         validate_run(g, cover, traces)
         elements = [(e.block, e.apex_u, e.apex_v, e.vertices, e.edges) for e in cover.elements]
         # a trace is a tuple; its first six fields are the naive twin's trace
