@@ -446,6 +446,8 @@ def box_to_dict(rep: BoxRepresentation) -> dict:
     boxes = rep.boxes
     return {
         "d": rep.dimension,
-        "boxes": {str(v): [list(iv) for iv in boxes[v]] for v in sorted(boxes)},
+        # json writes tuples as arrays, so the d-tuple of (lo, hi) pairs
+        # goes in as it is, with no list per cell.
+        "boxes": {str(v): boxes[v] for v in sorted(boxes)},
     }
 

@@ -248,7 +248,55 @@ def serialize_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _is_canonical(text: str) -> bool:
+    """True when text is what serialize_edgelist writes: lines of two runs
+    of ASCII digits with one space between, each line ending in '\n'.
+
+    (A regex fullmatch of such lines keeps backtracking state for every
+    line, about 190 bytes a line, unless its group is possessive, which
+    needs Python 3.11. These checks keep none.)
+    """
+    # deleting the digits must leave one ' \n' per line and nothing else...
+    if text.translate(_NO_DIGITS) != " \n" * text.count("\n"):
+        return False
+    # ...and no run of digits may be empty: the text starts with a digit,
+    # ends with its last '\n', and has no space next to a '\n'
+    return text.endswith("\n") and text[0] != " " and "\n " not in text and " \n" not in text
+
+
 def parse_edgelist(text: str) -> Graph:
+    """Graph of edge-list text: an 'n m' line, then m 'u v' lines.
+
+    Canonical text is read in one pass: one split and one int map over the
+    whole text, with no list per line and no tuple per edge. Any other text
+    goes line by line. Both give the same graph, or the same InputError.
+    """
+    if _is_canonical(text):
+        return _parse_canonical(text)
+    return _parse_rows(text)
+
+
+def _parse_canonical(text: str) -> Graph:
+    # Converts the same tokens in the same order, and checks in the same
+    # order, as _parse_rows, so a failure raises the same message.
+    try:
+        nums = list(map(int, text.split()))
+    except ValueError as exc:
+        raise InputError(f"malformed edge-list input: {exc}") from None
+    n, m = nums[0], nums[1]
+    found = len(nums) // 2 - 1
+    if found != m:
+        raise InputError(f"header declares {m} edges, found {found}")
+    ends = iter(nums)
+    next(ends)
+    next(ends)
+    return build_graph(n, zip(ends, ends))  # zip reuses its result tuple
+
+
+def _parse_rows(text: str) -> Graph:
     rows = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not rows or len(rows[0]) != 2:
         raise InputError("edge-list input must start with a 'n m' line")
@@ -269,11 +317,26 @@ def serialize_structured(g: Graph) -> str:
     return json.dumps(payload) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    # JSON true/false load as bool, a subclass of int, so test the exact type.
+    if type(value) is not int:
+        shown = json.dumps(value)
+        if len(shown) > 40:
+            shown = shown[:37] + "..."
+        raise TypeError(f"{what} must be a JSON integer, got {shown}")
+    return value
+
+
 def parse_structured(text: str) -> Graph:
+    """Graph of {"n": ..., "edges": [[u, v], ...]}; n and every endpoint
+    must be JSON integers (not floats, booleans or strings)."""
     try:
         payload = json.loads(text)
-        n = int(payload["n"])
-        edges = [(int(a), int(b)) for a, b in payload["edges"]]
+        n = _json_int(payload["n"], "n")
+        edges = [
+            (_json_int(a, "an edge endpoint"), _json_int(b, "an edge endpoint"))
+            for a, b in payload["edges"]
+        ]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed structured input: {exc}") from None
     return build_graph(n, edges)

@@ -233,6 +233,16 @@ def test_structured_format_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("value, named", [("1.7", "1.7"), ("true", "true"), ('"1"', '"1"')])
+def test_structured_non_integer_endpoint_exit_code(tmp_path, capsys, value, named):
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"n": 3, "edges": [[0, {value}], [1, 2]]}}\n')
+    assert main(["coboxicity", "-i", str(path), "-f", "structured"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"an edge endpoint must be a JSON integer, got {named}" in captured.err
+
+
 def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(4))
     bad = tmp_path / "bad.json"

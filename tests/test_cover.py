@@ -22,6 +22,7 @@ from antcover.cointerval import (
 )
 from antcover.cover import (
     Cover,
+    box_to_dict,
     coboxicity,
     cothdim,
     cover_from_dict,
@@ -520,6 +521,22 @@ def test_box_model_memory_is_linear():
     assert peak < cells, (peak, cells)
     sample = sorted(g.vertices)[::97]
     assert all(len(rep.boxes[v]) == rep.dimension for v in sample)
+
+
+def test_box_json_memory_is_small_per_cell():
+    g = random_block_graph(1000, seed=1)
+    cover, _ = min_cointerval_cover(g, trace_components=False)
+    rep = cover_to_box_representation(g, cover)
+    tracemalloc.start()
+    try:
+        text = json.dumps(box_to_dict(rep), separators=(",", ":"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = g.vertex_count * rep.dimension
+    assert rep.dimension > 200 and len(text) > 4 * cells
+    # a [lo, hi] list per cell alone takes 72 bytes (sys.getsizeof([0, 0]))
+    assert peak < 48 * cells, (peak, cells)
 
 
 def test_invariant_failure_names_iteration_region_and_case(monkeypatch, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Differential fuzzing: the cover engine against its slow references.
+"""Differential fuzzing: the cover engine against its slow references, and
+the one-pass edge-list parser against the line-by-line one.
 
 Hypothesis draws random block graphs over the generator's parameters,
 sometimes with isolated vertices added and with ids moved far from zero.
@@ -6,11 +7,15 @@ The runs are derandomised and keep no example database, so the suite
 stays deterministic.
 """
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antcover import graph
 from antcover.blocks import block_decomposition
 from antcover.cover import (
+    box_to_dict,
     coboxicity,
     cothdim,
     cover_to_box_representation,
@@ -19,7 +24,14 @@ from antcover.cover import (
     verify_cover,
 )
 from antcover.generate import random_block_graph
-from antcover.graph import build_graph, disjoint_union, relabel_offset
+from antcover.errors import InputError
+from antcover.graph import (
+    MAX_VERTICES,
+    build_graph,
+    disjoint_union,
+    relabel_offset,
+    serialize_edgelist,
+)
 from antcover.oracle import brute_coboxicity, brute_cothdim
 from antcover.peel import COINTERVAL, THRESHOLD, peel_count
 from helpers import naive_cover
@@ -57,6 +69,13 @@ def test_engine_agrees_with_its_references(g):
         assert report.valid and report.uncertified == ()  # no recogniser call
         rep = cover_to_box_representation(g, cover)
         assert rep.dimension == max(len(cover.elements), 1) and rep.satisfies(g)
+        boxes = rep.boxes
+        as_lists = {
+            "d": rep.dimension,
+            "boxes": {str(v): [list(iv) for iv in boxes[v]] for v in sorted(boxes)},
+        }
+        for layout in ({"separators": (",", ":")}, {"indent": 2}):
+            assert json.dumps(box_to_dict(rep), **layout) == json.dumps(as_lists, **layout)
         validate_run(g, cover, traces)
         elements = [(e.block, e.apex_u, e.apex_v, e.vertices, e.edges) for e in cover.elements]
         # a trace is a tuple; its first six fields are the naive twin's trace
@@ -64,3 +83,116 @@ def test_engine_agrees_with_its_references(g):
     if g.vertex_count <= ORACLE_LIMIT:
         assert coboxicity(g) == brute_coboxicity(g)
         assert cothdim(g) == brute_cothdim(g)
+
+
+# Edge-list text mutations. The content ones keep the canonical form (digits,
+# one space, '\n' after every line), so the one-pass path still reads the
+# text; the form ones leave it to the line-by-line path.
+CONTENT_MUTATIONS = (
+    "wrong-count", "leading-zeros", "out-of-range", "loop", "duplicate",
+    "too-many-vertices", "long-token",
+)
+FORM_MUTATIONS = (
+    "tab", "double-space", "leading-space", "trailing-space", "one-token", "three-tokens",
+    "no-first-token", "no-second-token", "plus-sign", "non-ascii-digit", "blank-line",
+    "crlf", "no-final-newline", "digits-after-final-newline",
+)
+
+
+def _mutate_content(draw, n, header, rows, mutation):
+    """Apply one content mutation to the token rows of a graph on n vertices."""
+    if mutation == "wrong-count":
+        m, delta = int(header[1]), draw(st.sampled_from((-2, -1, 1, 2)))
+        header[1] = str(m + delta if m + delta >= 0 else m - delta)
+    elif mutation == "leading-zeros":
+        line = draw(st.integers(0, len(rows)))
+        target = header if line == 0 else rows[line - 1]
+        target[:] = ["0" * draw(st.integers(1, 3)) + t for t in target]
+    elif mutation in ("out-of-range", "loop", "duplicate"):
+        if mutation == "out-of-range":
+            row = [str(draw(st.integers(0, n - 1))), str(n + draw(st.integers(0, 3)))]
+        elif mutation == "loop":
+            row = [str(draw(st.integers(0, n + 1)))] * 2
+        elif rows:
+            row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            return
+        rows.insert(draw(st.integers(0, len(rows))), row)
+        header[1] = str(int(header[1]) + 1)
+    elif mutation == "too-many-vertices":
+        header[0] = str(MAX_VERTICES + draw(st.integers(1, 10**9)))
+    elif mutation == "long-token":  # past int()'s default 4,300-digit limit
+        line = draw(st.integers(0, len(rows)))
+        target = header if line == 0 else rows[line - 1]
+        target[draw(st.integers(0, 1))] = "1" + "0" * 4300
+
+
+def _mutate_form(draw, lines, mutation):
+    last = len(lines) - 1
+    i = draw(st.one_of(st.just(0), st.just(last), st.integers(0, last)))
+    if mutation == "tab":
+        lines[i] = lines[i].replace(" ", "\t")
+    elif mutation == "double-space":
+        lines[i] = lines[i].replace(" ", "  ")
+    elif mutation == "leading-space":
+        lines[i] = " " + lines[i]
+    elif mutation == "trailing-space":
+        lines[i] += " "
+    elif mutation == "one-token":
+        lines[i] = lines[i].split(" ")[0]
+    elif mutation == "three-tokens":
+        lines[i] += " 1"
+    elif mutation == "no-first-token":  # keeps one space per line
+        lines[i] = " " + lines[i].split(" ")[-1]
+    elif mutation == "no-second-token":
+        lines[i] = lines[i].split(" ")[0] + " "
+    elif mutation == "plus-sign":
+        lines[i] = "+" + lines[i]
+    elif mutation == "non-ascii-digit":  # int() reads it; canonical text has none
+        lines[i] = "\u0661" + lines[i][1:]
+    elif mutation == "blank-line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
+
+
+@st.composite
+def edgelist_texts(draw):
+    """(text, canonical): serialize_edgelist of a random block graph with
+    up to two content and two form mutations, and whether the text is still
+    canonical."""
+    g = random_block_graph(
+        draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        edge_block_prob=draw(st.floats(0.0, 1.0)),
+        max_block=draw(st.integers(2, 6)),
+    )
+    header, *rows = [line.split(" ") for line in serialize_edgelist(g).splitlines()]
+    content = draw(st.lists(st.sampled_from(CONTENT_MUTATIONS), max_size=2))
+    form = []
+    if draw(st.booleans()):
+        form = draw(st.lists(st.sampled_from(FORM_MUTATIONS), min_size=1, max_size=2))
+    # the long token goes in last: the count mutations read the header as ints
+    for mutation in sorted(content, key=lambda m: m == "long-token"):
+        _mutate_content(draw, g.vertex_count, header, rows, mutation)
+    lines = [" ".join(row) for row in [header] + rows]
+    for mutation in form:
+        _mutate_form(draw, lines, mutation)
+    end = "\r\n" if "crlf" in form else "\n"
+    text = end.join(lines) + ("" if "no-final-newline" in form else end)
+    if "digits-after-final-newline" in form:
+        text += "7"
+    return text, not form
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(edgelist_texts())
+def test_one_pass_parse_agrees_with_the_line_parser(case):
+    text, canonical = case
+    assert graph._is_canonical(text) == canonical
+    assert _parsed(graph.parse_edgelist, text) == _parsed(graph._parse_rows, text)

@@ -1,9 +1,11 @@
 """Graph construction, components, deletion, shape classification, formats."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from antcover import graph
 from antcover.errors import InputError
 from antcover.graph import (
     build_graph,
@@ -16,7 +18,7 @@ from antcover.graph import (
     serialize_structured,
     shape_check,
 )
-from helpers import complete_graph, path_graph, random_graph, star_graph
+from helpers import complete_graph, golden_corpus, path_graph, random_graph, star_graph
 
 
 def test_build_path():
@@ -117,6 +119,70 @@ def test_parse_rejects_garbage():
         parse_edgelist("2 2\n0 1\n")  # header mismatch
     with pytest.raises(InputError):
         parse_structured("{}")
+
+
+def test_canonical_text_takes_the_one_pass_path(monkeypatch):
+    def refuse(text):
+        raise AssertionError("line-by-line parser called")
+
+    monkeypatch.setattr(graph, "_parse_rows", refuse)
+    for name, g in golden_corpus().items():
+        assert parse_edgelist(serialize_edgelist(g)) == g, name
+    for text in ("3 1\r\n0 1\r\n", "3 1\n0 1", "3 1\n\n0 1\n", "3 1\n0\t1\n"):
+        with pytest.raises(AssertionError):
+            parse_edgelist(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", " \n", "3\n", "3 \n", " 3\n", "3 0\n7", "3 1\n 1\n", "3 1\n0 \n", "3 1\n0 1 2\n"],
+)
+def test_near_canonical_text_parses_line_by_line(text):
+    assert not graph._is_canonical(text)
+    with pytest.raises(InputError):
+        parse_edgelist(text)
+
+
+def _clique_tree(n, lo, hi, rng):
+    """Tree of cliques of lo..hi vertices, each glued on a random earlier vertex."""
+    edges, count = [], 1
+    while count < n:
+        size = min(rng.randint(lo, hi), n - count + 1)
+        members = [rng.randrange(count)] + list(range(count, count + size - 1))
+        count += size - 1
+        edges += [(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
+    return build_graph(n, edges)
+
+
+def test_parse_peak_is_near_the_finished_graph():
+    text = serialize_edgelist(_clique_tree(2000, 20, 60, random.Random(7)))
+    tracemalloc.start()
+    try:
+        g = parse_edgelist(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 20_000
+    # a list per line and a tuple per edge took the peak to about 3x
+    assert peak <= 1.5 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"n": 3, "edges": [[0, 1.7], [1, 2]]}', "an edge endpoint must be a JSON integer, got 1.7"),
+        ('{"n": 3, "edges": [[0, 1], [true, 2]]}', "an edge endpoint must be a JSON integer, got true"),
+        ('{"n": 3, "edges": [["0", 1]]}', 'an edge endpoint must be a JSON integer, got "0"'),
+        ('{"n": 2.9, "edges": []}', "n must be a JSON integer, got 2.9"),
+        ('{"n": false, "edges": []}', "n must be a JSON integer, got false"),
+        ('{"n": "3", "edges": []}', 'n must be a JSON integer, got "3"'),
+        ('{"n": "%s", "edges": []}' % ("9" * 99), 'n must be a JSON integer, got "%s...' % ("9" * 36)),
+    ],
+)
+def test_structured_accepts_only_json_integers(text, named):
+    with pytest.raises(InputError) as info:
+        parse_structured(text)
+    assert str(info.value) == f"malformed structured input: {named}"
 
 
 def test_serialize_requires_contiguous_ids():
