@@ -23,11 +23,7 @@ _EXPORTS = {
     "cointerval": (
         "BigAnt",
         "EdgeSubgraph",
-        "IntervalRepresentation",
-        "ant_interval_representation",
         "big_ant",
-        "check_cointerval_order",
-        "cointerval_representation",
         "is_cointerval",
         "is_threshold",
         "maximal_cointerval_subgraphs",

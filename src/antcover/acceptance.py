@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 from .blocks import block_decomposition
 from .cointerval import (
-    ant_interval_representation,
+    ant_order,
     big_ant,
     is_cointerval,
     is_threshold,
+    prefix_counts,
     sigma_subgraph,
 )
 from .cover import (
@@ -252,11 +253,14 @@ class AcceptanceRun:
             u, v = rng.choice(sorted(block)), rng.choice(sorted(block))
             two = big_ant(g, block, u, v)
             one = big_ant(g, block, u, u)
+            order_two, order_one = ant_order(two), ant_order(one)
             ok = (
                 is_cointerval(Graph.from_data(two.vertices, two.edges)) is not None
                 and is_threshold(Graph.from_data(one.vertices, one.edges))
-                and ant_interval_representation(two).satisfies(two.vertices, two.edges)
-                and ant_interval_representation(one).satisfies(one.vertices, one.edges)
+                and prefix_counts(two.vertices, two.edges, order_two) is not None
+                and prefix_counts(one.vertices, one.edges, order_one, threshold=True) is not None
+                and property_one_verbatim(two.edges, order_two)
+                and property_one_verbatim(one.edges, order_one)
             )
             if not ok:
                 failures += 1

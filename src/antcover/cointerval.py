@@ -1,4 +1,13 @@
-"""Co-interval and threshold machinery: sigma-subgraphs, big ants, recognition."""
+"""Co-interval and threshold machinery: sigma-subgraphs, big ants, certificates.
+
+Every co-interval or threshold verdict in the package rests on one
+certificate: an order of the vertices whose earlier neighbourhoods are
+prefixes, checked by prefix_counts in linear time. The intervals [p_k, k]
+it yields are disjoint exactly on the edges, so the certificate is also
+the interval model. ant_order writes the order of a big ant down from its
+block and apexes; is_cointerval finds one for any graph (see
+recognition.py), and threshold_order finds the threshold form.
+"""
 
 from __future__ import annotations
 
@@ -44,42 +53,6 @@ class BigAnt:
     edges: frozenset[Edge]
 
 
-@dataclass(frozen=True)
-class IntervalRepresentation:
-    """Closed integer intervals; disjointness encodes adjacency."""
-
-    intervals: dict[int, tuple[int, int]]
-
-    def satisfies(self, vertices: Iterable[int], edges: frozenset[Edge]) -> bool:
-        """True iff intervals are disjoint exactly on the given edges."""
-        vs = sorted(vertices)
-        for i, u in enumerate(vs):
-            lu, hu = self.intervals[u]
-            for v in vs[i + 1:]:
-                lv, hv = self.intervals[v]
-                disjoint = hu < lv or hv < lu
-                if disjoint != (norm_edge(u, v) in edges):
-                    return False
-        return True
-
-    def serialize(self) -> str:
-        lines = [f"{v} {lo} {hi}" for v, (lo, hi) in sorted(self.intervals.items())]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "IntervalRepresentation":
-        intervals = {}
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            try:
-                v, lo, hi = (int(x) for x in ln.split())
-            except ValueError:
-                raise InputError(f"malformed interval line {ln!r}") from None
-            intervals[v] = (lo, hi)
-        return cls(intervals)
-
-
 def sigma_subgraph(g: Graph, sigma: Sequence[int]) -> EdgeSubgraph:
     """Subgraph grown by the shrinking-neighbourhood recursion over sigma.
 
@@ -122,67 +95,41 @@ def big_ant(g: Graph, q: Iterable[int], u: int, v: int) -> BigAnt:
 def is_cointerval(h: Graph) -> tuple[int, ...] | None:
     """An ordering witnessing that h is co-interval, or None.
 
-    The witness satisfies the prefix-neighbourhood contract: for positions
-    i < j < k, an edge at (j, k) forces an edge at (i, k).
+    The witness satisfies the prefix-neighbourhood contract of
+    prefix_counts: for positions i < j < k, an edge at (j, k) forces an
+    edge at (i, k). See recognition.cointerval_order.
     """
-    from .recognition import cointerval_order_and_intervals
+    from .recognition import cointerval_order
 
-    result = cointerval_order_and_intervals(h)
-    return None if result is None else result[0]
-
-
-def cointerval_representation(h: Graph) -> IntervalRepresentation:
-    """Integer interval model of a co-interval graph (disjoint iff edge)."""
-    from .recognition import cointerval_order_and_intervals
-
-    result = cointerval_order_and_intervals(h)
-    if result is None:
-        raise InputError("graph is not co-interval")
-    return IntervalRepresentation(result[1])
+    return cointerval_order(h)
 
 
-def ant_interval_representation(ant: BigAnt) -> IntervalRepresentation:
-    """Direct layout for a big ant: clique spread out, apexes at the ends.
+def threshold_order(h: Graph) -> list[int] | None:
+    """A threshold certificate order of h, or None if h is not threshold.
 
-    Clique intervals are pairwise disjoint with apex_u leftmost and (when
-    distinct) apex_v rightmost; each outside neighbour gets an interval
-    meeting everything except the apex intervals it is adjacent to.
+    Isolated and universal vertices are peeled off until h is empty; the
+    reverse of the peel order lists each vertex after every vertex still
+    present when it was peeled, so it is isolated from or adjacent to all
+    of them, and prefix_counts(..., threshold=True) accepts the order.
     """
-    block = sorted(ant.block)
-    s = len(block)
-    u, v = ant.apex_u, ant.apex_v
-    middle = [x for x in block if x not in (u, v)]
-    layout = [u] + middle + ([v] if v != u else [])
-    intervals: dict[int, tuple[int, int]] = {}
-    for i, x in enumerate(layout):
-        intervals[x] = (4 * i + 1, 4 * i + 2)
-    right_end = 4 * s
-    before_last = 4 * (s - 1)  # just left of the final clique interval
-    for w in sorted(ant.vertices - ant.block):
-        adj_u = w in ant.host.neighbors(u)
-        adj_v = w in ant.host.neighbors(v)
-        if u == v or (adj_u and not adj_v):
-            intervals[w] = (3, right_end)
-        elif adj_v and not adj_u:
-            intervals[w] = (0, before_last)
-        else:
-            intervals[w] = (3, before_last)
-    return IntervalRepresentation(intervals)
-
-
-def is_threshold(h: Graph) -> bool:
-    """Iterated peeling of isolated and universal vertices empties h."""
-    adj = {v: set(h.neighbors(v)) for v in h.vertices}
+    adj = {v: set(h.neighbors(v)) for v in sorted(h.vertices)}
+    peeled: list[int] = []
     while adj:
         n = len(adj)
         peel = [v for v, nbrs in adj.items() if not nbrs or len(nbrs) == n - 1]
         if not peel:
-            return False
+            return None
         for v in peel:
             for w in adj[v]:
                 adj[w].discard(v)
             del adj[v]
-    return True
+        peeled += peel
+    return peeled[::-1]
+
+
+def is_threshold(h: Graph) -> bool:
+    """Iterated peeling of isolated and universal vertices empties h."""
+    return threshold_order(h) is not None
 
 
 def maximal_ants(bd: BlockDecomposition, two_apex: bool) -> list[BigAnt]:
@@ -276,9 +223,10 @@ def ant_order(element) -> list[int] | None:
 
     Two apexes u != v: u, the rest of the block, the outside vertices
     adjacent to v only, those adjacent to both or neither, v, and the
-    outside vertices adjacent to u only, each group by id. This is the
-    layout of ant_interval_representation sorted by (right end, left end,
-    id). One apex u: the block without u, the outside vertices, then u,
+    outside vertices adjacent to u only, each group by id; among the
+    intervals [p_k, k] of this order, those of the block are pairwise
+    disjoint, with u leftmost and v rightmost. One apex u: the block
+    without u, the outside vertices, then u,
     which certifies a threshold graph too. Adjacency is read from the
     element's own edges, and prefix_counts decides whether the order is
     a certificate, so a tampered element merely fails that check.
@@ -300,9 +248,3 @@ def ant_order(element) -> list[int] | None:
         at_v = norm_edge(v, w) in edges
         (only_u if at_u and not at_v else only_v if at_v and not at_u else other).append(w)
     return [u] + middle + only_v + other + [v] + only_u
-
-
-def check_cointerval_order(edges: frozenset[Edge], order: Sequence[int]) -> bool:
-    """True iff order lists distinct vertices, including every endpoint of
-    the edges, and is a co-interval certificate; see prefix_counts."""
-    return prefix_counts(set(order), edges, order) is not None

@@ -10,7 +10,7 @@ the threshold variant). The number of elements equals the co-boxicity
 from __future__ import annotations
 
 import gc
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -21,10 +21,9 @@ from .cointerval import (
     BigAnt,
     EdgeSubgraph,
     ant_order,
-    cointerval_representation,
     is_cointerval,
-    is_threshold,
     prefix_counts,
+    threshold_order,
 )
 from .errors import InputError, SizeLimitError
 from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
@@ -55,11 +54,11 @@ __all__ = [
 ]
 
 # The largest element, in vertices, that verify_cover hands to the general
-# recogniser when the element's certificate order fails or is missing. The
-# recogniser builds the element's complement, so its time and memory grow
-# with the square of this; a larger uncertified element raises
-# SizeLimitError. Elements of the covers this package computes are always
-# certified, whatever their size.
+# recogniser when the element's certificate order fails or is missing; a
+# larger uncertified element raises SizeLimitError. The recogniser's memory
+# is linear in the element, and its time is bounded by the O(deg_max * |E|)
+# forcing in recognition.transitive_orientation. Elements of the covers
+# this package computes are always certified, whatever their size.
 FALLBACK_MAX_VERTICES = 2_000
 
 
@@ -229,16 +228,12 @@ def path_coboxicity(n: int) -> int:
     return (n + 1) // 3
 
 
-def _element_graph(element) -> Graph:
-    return Graph.from_data(element.vertices, element.edges)
-
-
-Certificate = tuple[list[int], list[int]]  # an order and its prefix counts
+Certificate = tuple[Sequence[int], list[int]]  # an order and its prefix counts
 
 
 def _verify(g: Graph, c: Cover) -> tuple[VerificationReport, list[Certificate | None]]:
     """verify_cover, plus each element's certificate, or None where the
-    element has none."""
+    element is not a subgraph of g or fails recognition."""
     threshold = c.kind == THRESHOLD
     not_subgraphs = []
     recognition_failures = []
@@ -254,20 +249,19 @@ def _verify(g: Graph, c: Cover) -> tuple[VerificationReport, list[Certificate | 
         covered |= el.edges
         order = ant_order(el)
         counts = None if order is None else prefix_counts(el.vertices, el.edges, order, threshold)
-        if counts is not None:
-            certificates.append((order, counts))
-            continue
-        certificates.append(None)
-        uncertified.append(i)
-        if len(el.vertices) > FALLBACK_MAX_VERTICES:
-            raise SizeLimitError(
-                f"element {i} has no valid certificate, and its {len(el.vertices)} "
-                f"vertices exceed the recogniser's limit of {FALLBACK_MAX_VERTICES}"
-            )
-        eg = _element_graph(el)
-        ok = is_threshold(eg) if threshold else is_cointerval(eg) is not None
-        if not ok:
-            recognition_failures.append(i)
+        if counts is None:
+            uncertified.append(i)
+            if len(el.vertices) > FALLBACK_MAX_VERTICES:
+                raise SizeLimitError(
+                    f"element {i} has no valid certificate, and its {len(el.vertices)} "
+                    f"vertices exceed the recogniser's limit of {FALLBACK_MAX_VERTICES}"
+                )
+            eg = Graph.from_data(el.vertices, el.edges)
+            order = threshold_order(eg) if threshold else is_cointerval(eg)
+            counts = None if order is None else prefix_counts(el.vertices, el.edges, order, threshold)
+            if counts is None:
+                recognition_failures.append(i)
+        certificates.append(None if counts is None else (order, counts))
     report = VerificationReport(
         tuple(not_subgraphs),
         tuple(recognition_failures),
@@ -283,8 +277,9 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
     An element is recognised when the order that ant_order derives from its
     block and apexes passes prefix_counts against its own edges, in time
     linear in its size. Elements without a block, or whose order fails,
-    go to the general recogniser and are listed in uncertified; one with
-    more than FALLBACK_MAX_VERTICES vertices raises SizeLimitError instead.
+    go to the general recogniser and are listed in uncertified; the order
+    it returns passes the same prefix_counts check. One with more than
+    FALLBACK_MAX_VERTICES vertices raises SizeLimitError instead.
     """
     return _verify(g, c)[0]
 
@@ -352,27 +347,21 @@ def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:
     """One dimension per element, from the certificates of verify_cover.
 
     The vertex at position k of an element's certificate order gets
-    [p_k, k], where p_k counts its earlier neighbours; an element the
-    recogniser had to judge gets the recogniser's interval model. Vertices
-    absent from an element span the full range of that dimension, so a
-    pair of boxes is disjoint exactly when some element covers the pair as
-    an edge, which happens exactly on the edges of g.
+    [p_k, k], where p_k counts its earlier neighbours; every element of a
+    valid cover has a certificate, from its block and apexes or from the
+    recogniser. Vertices absent from an element span the full range of
+    that dimension, so a pair of boxes is disjoint exactly when some
+    element covers the pair as an edge, which happens exactly on the edges
+    of g.
     """
     report, certificates = _verify(g, c)
     if not report.valid:
         raise InputError("box representation requires a valid cover")
     intervals: list[dict[int, Interval]] = []
     ranges: list[Interval] = []
-    for el, cert in zip(c.elements, certificates):
-        if cert is None:
-            ivs = cointerval_representation(_element_graph(el)).intervals
-            top = max((hi for _, hi in ivs.values()), default=0)
-        else:
-            order, counts = cert
-            ivs = dict(zip(order, zip(counts, range(len(order)))))
-            top = len(order) - 1
-        intervals.append(ivs)
-        ranges.append((0, top))
+    for order, counts in certificates:
+        intervals.append(dict(zip(order, zip(counts, range(len(order))))))
+        ranges.append((0, max(len(order) - 1, 0)))  # an empty element spans [0, 0]
     if not ranges:
         intervals, ranges = [{}], [(0, 0)]
     return BoxRepresentation(frozenset(g.vertices), tuple(intervals), tuple(ranges))

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from antcover.acceptance import property_one_verbatim
 from antcover.blocks import block_decomposition
 from antcover.cointerval import (
-    ant_interval_representation,
     ant_order,
     big_ant,
     is_cointerval,
@@ -25,6 +25,15 @@ from helpers import complete_graph, cycle_graph, path_graph, spider_graph, star_
 
 def as_graph(sub) -> Graph:
     return Graph.from_data(sub.vertices, sub.edges)
+
+
+def is_ant_certificate(ant, threshold=False) -> bool:
+    """ant_order passes prefix_counts and the literal triple condition."""
+    order = ant_order(ant)
+    return (
+        prefix_counts(ant.vertices, ant.edges, order, threshold) is not None
+        and property_one_verbatim(ant.edges, order)
+    )
 
 
 def test_big_ant_star():
@@ -68,8 +77,8 @@ def test_random_big_ants_are_cointerval_and_one_apex_threshold():
         one = big_ant(g, block, u, u)
         assert is_cointerval(as_graph(two)) is not None
         assert is_threshold(as_graph(one))
-        assert ant_interval_representation(two).satisfies(two.vertices, two.edges)
-        assert ant_interval_representation(one).satisfies(one.vertices, one.edges)
+        assert is_ant_certificate(two)
+        assert is_ant_certificate(one, threshold=True)
 
 
 def test_ant_order_is_the_sorted_layout_and_a_certificate():
@@ -82,11 +91,21 @@ def test_ant_order_is_the_sorted_layout_and_a_certificate():
             members = sorted(block)
             u, v = rng.choice(members), rng.choice(members)
             if u != v:
+                # apex a, the rest of the block, the outside vertices seen
+                # in the host by b only, by both, then b, then those by a only
                 two = big_ant(g, block, u, v)
-                layout = ant_interval_representation(two).intervals
-                order = ant_order(two)
-                assert order == sorted(layout, key=lambda x: (layout[x][1], layout[x][0], x))
-                assert prefix_counts(two.vertices, two.edges, order) is not None
+                a, b = two.apex_u, two.apex_v  # stored in id order
+                outside = sorted(two.vertices - block)
+                na, nb = g.neighbors(a), g.neighbors(b)
+                layout = (
+                    [a] + sorted(block - {a, b})
+                    + [w for w in outside if w in nb and w not in na]
+                    + [w for w in outside if w in na and w in nb]
+                    + [b]
+                    + [w for w in outside if w in na and w not in nb]
+                )
+                assert ant_order(two) == layout
+                assert is_ant_certificate(two)
             one = big_ant(g, block, u, u)
             order = ant_order(one)
             assert order[-1] == u and set(order[: len(block) - 1]) == block - {u}
@@ -96,19 +115,18 @@ def test_ant_order_is_the_sorted_layout_and_a_certificate():
 def test_ant_layout_puts_apexes_at_the_ends():
     g = spider_graph()
     ant = big_ant(g, {0, 1, 2}, 1, 2)
-    rep = ant_interval_representation(ant)
-    block_intervals = {x: rep.intervals[x] for x in ant.block}
-    assert min(block_intervals, key=lambda x: block_intervals[x]) == ant.apex_u
-    assert max(block_intervals, key=lambda x: block_intervals[x]) == ant.apex_v
-    assert rep.satisfies(ant.vertices, ant.edges)
+    order = ant_order(ant)
+    at = {x: k for k, x in enumerate(order)}
+    assert order[0] == ant.apex_u
+    assert at[ant.apex_v] > max(at[x] for x in ant.block - {ant.apex_v})
+    assert is_ant_certificate(ant)
 
 
 def test_ant_representation_on_general_host_clique():
     # clique apexes with overlapping outside neighbourhoods still lay out
     g = build_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 5)])
     ant = big_ant(g, {0, 1, 2}, 0, 1)
-    rep = ant_interval_representation(ant)
-    assert rep.satisfies(ant.vertices, ant.edges)
+    assert is_ant_certificate(ant)
 
 
 def test_maximal_cointerval_k3_single():

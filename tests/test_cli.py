@@ -82,6 +82,27 @@ def test_boxrep_command(tmp_path, capsys):
     assert out == json.dumps(payload, separators=(",", ":")) + "\n"  # compact
 
 
+def test_boxrep_of_a_blockless_cover_file(tmp_path, capsys):
+    g = path_graph(9)
+    gpath = write_graph(tmp_path, g)
+    cpath = tmp_path / "cover.json"
+    assert main(["cover", "-i", gpath, "-o", str(cpath)]) == 0
+    payload = json.loads(cpath.read_text())
+    for entry in payload["elements"]:
+        entry.update(block=None, u=None, v=None)
+    cpath.write_text(json.dumps(payload))
+    assert main(["boxrep", "-i", gpath, "--cover", str(cpath)]) == 0
+    boxes = json.loads(capsys.readouterr().out)
+    assert boxes["d"] == payload["size"] == 3
+    for a in range(9):
+        for b in range(a + 1, 9):
+            disjoint = any(
+                hi < lo2 or hi2 < lo
+                for (lo, hi), (lo2, hi2) in zip(boxes["boxes"][str(a)], boxes["boxes"][str(b)])
+            )
+            assert disjoint == (b == a + 1)
+
+
 def test_verify_exits_2_on_an_uncertified_element_above_the_bound(tmp_path, capsys):
     from antcover.cover import FALLBACK_MAX_VERTICES
 

@@ -1,4 +1,4 @@
-"""Sigma-subgraphs, co-interval recognition, representations, threshold test."""
+"""Sigma-subgraphs, co-interval recognition, certificates, threshold test."""
 
 import itertools
 import random
@@ -6,14 +6,14 @@ import random
 import pytest
 
 from antcover.cointerval import (
-    IntervalRepresentation,
-    check_cointerval_order,
-    cointerval_representation,
+    EdgeSubgraph,
     is_cointerval,
     is_threshold,
     prefix_counts,
     sigma_subgraph,
+    threshold_order,
 )
+from antcover.cover import Cover, cover_to_box_representation, verify_cover
 from antcover.errors import InputError
 from antcover.graph import Graph, build_graph
 from helpers import (
@@ -29,6 +29,40 @@ from helpers import (
 
 def as_graph(sub) -> Graph:
     return Graph.from_data(sub.vertices, sub.edges)
+
+
+def is_certificate(edges, order) -> bool:
+    """order lists distinct vertices, every endpoint among them, and passes
+    prefix_counts."""
+    return prefix_counts(set(order), edges, order) is not None
+
+
+def intervals_match_edges(vertices, edges, order) -> bool:
+    """The intervals [p_k, k] of the order, checked against every pair:
+    disjoint exactly on the edges."""
+    counts = prefix_counts(vertices, edges, order)
+    if counts is None:
+        return False
+    iv = {v: (p, k) for k, (v, p) in enumerate(zip(order, counts))}
+    vs = sorted(vertices)
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            (lu, hu), (lv, hv) = iv[u], iv[v]
+            if (hu < lv or hv < lu) != ((min(u, v), max(u, v)) in edges):
+                return False
+    return True
+
+
+def interval_disjointness_graph(intervals) -> Graph:
+    """Vertex i per closed interval; an edge where two intervals are disjoint."""
+    n = len(intervals)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if intervals[i][1] < intervals[j][0] or intervals[j][1] < intervals[i][0]
+    ]
+    return build_graph(n, edges)
 
 
 def test_sigma_clique_any_order():
@@ -77,16 +111,16 @@ def test_sigma_subgraphs_are_always_cointerval():
         sub = sigma_subgraph(g, sigma)
         assert is_cointerval(as_graph(sub)) is not None
         restricted = tuple(v for v in sigma if v in sub.vertices)
-        assert check_cointerval_order(sub.edges, restricted)
+        assert is_certificate(sub.edges, restricted)
 
 
 def test_is_cointerval_known_graphs():
     assert is_cointerval(build_graph(4, [(0, 1), (2, 3)])) is None  # 2K2
     for n in range(1, 7):
         order = is_cointerval(complete_graph(n))
-        assert order is not None and check_cointerval_order(complete_graph(n).edges, order)
+        assert order is not None and is_certificate(complete_graph(n).edges, order)
     order = is_cointerval(cycle_graph(4))
-    assert order is not None and check_cointerval_order(cycle_graph(4).edges, order)
+    assert order is not None and is_certificate(cycle_graph(4).edges, order)
     assert is_cointerval(path_graph(5)) is None  # complement of P5 is not interval
 
 
@@ -99,7 +133,7 @@ def test_is_cointerval_exhaustive_small():
             order = is_cointerval(g)
             assert (order is not None) == brute_is_cointerval(g)
             if order is not None:
-                assert check_cointerval_order(g.edges, order)
+                assert is_certificate(g.edges, order)
 
 
 def test_is_cointerval_random_medium():
@@ -115,9 +149,7 @@ def test_prefix_counts_accepts_certificates_and_returns_the_counts():
     assert prefix_counts({0, 1, 2}, edges, [0, 2, 1]) == [0, 0, 2]
     assert prefix_counts({0, 1, 2}, edges, [0, 2, 1], threshold=True) == [0, 0, 2]
     # the intervals [p_k, k] are disjoint exactly on the edges
-    counts = prefix_counts({0, 1, 2}, edges, [0, 2, 1])
-    rep = IntervalRepresentation({v: (p, k) for k, (v, p) in enumerate(zip([0, 2, 1], counts))})
-    assert rep.satisfies({0, 1, 2}, edges)
+    assert intervals_match_edges({0, 1, 2}, edges, [0, 2, 1])
 
 
 def test_prefix_counts_rejects_a_swapped_pair():
@@ -128,7 +160,7 @@ def test_prefix_counts_rejects_a_swapped_pair():
     assert prefix_counts({0, 1, 2}, edges, [0, 2, 1]) is not None
     assert prefix_counts({0, 1, 2}, edges, [2, 0, 1]) is not None
     assert prefix_counts({0, 1, 2}, edges, [0, 1, 2]) is None
-    assert not check_cointerval_order(edges, [0, 1, 2])
+    assert not is_certificate(edges, [0, 1, 2])
 
 
 def test_prefix_counts_rejects_a_non_prefix_neighbourhood():
@@ -165,11 +197,15 @@ def test_prefix_counts_rejects_loops_and_edges_outside_the_order():
 
 
 def test_representation_k2_and_empty():
-    rep = cointerval_representation(complete_graph(2))
-    (l0, h0), (l1, h1) = rep.intervals[0], rep.intervals[1]
-    assert h0 < l1 or h1 < l0
-    rep = cointerval_representation(build_graph(3, []))
-    assert rep.satisfies({0, 1, 2}, frozenset())
+    # the recogniser's order is the interval model: [p_k, k] per vertex
+    k2 = complete_graph(2)
+    order = is_cointerval(k2)
+    assert intervals_match_edges(k2.vertices, k2.edges, order)
+    assert prefix_counts(k2.vertices, k2.edges, order) == [0, 1]
+    empty = build_graph(3, [])
+    order = is_cointerval(empty)
+    assert prefix_counts(empty.vertices, empty.edges, order) == [0, 0, 0]
+    assert intervals_match_edges(empty.vertices, empty.edges, order)
 
 
 def test_representation_contract_on_random_cointerval_graphs():
@@ -177,28 +213,45 @@ def test_representation_contract_on_random_cointerval_graphs():
     hits = 0
     for _ in range(400):
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
-        if is_cointerval(g) is None:
+        order = is_cointerval(g)
+        if order is None:
             continue
         hits += 1
-        assert cointerval_representation(g).satisfies(g.vertices, g.edges)
+        assert intervals_match_edges(g.vertices, g.edges, order)
     assert hits > 100
 
 
 def test_representation_rejects_non_cointerval():
+    # 2K2 has no interval model: no order, and no box model of a cover
+    # that uses it as one element
+    two_k2 = build_graph(4, [(0, 1), (2, 3)])
+    assert is_cointerval(two_k2) is None
+    cover = Cover(two_k2, (EdgeSubgraph(two_k2, two_k2.vertices, two_k2.edges),), "cointerval")
+    assert verify_cover(two_k2, cover).recognition_failures == (0,)
     with pytest.raises(InputError):
-        cointerval_representation(build_graph(4, [(0, 1), (2, 3)]))
+        cover_to_box_representation(two_k2, cover)
 
 
-def test_representation_serialization_round_trip():
-    rep = cointerval_representation(path_graph(4))
-    again = IntervalRepresentation.parse(rep.serialize())
-    assert again.intervals == rep.intervals
-
-
-@pytest.mark.parametrize("text", ["0 1 2\n1 x 3\n", "0 1\n", "0 1 2 3\n"])
-def test_representation_parse_rejects_malformed_lines(text):
-    with pytest.raises(InputError):
-        IntervalRepresentation.parse(text)
+def test_disjointness_graphs_of_random_interval_families_are_recognised():
+    # positive cases far beyond brute force: every disjointness graph of
+    # closed intervals is co-interval, and the recogniser must find an
+    # order that prefix_counts accepts
+    rng = random.Random(25)
+    dense = 0
+    for _ in range(120):
+        n = rng.randint(5, 60)
+        span = rng.choice([n // 2 + 1, n, 4 * n])
+        intervals = []
+        for _ in range(n):
+            lo = rng.randrange(span)
+            intervals.append((lo, lo + rng.randrange(rng.choice([2, span // 4 + 2, span]))))
+        g = interval_disjointness_graph(intervals)
+        dense += 4 * g.edge_count > n * (n - 1)  # more than half of all pairs
+        order = is_cointerval(g)
+        assert order is not None, intervals
+        assert prefix_counts(g.vertices, g.edges, order) is not None
+        assert intervals_match_edges(g.vertices, g.edges, order)
+    assert dense > 20
 
 
 def test_is_threshold_known():
@@ -216,3 +269,7 @@ def test_is_threshold_matches_forbidden_subgraphs():
     for _ in range(10_000):
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
         assert is_threshold(g) == (not has_forbidden_threshold_subgraph(g))
+        order = threshold_order(g)
+        assert (order is not None) == is_threshold(g)
+        if order is not None:
+            assert prefix_counts(g.vertices, g.edges, order, threshold=True) is not None

@@ -431,7 +431,7 @@ def _no_recogniser(monkeypatch):
     def refuse(*args):
         raise AssertionError("the general recogniser ran")
 
-    for name in ("is_cointerval", "is_threshold", "cointerval_representation"):
+    for name in ("is_cointerval", "threshold_order"):
         monkeypatch.setattr(cover_module, name, refuse)
 
 
@@ -450,6 +450,52 @@ def test_certified_verify_and_box_make_no_recogniser_call(monkeypatch):
             assert elapsed < 2.0, (name, kind, elapsed)
             rep = cover_to_box_representation(g, cover)
             assert rep.dimension == len(cover.elements), (name, kind)
+
+
+def blockless(g, cover):
+    """The cover as its JSON would give it with every "block" set to null."""
+    payload = cover_to_dict(cover)
+    for entry in payload["elements"]:
+        entry["block"] = None
+    return cover_from_dict(g, payload)
+
+
+def test_blockless_covers_take_the_one_box_path():
+    rng = random.Random(64)
+    graphs = [spider_graph(), path_graph(11), star_graph(7)]
+    graphs += [random_block_graph(rng.randint(4, 40), seed=6400 + i) for i in range(12)]
+    for g in graphs:
+        for kind in (COINTERVAL, THRESHOLD):
+            cover = blockless(g, min_cover(g, kind)[0])
+            assert all(isinstance(el, EdgeSubgraph) for el in cover.elements)
+            report = verify_cover(g, cover)
+            assert report.valid
+            assert report.uncertified == tuple(range(len(cover.elements)))
+            rep = cover_to_box_representation(g, cover)
+            assert rep.dimension == len(cover.elements)
+            assert rep.satisfies(g)
+    # an element with no vertices still spans a nonempty range
+    g = spider_graph()
+    cover = min_cointerval_cover(g)[0]
+    cover = Cover(g, cover.elements + (EdgeSubgraph(g, frozenset(), frozenset()),), COINTERVAL)
+    rep = cover_to_box_representation(g, cover)
+    assert rep.ranges[-1] == (0, 0) and rep.satisfies(g)
+
+
+def test_blockless_star_verify_memory_is_linear():
+    g = star_graph(600)
+    for kind in (COINTERVAL, THRESHOLD):
+        cover = blockless(g, min_cover(g, kind)[0])
+        g.edges  # the host's own edge-set cache, not part of verification
+        tracemalloc.start()
+        try:
+            report = verify_cover(g, cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.valid and report.uncertified == (0,)
+        # the recogniser built the element's complement: about 37 MB here
+        assert peak < 4 * 1024 * 1024, (kind, peak)
 
 
 def _tampered(g, el):
