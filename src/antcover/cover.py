@@ -26,7 +26,7 @@ from .cointerval import (
     threshold_order,
 )
 from .errors import InputError, SizeLimitError
-from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
+from .graph import Edge, Graph, _json_int, clique_edges, missing_clique_pair, norm_edge
 
 # verify, boxrep and serialization never solve, so the block decomposition
 # and the peel engine load only when a solver runs
@@ -206,8 +206,10 @@ def _cover_size(g: Graph, kind: str) -> int:
     from .blocks import checked_block_decomposition
     from .peel import peel_count
 
+    # the traces are dropped inside the block: held until the return, they
+    # would be scanned by the collection that gc.enable() lets run
     with _gc_paused():
-        size, _ = peel_count(g, checked_block_decomposition(g), kind)
+        size = peel_count(g, checked_block_decomposition(g), kind)[0]
     return size
 
 
@@ -402,14 +404,19 @@ def cover_to_dict(c: Cover, traces: list[IterationTrace] | None = None) -> dict:
 
 
 def cover_from_dict(g: Graph, payload: dict) -> Cover:
+    """Cover of g from its JSON form; every vertex id in it must be a JSON
+    integer (not a float, boolean or string)."""
     try:
         kind = payload["kind"]
         if kind not in (COINTERVAL, THRESHOLD):
             raise InputError(f"unknown cover kind {kind!r}")
         elements = []
         for entry in payload["elements"]:
-            vertices = frozenset(int(v) for v in entry["vertices"])
-            edges = frozenset(norm_edge(int(a), int(b)) for a, b in entry["edges"])
+            vertices = frozenset(_json_int(v, "a vertex") for v in entry["vertices"])
+            edges = frozenset(
+                norm_edge(_json_int(a, "an edge endpoint"), _json_int(b, "an edge endpoint"))
+                for a, b in entry["edges"]
+            )
             stray = {v for e in edges for v in e} - vertices
             if stray:
                 raise InputError(f"element edges use undeclared vertices {sorted(stray)}")
@@ -417,9 +424,9 @@ def cover_from_dict(g: Graph, payload: dict) -> Cover:
                 elements.append(
                     BigAnt(
                         g,
-                        frozenset(int(v) for v in entry["block"]),
-                        int(entry["u"]),
-                        int(entry["v"]),
+                        frozenset(_json_int(v, "a block vertex") for v in entry["block"]),
+                        _json_int(entry["u"], "apex u"),
+                        _json_int(entry["v"], "apex v"),
                         vertices,
                         edges,
                     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError
-from .graph import Graph, build_graph, clique_edges
+from .graph import Graph, build_graph, check_vertex_count, clique_edges
 
 
 def random_block_graph(
@@ -25,6 +25,7 @@ def random_block_graph(
         raise InputError("graph needs at least one vertex")
     if max_block < 2:
         raise InputError("blocks need at least two vertices")
+    check_vertex_count(n)  # before the edge list, which grows with n
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     count = 1

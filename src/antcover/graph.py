@@ -13,7 +13,7 @@ Edge = tuple[int, int]
 # 100,000-vertex graphs the solvers are tuned for. Both input formats
 # declare n before any edge and build_graph allocates n adjacency sets, so
 # this bound, checked first, keeps a header such as "1000000000 0" from
-# asking for a billion sets.
+# asking for a billion sets; the generator checks it before drawing edges.
 MAX_VERTICES = 10_000_000
 
 
@@ -114,16 +114,21 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise InputError unless 0 <= n <= MAX_VERTICES."""
+    if n < 0:
+        raise InputError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
 def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
     """Graph on vertices 0..n-1 with the given edges; duplicates collapse.
 
     Raises InputError on loops, endpoints outside range, or n outside
     0..MAX_VERTICES.
     """
-    if n < 0:
-        raise InputError("vertex count must be non-negative")
-    if n > MAX_VERTICES:
-        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    check_vertex_count(n)
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n):
@@ -270,8 +275,9 @@ def _is_canonical(text: str) -> bool:
 def parse_edgelist(text: str) -> Graph:
     """Graph of edge-list text: an 'n m' line, then m 'u v' lines.
 
-    Canonical text is read in one pass: one split and one int map over the
-    whole text, with no list per line and no tuple per edge. Any other text
+    Canonical text is scanned in chunks of whole lines, each read by one
+    json.loads, with no str object per token, no list per line and no tuple
+    per edge. Any other text, and canonical text with anything to report,
     goes line by line. Both give the same graph, or the same InputError.
     """
     if _is_canonical(text):
@@ -279,21 +285,45 @@ def parse_edgelist(text: str) -> Graph:
     return _parse_rows(text)
 
 
+# Characters of canonical text per json.loads call in _parse_canonical,
+# rounded up to a whole line. One json.loads over the whole text would hold
+# a list of all 2m endpoints next to the graph; a chunk of this size holds
+# the endpoints of a few thousand lines.
+_SCAN_CHUNK = 1 << 16
+
+_TO_COMMAS = str.maketrans(" \n", ",,")
+
+
 def _parse_canonical(text: str) -> Graph:
-    # Converts the same tokens in the same order, and checks in the same
-    # order, as _parse_rows, so a failure raises the same message.
+    # Anything _parse_rows would report (a token json refuses, such as a
+    # leading zero or more than 4,300 digits, a wrong edge count, too many
+    # vertices, an endpoint out of range or a loop) hands the whole text to
+    # _parse_rows, so its message stays the only one.
+    first = text.index("\n")
     try:
-        nums = list(map(int, text.split()))
-    except ValueError as exc:
-        raise InputError(f"malformed edge-list input: {exc}") from None
-    n, m = nums[0], nums[1]
-    found = len(nums) // 2 - 1
-    if found != m:
-        raise InputError(f"header declares {m} edges, found {found}")
-    ends = iter(nums)
-    next(ends)
-    next(ends)
-    return build_graph(n, zip(ends, ends))  # zip reuses its result tuple
+        n, m = json.loads("[" + text[:first].replace(" ", ",") + "]")
+    except ValueError:
+        return _parse_rows(text)
+    if m != text.count("\n") - 1 or n > MAX_VERTICES:
+        return _parse_rows(text)
+    ids = list(range(n))  # every endpoint becomes one of these n ints
+    nbrs = [set() for _ in ids]
+    start, size = first + 1, len(text)
+    while start < size:
+        end = text.index("\n", min(start + _SCAN_CHUNK, size) - 1) + 1
+        try:
+            ends = iter(json.loads("[" + text[start:end - 1].translate(_TO_COMMAS) + "]"))
+            # adds in edge order, as build_graph makes them, so that every
+            # set iterates in the same order
+            for u, v in zip(ends, ends):
+                nbrs[u].add(ids[v])
+                nbrs[v].add(ids[u])
+        except (ValueError, IndexError):  # a token json refuses, an endpoint >= n
+            return _parse_rows(text)
+        start = end
+    if any(map(set.__contains__, nbrs, ids)):  # a loop (v, v) put v in its own set
+        return _parse_rows(text)
+    return Graph(dict(zip(ids, nbrs)))
 
 
 def _parse_rows(text: str) -> Graph:

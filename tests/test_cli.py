@@ -10,7 +10,7 @@ import pytest
 
 import antcover
 
-from antcover import peel
+from antcover import generate, graph, peel
 from antcover.blocks import block_decomposition, is_block_graph
 from antcover.cli import export_dot, main
 from antcover.cover import min_cointerval_cover
@@ -262,6 +262,33 @@ def test_structured_non_integer_endpoint_exit_code(tmp_path, capsys, value, name
     captured = capsys.readouterr()
     assert not captured.out
     assert f"an edge endpoint must be a JSON integer, got {named}" in captured.err
+
+
+@pytest.mark.parametrize("value, named", [("1.5", "1.5"), ("true", "true"), ('"0"', '"0"')])
+def test_cover_file_non_integer_vertex_exit_code(tmp_path, capsys, value, named):
+    gpath = write_graph(tmp_path, path_graph(4))
+    cpath = tmp_path / "cover.json"
+    assert main(["cover", "-i", gpath, "-o", str(cpath)]) == 0
+    payload = json.loads(cpath.read_text())
+    payload["elements"][0]["vertices"].append(json.loads(value))
+    cpath.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"a vertex must be a JSON integer, got {named}" in captured.err
+
+
+def test_gen_checks_the_vertex_limit_before_drawing_edges(monkeypatch, capsys):
+    def refuse(vertices):
+        raise AssertionError("edges drawn")
+
+    monkeypatch.setattr(graph, "MAX_VERTICES", 50)
+    monkeypatch.setattr(generate, "clique_edges", refuse)
+    assert main(["gen", "--seed", "1", "--n", "51"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "vertex count 51 exceeds the limit of 50" in captured.err
 
 
 def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):

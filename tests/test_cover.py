@@ -330,6 +330,28 @@ def test_solvers_leave_gc_as_they_found_it(monkeypatch):
         gc.enable()
 
 
+def test_count_solves_leave_no_traces_to_collect():
+    g = random_block_graph(5000, seed=1)
+    coboxicity(g)  # the block index and the peel start state are cached now
+    seen = []
+
+    def count_traces(phase, info):
+        if phase == "start":
+            young = gc.get_objects(info["generation"])
+            seen.append(sum(isinstance(o, peel.IterationTrace) for o in young))
+
+    gc.collect()
+    gc.callbacks.append(count_traces)
+    try:
+        coboxicity(g)
+        cothdim(g)
+    finally:
+        gc.callbacks.remove(count_traces)
+    # traces still alive when gc.enable() runs are scanned by the collection
+    # it lets run, which frees none of them
+    assert sum(seen) == 0, seen
+
+
 def shift_ids(x, offset):
     """Every vertex id inside a run's tuples moved by offset."""
     if isinstance(x, int):
@@ -657,6 +679,34 @@ def test_cover_serialization_round_trip():
     again = cover_from_dict(g, payload)
     assert again == cover
     assert verify_cover(g, again).valid
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("vertices", 1.5, "a vertex must be a JSON integer, got 1.5"),
+        ("vertices", True, "a vertex must be a JSON integer, got true"),
+        ("edges", "0", 'an edge endpoint must be a JSON integer, got "0"'),
+        ("block", 0.0, "a block vertex must be a JSON integer, got 0.0"),
+        ("u", "1", 'apex u must be a JSON integer, got "1"'),
+        ("v", 2.0, "apex v must be a JSON integer, got 2.0"),
+    ],
+)
+def test_cover_json_accepts_only_json_integers(field, value, named):
+    g = spider_graph()
+    payload = cover_to_dict(min_cointerval_cover(g)[0])
+    entry = payload["elements"][0]
+    if field == "vertices":
+        entry["vertices"].append(value)  # int() made 1.5 and true a vertex
+    elif field == "edges":
+        entry["edges"][0][0] = value
+    elif field == "block":
+        entry["block"][0] = value
+    else:
+        entry[field] = value
+    with pytest.raises(InputError) as info:
+        cover_from_dict(g, payload)
+    assert str(info.value) == f"malformed cover payload: {named}"
 
 
 def test_validate_run_catches_tampering():

@@ -1,5 +1,5 @@
 """Differential fuzzing: the cover engine against its slow references, and
-the one-pass edge-list parser against the line-by-line one.
+the chunked edge-list scan against the line-by-line parser.
 
 Hypothesis draws random block graphs over the generator's parameters,
 sometimes with isolated vertices added and with ids moved far from zero.
@@ -9,6 +9,7 @@ stays deterministic.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,3 +197,58 @@ def test_one_pass_parse_agrees_with_the_line_parser(case):
     text, canonical = case
     assert graph._is_canonical(text) == canonical
     assert _parsed(graph.parse_edgelist, text) == _parsed(graph._parse_rows, text)
+
+
+# Anomalies the chunked scan hands to the line parser, put on the last line,
+# so that with small chunks they sit in the last chunk, after the scan has
+# already filled sets from the earlier ones.
+LAST_LINE_ANOMALIES = ("out-of-range", "loop", "leading-zeros", "long-token")
+
+
+@st.composite
+def last_line_anomaly_texts(draw):
+    """serialize_edgelist of a random block graph with one more edge line,
+    at the end, which still has the canonical form."""
+    g = random_block_graph(
+        draw(st.integers(2, 30)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        edge_block_prob=draw(st.floats(0.0, 1.0)),
+        max_block=draw(st.integers(2, 6)),
+    )
+    n = g.vertex_count
+    u, v = str(draw(st.integers(0, n - 1))), str(draw(st.integers(0, n - 1)))
+    anomaly = draw(st.sampled_from(LAST_LINE_ANOMALIES))
+    if anomaly == "out-of-range":
+        row = [u, str(n + draw(st.integers(0, 3)))]
+    elif anomaly == "loop":
+        row = [u, u]
+    elif anomaly == "leading-zeros":  # int() reads it, json refuses it
+        row = ["0" * draw(st.integers(1, 3)) + u, v]
+    else:
+        row = ["1" + "0" * 4300, v]
+    if draw(st.booleans()):
+        row.reverse()
+    _, body = serialize_edgelist(g).split("\n", 1)
+    return f"{n} {g.edge_count + 1}\n{body}{' '.join(row)}\n"
+
+
+def _parsed_in_order(parse, text):
+    """The message of parse's InputError, or every vertex of its graph with
+    its neighbours in the order its set iterates them."""
+    try:
+        g = parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    return [(v, list(g.neighbors(v))) for v in g.vertices]
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(
+    st.one_of(edgelist_texts().map(lambda case: case[0]), last_line_anomaly_texts()),
+    st.integers(1, 64),
+)
+def test_chunked_scan_agrees_with_the_line_parser(text, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_SCAN_CHUNK", chunk)
+        scanned = _parsed_in_order(graph.parse_edgelist, text)
+    assert scanned == _parsed_in_order(graph._parse_rows, text)

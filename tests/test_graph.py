@@ -7,6 +7,7 @@ import pytest
 
 from antcover import graph
 from antcover.errors import InputError
+from antcover.generate import random_block_graph
 from antcover.graph import (
     build_graph,
     connected_components,
@@ -165,6 +166,26 @@ def test_parse_peak_is_near_the_finished_graph():
     assert g.edge_count > 20_000
     # a list per line and a tuple per edge took the peak to about 3x
     assert peak <= 1.5 * kept, (peak, kept)
+
+
+def test_parsed_graph_holds_one_int_object_per_vertex():
+    g = parse_edgelist(serialize_edgelist(random_block_graph(3000, seed=5)))
+    held = {id(v) for v in g.vertices}
+    for v in g.vertices:
+        held.update(map(id, g.neighbors(v)))
+    # ids above 256 are not interned, so a new int per endpoint shows here
+    assert len(held) == g.vertex_count
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_small_chunks_keep_canonical_text_on_the_scan(monkeypatch, chunk):
+    def refuse(text):
+        raise AssertionError("line-by-line parser called")
+
+    monkeypatch.setattr(graph, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(graph, "_parse_rows", refuse)
+    for name, g in golden_corpus().items():
+        assert parse_edgelist(serialize_edgelist(g)) == g, name
 
 
 @pytest.mark.parametrize(
