@@ -1,10 +1,16 @@
 """Command-line surface: compute, verify, generate, export, acceptance harness.
 
-Exit codes: 0 success, 1 failed verification or failed acceptance check,
-2 unreadable or malformed input, including a cover element with no valid
-certificate that is too large for the general recogniser (or, for
-harness, networkx missing), 3 non-block-graph input to a block-graph
-command, 4 internal invariant violation.
+Exit codes:
+  0  success
+  1  failed verification or failed acceptance check
+  2  unreadable or malformed input, including a cover element with no
+     valid certificate that is too large for the general recogniser (or,
+     for harness, networkx missing)
+  2  an output file or stdout that cannot be written (disk full, closed
+     pipe)
+  2  out of memory
+  3  non-block-graph input to a block-graph command
+  4  internal invariant violation
 """
 
 from __future__ import annotations
@@ -55,13 +61,21 @@ def _read_text(path: str | None) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        return
+    """Write text to the file at path, or to stdout, which is flushed at
+    once so that a failed write is reported by the command that made it."""
+    to_stdout = path in (None, "-")
     try:
-        Path(path).write_text(text)
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+        raise InputError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from None
+
+
+def _print(line: object) -> None:
+    _write_text(None, f"{line}\n")
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -117,7 +131,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
         print(f"oracle {brute} ({agree})", file=sys.stderr)
         if brute != value:
             raise InternalInvariantError("algorithm disagrees with the exact oracle")
-    print(value)
+    _print(value)
     if args.with_cover:
         _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
     return 0
@@ -137,15 +151,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cover = _load_cover(g, args.cover_path)
     report = verify_cover(g, cover)
     if report.valid:
-        print("valid")
+        _print("valid")
         return 0
-    print("invalid")
+    _print("invalid")
     if report.not_subgraphs:
-        print(f"  elements not subgraphs: {list(report.not_subgraphs)}")
+        _print(f"  elements not subgraphs: {list(report.not_subgraphs)}")
     if report.recognition_failures:
-        print(f"  elements failing {cover.kind} recognition: {list(report.recognition_failures)}")
+        _print(f"  elements failing {cover.kind} recognition: {list(report.recognition_failures)}")
     if report.uncovered:
-        print(f"  uncovered edges: {sorted(report.uncovered)}")
+        _print(f"  uncovered edges: {sorted(report.uncovered)}")
     return 1
 
 
@@ -185,7 +199,7 @@ def _cmd_harness(args: argparse.Namespace) -> int:
 
     results = run_all(fast=args.quick)
     for res in results:
-        print(res.line())
+        _print(res.line())
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -256,6 +270,12 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        pass
+    # reported once the handler has ended, which frees the failed
+    # command's frames and everything they held
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

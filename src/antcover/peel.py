@@ -251,57 +251,55 @@ class _Peel:
     # -- incremental deletion ------------------------------------------
 
     def _recheck_block(self, rg: _Region, i: int) -> None:
-        if not self.alive[i]:
-            return
-        size = len(self.bverts[i])
-        if self.is_int[i] and self.bcut[i] < 2:
-            self.is_int[i] = False
-            for x in self.bverts[i]:
-                self.nint[x] -= 1
-                if self.nint[x] == 1:
-                    j = next(j for j in self.vblocks[x] if self.is_int[j])
-                    self.catt[j] -= 1
-                    if self.catt[j] <= 1:
-                        heapq.heappush(rg.nearleaf, (min(self.bverts[j]), j))
-            if self.bcut[i] == 1 and size >= 3:
-                heapq.heappush(rg.bigleaf, (min(self.bverts[i]), i))
-        if size == 2 and not self.counted_edge[i]:
-            self.counted_edge[i] = True
-            rg.nedge += 1
-        if size <= 1:
-            self.alive[i] = False
+        """Bring block i's flags and rg's aggregates up to date after i lost
+        a member or a cut. A block that keeps three or more members can
+        only stop being internal; a smaller one may become an edge block
+        or die. A block that dies leaves its last member y; when y keeps
+        one block, y is no longer a cut, and that block is rechecked next."""
+        alive, bverts, is_int, bcut = self.alive, self.bverts, self.is_int, self.bcut
+        while alive[i]:
+            members = bverts[i]
+            size = len(members)
+            if is_int[i] and bcut[i] < 2:
+                is_int[i] = False
+                nint, vblocks, catt = self.nint, self.vblocks, self.catt
+                for x in members:
+                    nint[x] -= 1
+                    if nint[x] == 1:
+                        # x keeps exactly one internal block
+                        for j in vblocks[x]:
+                            if is_int[j]:
+                                break
+                        catt[j] -= 1
+                        if catt[j] <= 1:
+                            heapq.heappush(rg.nearleaf, (min(bverts[j]), j))
+                if size >= 3:
+                    if bcut[i] == 1:
+                        heapq.heappush(rg.bigleaf, (min(members), i))
+                    return
+            elif size >= 3:
+                return
+            if size == 2:
+                if not self.counted_edge[i]:
+                    self.counted_edge[i] = True
+                    rg.nedge += 1
+                return
+            alive[i] = False
             rg.nblocks -= 1
             if self.counted_edge[i]:
                 rg.nedge -= 1
-            if size == 1:
-                y = next(iter(self.bverts[i]))
-                self.bverts[i] = set()
-                ybl = self.vblocks[y]
-                ybl.discard(i)
-                if len(ybl) == 1:
-                    rg.ncut -= 1
-                    j = next(iter(ybl))
-                    self.bcut[j] -= 1
-                    self._recheck_block(rg, j)
-                elif not ybl:
+            if not size:
+                return
+            y = members.pop()
+            ybl = self.vblocks[y]
+            ybl.discard(i)
+            if len(ybl) != 1:
+                if not ybl:
                     rg.verts.discard(y)
-
-    def _remove_from_block(self, rg: _Region, r: int, vbl: set[int]) -> None:
-        """Delete r, which lies in the one block of vbl.
-
-        The block keeps its cut count, and no block stays internal with
-        fewer than two cuts (every bcut decrement is rechecked at once), so
-        only a block left with two members or fewer needs a recheck. r
-        leaves at most one survivor (its block) or one orphan seed (the
-        block's last member), so its deletion cannot fragment the region.
-        """
-        i = vbl.pop()
-        rg.verts.discard(r)
-        self.nint[r] = 0
-        members = self.bverts[i]
-        members.discard(r)
-        if len(members) <= 2:
-            self._recheck_block(rg, i)
+                return
+            rg.ncut -= 1
+            (i,) = ybl
+            bcut[i] -= 1
 
     def _remove_vertex(self, rg: _Region, r: int) -> list[int]:
         """Delete r; return the seed blocks of the region fragments it may
@@ -309,47 +307,51 @@ class _Peel:
 
         An orphan seed is one block of a vertex y that was the last
         co-member of a dying block of r and still touches other blocks;
-        the region fragment through y is reachable only via that seed. A
-        vertex in one block cannot fragment the region and reports none.
+        the region fragment through y is reachable only via that seed.
+
+        A vertex in one block cannot fragment the region and reports none:
+        it leaves at most one survivor (its block) or one orphan seed (the
+        block's last member). That block keeps its cut count, and no block
+        stays internal with fewer than two cuts (every bcut decrement is
+        rechecked at once), so only a block left with two members or fewer
+        needs a recheck.
         """
         vbl = self.vblocks[r]
+        rg.verts.discard(r)
         if len(vbl) == 1:
-            self._remove_from_block(rg, r, vbl)
+            i = vbl.pop()
+            members = self.bverts[i]
+            members.discard(r)
+            if len(members) <= 2:
+                self._recheck_block(rg, i)
             return []
         was_cut = len(vbl) >= 2
         if was_cut:
             rg.ncut -= 1
-        rg.verts.discard(r)
         if self.nint[r] >= 2:
+            is_int, catt, bverts = self.is_int, self.catt, self.bverts
             for i in vbl:
-                if self.is_int[i]:
-                    self.catt[i] -= 1
-                    if self.catt[i] <= 1:
-                        heapq.heappush(rg.nearleaf, (min(self.bverts[i]), i))
+                if is_int[i]:
+                    catt[i] -= 1
+                    if catt[i] <= 1:
+                        heapq.heappush(rg.nearleaf, (min(bverts[i]), i))
         self.nint[r] = 0
         survivors: list[int] = []
         orphan_seeds: list[int] = []
+        alive, bverts, bcut, vblocks = self.alive, self.bverts, self.bcut, self.vblocks
         for i in sorted(vbl):
-            members = self.bverts[i]
+            members = bverts[i]
             members.discard(r)
             if was_cut:
-                self.bcut[i] -= 1
+                bcut[i] -= 1
             last = next(iter(members)) if len(members) == 1 else None
             self._recheck_block(rg, i)
-            if self.alive[i]:
+            if alive[i]:
                 survivors.append(i)
-            elif last is not None and self.vblocks[last]:
-                orphan_seeds.append(next(iter(self.vblocks[last])))
+            elif last is not None and vblocks[last]:
+                orphan_seeds.append(next(iter(vblocks[last])))
         self.vblocks[r] = set()
         return survivors + orphan_seeds
-
-    def remove_plain(self, rg: _Region, vertices: list[int]) -> None:
-        """Delete vertices that must not fragment the region."""
-        for r in vertices:
-            if len(self._remove_vertex(rg, r)) > 1:
-                raise InternalInvariantError(
-                    f"unexpected region fragmentation at vertex {r}"
-                )
 
     # -- splitting -------------------------------------------------------
 
@@ -382,43 +384,44 @@ class _Peel:
 
     # -- queries --------------------------------------------------------
 
-    def block_region(self, i: int) -> int:
-        return self.comp_id[next(iter(self.bverts[i]))]
-
     def region_min(self, rg: _Region) -> int | None:
         while rg.vheap and rg.vheap[0] not in rg.verts:
             heapq.heappop(rg.vheap)
         return rg.vheap[0] if rg.vheap else None
 
     def pop_big_leaf(self, rg: _Region) -> int | None:
-        while rg.bigleaf:
-            key, b = heapq.heappop(rg.bigleaf)
-            if not self.alive[b] or self.block_region(b) != rg.rid:
+        """The big leaf block of rg with the least minimum vertex, popped;
+        stale entries are dropped and entries with an old key pushed back.
+        A dead block has at most one member, so the size test drops it."""
+        bigleaf, bverts, bcut, comp_id = rg.bigleaf, self.bverts, self.bcut, self.comp_id
+        while bigleaf:
+            key, b = heapq.heappop(bigleaf)
+            members = bverts[b]
+            if bcut[b] != 1 or len(members) < 3:
                 continue
-            if self.bcut[b] != 1 or len(self.bverts[b]) < 3:
+            m = min(members)
+            if comp_id[m] != rg.rid:
                 continue
-            m = min(self.bverts[b])
             if m != key:
-                heapq.heappush(rg.bigleaf, (m, b))
+                heapq.heappush(bigleaf, (m, b))
                 continue
             return b
         return None
 
     def pop_near_leaf(self, rg: _Region) -> int:
         """The near-leaf block at the heap top, which stays in the heap
-        because it may survive this iteration; stale entries are popped."""
-        nearleaf = rg.nearleaf
+        because it may survive this iteration; stale entries are popped.
+        A dead block is never internal, so the is_int test drops it."""
+        nearleaf, is_int, catt, comp_id = rg.nearleaf, self.is_int, self.catt, self.comp_id
         while nearleaf:
             key, b = nearleaf[0]
-            if (
-                not self.alive[b]
-                or self.block_region(b) != rg.rid
-                or not self.is_int[b]
-                or self.catt[b] > 1
-            ):
+            if not is_int[b] or catt[b] > 1:
                 heapq.heappop(nearleaf)
                 continue
             m = min(self.bverts[b])
+            if comp_id[m] != rg.rid:
+                heapq.heappop(nearleaf)
+                continue
             if m != key:
                 heapq.heapreplace(nearleaf, (m, b))
                 continue
@@ -434,14 +437,18 @@ class _Peel:
 
     def pendant_leaves(self, u: int) -> list[int]:
         """Degree-one neighbours of u in the residual graph."""
+        vblocks, bverts = self.vblocks, self.bverts
         leaves = []
-        for i in self.vblocks[u]:
-            members = self.bverts[i]
+        for i in vblocks[u]:
+            members = bverts[i]
             if len(members) == 2:
-                x = next(iter(members - {u}))
-                if len(self.vblocks[x]) == 1:
+                x, y = members
+                if x == u:
+                    x = y
+                if len(vblocks[x]) == 1:
                     leaves.append(x)
-        return sorted(leaves)
+        leaves.sort()
+        return leaves
 
 
 def peel_cover(
@@ -473,6 +480,7 @@ def _peel(
     """The cover loop. One element per iteration is appended to elements,
     unless that is None; the traces are returned."""
     st = _Peel(g, bd)
+    remove = st._remove_vertex
     stack = st.initial_regions()[::-1]
     traces: list[IterationTrace] = []
 
@@ -500,15 +508,19 @@ def _peel(
             traces.append(
                 IterationTrace(snapshot, case, chosen, protected, apexes, removed, len(traces))
             )
-            planned = set(plain) if designated is None else set(plain) | {designated}
+            planned = set(plain)
+            if designated is not None:
+                planned.add(designated)
             if planned != removed:
                 raise InternalInvariantError("removal plan diverges from the trace")
 
-            st.remove_plain(rg, plain)
+            for r in plain:
+                if len(remove(rg, r)) > 1:
+                    raise InternalInvariantError(f"unexpected region fragmentation at vertex {r}")
             pieces: list[_Region] = []
             keep_rg = True
             if designated is not None:
-                seeds = st._remove_vertex(rg, designated)
+                seeds = remove(rg, designated)
                 if len(seeds) >= 2:
                     pieces, keep_rg = st.split(rg, seeds)
 
@@ -597,12 +609,19 @@ def _case_two(st: _Peel, b: int):
 
 
 def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int]:
-    cuts = sorted(x for x in block if len(st.vblocks[x]) >= 2)
-    attach = [x for x in sorted(block) if st.nint[x] >= 2]
-    if len(attach) > 1:
-        raise InternalInvariantError("near-leaf block with several internal attachments")
-    v = attach[0] if attach else cuts[0]
-    return cuts, v
+    """The block's cut vertices in increasing order, and the one to
+    protect: its attachment to the internal part, else its least cut."""
+    vblocks, nint = st.vblocks, st.nint
+    cuts: list[int] = []
+    attach = None
+    for x in sorted(block):
+        if len(vblocks[x]) >= 2:
+            cuts.append(x)
+        if nint[x] >= 2:
+            if attach is not None:
+                raise InternalInvariantError("near-leaf block with several internal attachments")
+            attach = x
+    return cuts, cuts[0] if attach is None else attach
 
 
 def _case_three(st: _Peel, b: int):
@@ -611,7 +630,10 @@ def _case_three(st: _Peel, b: int):
     if len(cuts) == 2:
         u = cuts[0] if cuts[1] == v else cuts[1]
         removed = frozenset(block | st.residual_neighbors(u))
-        plain = st.pendant_leaves(u) + sorted(block - set(cuts)) + [u]
+        plain = st.pendant_leaves(u)
+        if len(block) > 2:
+            plain += sorted(block - {u, v})
+        plain.append(u)
         return block, (u, v), "3a", block, v, removed, plain, v
     rest = [c for c in cuts if c != v]
     u, w = rest[0], rest[1]
@@ -634,10 +656,13 @@ def _case_three(st: _Peel, b: int):
 def _case_three_threshold(st: _Peel, b: int):
     block = frozenset(st.bverts[b])
     cuts, v = _pick_protected(st, block)
-    u = next(c for c in cuts if c != v)
+    u = cuts[1] if cuts[0] == v else cuts[0]
     if len(cuts) == 2:
         removed = frozenset((block | st.residual_neighbors(u)) - {v})
-        plain = st.pendant_leaves(u) + sorted(block - {u, v}) + [u]
+        plain = st.pendant_leaves(u)
+        if len(block) > 2:
+            plain += sorted(block - {u, v})
+        plain.append(u)
         return block, (u,), "3*-2cuts", block, v, removed, plain, None
     s_u = st.pendant_leaves(u)
     removed = frozenset(set(s_u) | {u})

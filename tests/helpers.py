@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from antcover.acceptance import free_trees, path_graph, random_graph  # noqa: F401 (re-exported)
 from antcover.blocks import block_decomposition, find_near_leaf_block
@@ -44,6 +45,44 @@ def golden_corpus() -> dict[str, Graph]:
         "star-60": star_graph(60),
         "caterpillar-30x3": caterpillar_graph(30, 3),
         "large-blocks-300": random_block_graph(300, seed=6, edge_block_prob=0.0, max_block=40),
+    }
+
+
+def triangle_chain_graph(triangles: int) -> Graph:
+    """Triangles glued in a line, consecutive ones sharing one vertex."""
+    edges = []
+    for j in range(triangles):
+        a, b, c = 2 * j, 2 * j + 1, 2 * j + 2
+        edges += [(a, b), (a, c), (b, c)]
+    return build_graph(2 * triangles + 1, edges)
+
+
+def broom_graph(handle: int, bristles: int) -> Graph:
+    """A path of `handle` vertices whose last vertex carries `bristles` leaves."""
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + j) for j in range(bristles)]
+    return build_graph(handle + bristles, edges)
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    """g with its vertex ids 0..n-1 permuted by a seeded shuffle."""
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return build_graph(len(perm), [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def benchmark_scale_corpus() -> dict[str, Graph]:
+    """Graphs at the size of the solve-sparse benchmark inputs: a random
+    block graph of 5,000 vertices and the regular families at about 3,000,
+    with their ids shuffled as the benchmark shuffles them."""
+    from antcover.generate import random_block_graph
+
+    return {
+        "random-5000": random_block_graph(5000, seed=3),
+        "path-3000": shuffled(path_graph(3000), 1),
+        "caterpillar-3000": shuffled(caterpillar_graph(750, 3), 2),
+        "triangle-chain-3001": shuffled(triangle_chain_graph(1500), 3),
+        "broom-3000": shuffled(broom_graph(1500, 1500), 4),
     }
 
 

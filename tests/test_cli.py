@@ -245,6 +245,40 @@ def test_oversized_vertex_count_exits_before_allocating(tmp_path):
     assert done.stderr.count("vertex count 1000000000 exceeds the limit") == 2
 
 
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    # component snapshots of a path take memory quadratic in its length:
+    # about 3 GB at 20,000 vertices, from 218 kB of input
+    n = 20_000
+    path = tmp_path / "path.txt"
+    path.write_text(serialize_edgelist(path_graph(n)))
+    commands = [["cover", "-i", str(path), "-o", str(tmp_path / "cover.json")]]
+    src = str(Path(antcover.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_CLI, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert [json.loads(line)[0] for line in done.stdout.splitlines()] == [2]
+    assert done.stderr == "error: out of memory\n"
+    assert not (tmp_path / "cover.json").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["gen", "--seed", "1", "--n", "2000"], ["coboxicity", "-i", "GRAPH"]])
+def test_stdout_write_failure_exits_2(tmp_path, argv):
+    graph_file = write_graph(tmp_path, path_graph(7))
+    argv = [graph_file if a == "GRAPH" else a for a in argv]
+    src = str(Path(antcover.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "antcover.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 def test_structured_format_flag(tmp_path, capsys):
     from antcover.graph import serialize_structured
 

@@ -47,6 +47,7 @@ from antcover.oracle import (
 )
 from antcover.peel import COINTERVAL, THRESHOLD, peel_count, peel_cover
 from helpers import (
+    benchmark_scale_corpus,
     complete_graph,
     cycle_graph,
     engine_run_tuples,
@@ -286,6 +287,32 @@ def test_cover_json_matches_golden_hashes():
             assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COVER_SHA256[name, kind], (name, kind)
             cases.update(t.case_taken for t in traces)
     assert cases == {"1", "2", "3a", "3b", "3*-2cuts", "3*-many"}
+
+
+# the same hash on helpers.benchmark_scale_corpus, recorded at commit
+# 7f0759e: graphs of the benchmark's size, where runs reach region splits
+# and heap states that the small golden corpus and the naive twin do not
+BENCHMARK_SCALE_COVER_SHA256 = {
+    ("random-5000", "cointerval"): "62292394d568d9ba141524014d9abdfbe37563830bf7625a9ff7c5100ca3de39",
+    ("random-5000", "threshold"): "c9e2fa392ecba7331c52686f02317512232ce9ef9ede769c76e1a4f9ea39c5c5",
+    ("path-3000", "cointerval"): "2bbf378144af0b19be5dded3c96483cbca7d504d392a0cfa5afea3fc7e26465b",
+    ("path-3000", "threshold"): "ae46bfbef889a5c5783fb89e39a78e657f22a8435c7aabb4ac8cd0ee4380fcf6",
+    ("caterpillar-3000", "cointerval"): "521485b62760a579a04389e2a9b7fcb8c2bcb5ccfb83b821a76f4ed4acc1fd59",
+    ("caterpillar-3000", "threshold"): "0ee4ae33d37f167797d0456eacb884b49cfe62d13d85a039f120c0f968cafa23",
+    ("triangle-chain-3001", "cointerval"): "7e928f9e11ba779f28b5a8318809a0a91bcad5e7ab547396824787efe15accf5",
+    ("triangle-chain-3001", "threshold"): "4d2358b6e7a64e16d8d27909ab076666dd76eca1f309fba1e3091754d7b2623a",
+    ("broom-3000", "cointerval"): "490d22e1ccac538f7254148acb37a8fe0ca004693ca4371227a03a4fe548e014",
+    ("broom-3000", "threshold"): "2e5c28ca090db693b84dec56aca028ca71c89b815e03b66d4f20a6e77d42d0fe",
+}
+
+
+def test_cover_json_matches_golden_hashes_at_benchmark_scale():
+    for name, g in benchmark_scale_corpus().items():
+        for kind in (COINTERVAL, THRESHOLD):
+            cover, traces, _ = min_cover(g, kind)
+            text = json.dumps(cover_to_dict(cover, traces))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == BENCHMARK_SCALE_COVER_SHA256[name, kind], (name, kind)
 
 
 def test_count_path_takes_the_same_iterations():
@@ -629,6 +656,78 @@ def test_invariant_failure_names_iteration_region_and_case(monkeypatch, tmp_path
     graph_file.write_text(serialize_edgelist(g))
     assert cli.main(["cover", "-i", str(graph_file)]) == 4
     assert f"iteration {first}," in capsys.readouterr().err
+
+
+# Two three-edge paths 2-3-4-5 and 2-6-7-8 and a pendant path 2-1-0 at
+# vertex 2. The first iteration is case 3a on block {1, 2}, which protects
+# vertex 2; deleting it leaves two fragments of two blocks each, whose
+# scans end in the same round, so the split checks its accounting.
+TWO_ARMS = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (7, 8)])
+
+
+def _engine_fault(patch, tmp_path, capsys):
+    """The invariant message of a run with patch applied, which the cover
+    command must report with exit 4."""
+    traces = min_cointerval_cover(TWO_ARMS)[1]
+    assert (traces[0].case_taken, traces[0].protected_vertex) == ("3a", 2)
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(serialize_edgelist(TWO_ARMS))
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        with pytest.raises(InternalInvariantError) as info:
+            min_cointerval_cover(TWO_ARMS)
+        capsys.readouterr()
+        assert cli.main(["cover", "-i", str(graph_file)]) == 4
+    assert capsys.readouterr().err == f"internal error: {info.value}\n"
+    return str(info.value)
+
+
+def test_invariant_plain_deletion_that_fragments(tmp_path, capsys):
+    original = peel._case_three
+
+    def protect_nothing(st, b):
+        # delete the protected vertex with the plain ones, which must not
+        # fragment the region
+        step = original(st, b)
+        return step[:6] + (step[6] + [step[7]], None)
+
+    message = _engine_fault(lambda mp: mp.setattr(peel, "_case_three", protect_nothing), tmp_path, capsys)
+    assert message == "unexpected region fragmentation at vertex 2 (iteration 0, region 0, case 3a)"
+
+
+def test_invariant_split_accounting_drift(tmp_path, capsys):
+    original = peel._Peel.split
+
+    def drifted(self, rg, seeds):
+        rg.nblocks += 1  # a block the fragments cannot account for
+        return original(self, rg, seeds)
+
+    message = _engine_fault(lambda mp: mp.setattr(peel._Peel, "split", drifted), tmp_path, capsys)
+    assert message == "region accounting drifted across a split (iteration 0, region 0, case 3a)"
+
+
+def test_invariant_missing_near_leaf_block(tmp_path, capsys):
+    original = peel._Peel.pop_near_leaf
+
+    def emptied(self, rg):
+        rg.nearleaf.clear()
+        return original(self, rg)
+
+    message = _engine_fault(lambda mp: mp.setattr(peel._Peel, "pop_near_leaf", emptied), tmp_path, capsys)
+    # the case is chosen with the block, so the location has none
+    assert message == "no near-leaf block in a pointed non-star region (iteration 0, region 0)"
+
+
+def test_invariant_near_leaf_with_several_attachments(tmp_path, capsys):
+    original = peel._case_three
+
+    def all_attached(st, b):
+        for x in st.bverts[b]:
+            st.nint[x] = 2
+        return original(st, b)
+
+    message = _engine_fault(lambda mp: mp.setattr(peel, "_case_three", all_attached), tmp_path, capsys)
+    assert message == "near-leaf block with several internal attachments (iteration 0, region 0)"
 
 
 def test_box_representation_k2():
