@@ -19,7 +19,7 @@ from .graph import (
 
 @dataclass(frozen=True)
 class BlockIndex:
-    """Everything one Hopcroft-Tarjan pass finds, cached on its graph.
+    """Everything one block decomposition finds, cached on its graph.
 
     Index k stands for the k-th smallest vertex id (ids[k]; ids is None
     when the ids are exactly 0..n-1, so that each id is its own index).
@@ -86,35 +86,102 @@ class NearLeafResult:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks and cut-vertices of g. The first call runs one Hopcroft-Tarjan
-    pass and caches its BlockIndex on the graph, whose edges never change;
-    later calls wrap the cached index again."""
+    """Blocks and cut-vertices of g. The first call decomposes g and caches
+    its BlockIndex on the graph, whose edges never change; later calls wrap
+    the cached index again."""
     ix = g._block_index
     if ix is None:
-        ix = g._block_index = _hopcroft_tarjan(g)
+        ix = g._block_index = _decompose(g)
     return BlockDecomposition(g, ix.blocks, ix.cut_vertices, ix.block_cuts, ix)
 
 
-def _hopcroft_tarjan(g: Graph) -> BlockIndex:
-    """Blocks and articulation vertices by one iterative Hopcroft-Tarjan pass.
-
-    The search runs over vertex indices with list-held discovery times, low
-    points and cut flags, and keeps a stack of vertices: when no edge from
-    a child's subtree reaches above its parent, the vertices stacked since
-    the child, plus the parent, form a block. Each search root starts a new
-    component. Blocks are listed by (minimum vertex id, sorted vertex
-    tuple), so the output does not depend on the traversal.
-    """
+def _decompose(g: Graph) -> BlockIndex:
+    """The BlockIndex of g: by the clique-tree pass when g is a block
+    graph, else by the Hopcroft-Tarjan pass."""
     ids = compact_ids(g)
     if ids is None:
         adj = [g.neighbors(v) for v in range(g.vertex_count)]
     else:
         pos = {v: k for k, v in enumerate(ids)}
-        adj = [[pos[w] for w in g.neighbors(v)] for v in ids]
+        adj = [{pos[w] for w in g.neighbors(v)} for v in ids]
+    found = _clique_tree(adj, g.edge_count)
+    if found is None:
+        found = _hopcroft_tarjan(adj)
+    return _index(ids, *found)
+
+
+def _clique_tree(adj: list[set[int]], m: int) -> tuple[list, list[int], int] | None:
+    """Blocks of a block graph by one breadth-first pass over its cliques;
+    None when the graph is not a block graph.
+
+    In a block graph the block through an edge uv is {u, v} plus the
+    common neighbours of u and v. The search takes component roots in
+    increasing index order; at each vertex v it splits the neighbours
+    outside the block v was reached through into such blocks, each by one
+    set intersection. It refuses when a block meets a vertex reached
+    before, for then the blocks close a cycle. Otherwise the blocks form a
+    tree and every edge lies in one of them, so their pair counts add up
+    to the edge count m exactly when every block is a clique; the pass
+    refuses unless they do.
+    """
+    n = len(adj)
+    comp = [-1] * n  # -1 marks a vertex not reached yet
+    via: list[set[int]] = [set()] * n  # the block each vertex was reached through
+    raw_blocks: list = []
+    pairs = 0
+    c = -1
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        c += 1
+        comp[root] = c
+        if not adj[root]:
+            raw_blocks.append([root])
+            continue
+        queue = [root]
+        for v in queue:
+            nv = adj[v]
+            todo = nv - via[v]
+            while todo:
+                u = todo.pop()
+                b = nv & adj[u]
+                if not b:  # an edge block, the common case in sparse graphs
+                    if comp[u] >= 0:
+                        return None
+                    comp[u] = c
+                    via[u] = b = {u, v}
+                    queue.append(u)
+                    raw_blocks.append(b)
+                    pairs += 1
+                    continue
+                b.add(u)
+                for x in b:
+                    if comp[x] >= 0:
+                        return None
+                    comp[x] = c
+                    via[x] = b
+                queue.extend(b)
+                todo -= b
+                b.add(v)
+                raw_blocks.append(b)
+                pairs += len(b) * (len(b) - 1) // 2
+    if pairs != m:
+        return None
+    return raw_blocks, comp, c + 1
+
+
+def _hopcroft_tarjan(adj: list[set[int]]) -> tuple[list, list[int], int]:
+    """Blocks of any graph by one iterative Hopcroft-Tarjan pass.
+
+    The search runs over vertex indices with list-held discovery times and
+    low points, and keeps a stack of vertices: when no edge from a child's
+    subtree reaches above its parent, the vertices stacked since the
+    child, plus the parent, form a block. Each search root starts a new
+    component.
+    """
     n = len(adj)
     disc = [0] * n  # discovery time, from 1; 0 marks an unvisited vertex
     low = [0] * n
-    is_cut = [False] * n
     comp = [0] * n
     raw_blocks: list[list[int]] = []
     vstack: list[int] = []
@@ -131,7 +198,6 @@ def _hopcroft_tarjan(g: Graph) -> BlockIndex:
         t += 1
         disc[root] = low[root] = t
         vstack.append(root)
-        root_children = 0
         # frames: (vertex, iterator over its neighbours, its vstack position)
         stack = [(root, iter(adj[root]), 0)]
         while stack:
@@ -160,21 +226,25 @@ def _hopcroft_tarjan(g: Graph) -> BlockIndex:
                     del vstack[at:]
                     block.append(p)
                     raw_blocks.append(block)
-                    if p == root:
-                        root_children += 1
-                    else:
-                        is_cut[p] = True
-        is_cut[root] = root_children >= 2
         vstack.clear()
+    return raw_blocks, comp, c + 1
 
+
+def _index(ids: list[int] | None, raw_blocks: list, comp: list[int], components: int) -> BlockIndex:
+    """The BlockIndex of the blocks that a decomposition pass found, given
+    as collections of vertex indices in any order, and of its component
+    numbering. Blocks are listed by (minimum vertex id, sorted vertex
+    tuple), so the index does not depend on the pass or its traversal;
+    the cut-vertices are the vertices in two or more blocks."""
     # sorted lists compare like the (minimum, sorted tuple) key; indices
     # follow id order, so mapping them to ids keeps the order
-    ordered = sorted(sorted(b) for b in raw_blocks)
-    incidence: list[list[int]] = [[] for _ in range(n)]
+    ordered = sorted(map(sorted, raw_blocks))
+    incidence: list[list[int]] = [[] for _ in comp]
     for i, b in enumerate(ordered):
         for x in b:
             incidence[x].append(i)
-    cuts = tuple(compress(range(n), is_cut))
+    is_cut = [len(bl) >= 2 for bl in incidence]
+    cuts = tuple(compress(range(len(comp)), is_cut))
     local_cuts = tuple(tuple(filter(is_cut.__getitem__, b)) for b in ordered)
     members = tuple(map(frozenset, ordered))
     if ids is None:
@@ -193,7 +263,7 @@ def _hopcroft_tarjan(g: Graph) -> BlockIndex:
         tuple(map(tuple, incidence)),
         tuple(comp),
         tuple(comp[b[0]] for b in ordered),
-        c + 1,
+        components,
     )
 
 

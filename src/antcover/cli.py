@@ -16,8 +16,10 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -258,7 +260,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit status."""
-    args = _build_parser().parse_args(argv)
+    printed = io.StringIO()
+    try:
+        with redirect_stdout(printed):
+            args = _build_parser().parse_args(argv)
+    except SystemExit:
+        # argparse prints --help and exits inside parse_args, and it ignores
+        # a failed write; the text is written here instead, so that a failed
+        # write is reported like any other
+        if printed.getvalue():
+            try:
+                _write_text(None, printed.getvalue())
+            except InputError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        raise
     try:
         return args.handler(args)
     except NotBlockGraphError as exc:

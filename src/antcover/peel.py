@@ -301,6 +301,19 @@ class _Peel:
             (i,) = ybl
             bcut[i] -= 1
 
+    def remove_leaf_members(self, rg: _Region, b: int, plain: frozenset[int]) -> None:
+        """Delete the members of big leaf block b other than its cut, all
+        at once: each lies in b only, so b is the one block to recheck.
+        One by one, the deletions would count b as an edge block at two
+        members and uncount it at one; the batch skips both steps and ends
+        with the same aggregates."""
+        vblocks = self.vblocks
+        for x in plain:
+            vblocks[x].clear()
+        self.bverts[b] -= plain
+        rg.verts -= plain
+        self._recheck_block(rg, b)
+
     def _remove_vertex(self, rg: _Region, r: int) -> list[int]:
         """Delete r; return the seed blocks of the region fragments it may
         leave: the surviving blocks of r, then the orphan seeds.
@@ -514,9 +527,12 @@ def _peel(
             if planned != removed:
                 raise InternalInvariantError("removal plan diverges from the trace")
 
-            for r in plain:
-                if len(remove(rg, r)) > 1:
-                    raise InternalInvariantError(f"unexpected region fragmentation at vertex {r}")
+            if case == "2":
+                st.remove_leaf_members(rg, b, plain)
+            else:
+                for r in plain:
+                    if len(remove(rg, r)) > 1:
+                        raise InternalInvariantError(f"unexpected region fragmentation at vertex {r}")
             pieces: list[_Region] = []
             keep_rg = True
             if designated is not None:
@@ -605,7 +621,7 @@ def _case_one(st: _Peel, rg: _Region):
 def _case_two(st: _Peel, b: int):
     block = frozenset(st.bverts[b])
     v = next(x for x in sorted(block) if len(st.vblocks[x]) >= 2)
-    return block, (v,), "2", block, None, block, sorted(block - {v}), v
+    return block, (v,), "2", block, None, block, block - {v}, v
 
 
 def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int]:

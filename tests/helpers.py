@@ -71,11 +71,29 @@ def shuffled(g: Graph, seed: int) -> Graph:
     return build_graph(len(perm), [(perm[a], perm[b]) for a, b in g.edges])
 
 
+def clique_tree_graph(n: int, seed: int, lo: int = 20, hi: int = 60) -> Graph:
+    """A tree of cliques on n vertices, of sizes lo..hi (the last one
+    smaller if n requires), each glued on a seeded random earlier vertex."""
+    rng = random.Random(seed)
+    edges = []
+    count = 1
+    while count < n:
+        size = min(rng.randint(lo, hi), n - count + 1)
+        members = [rng.randrange(count)] + list(range(count, count + size - 1))
+        count += size - 1
+        edges += [(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
+    return build_graph(n, edges)
+
+
 def benchmark_scale_corpus() -> dict[str, Graph]:
-    """Graphs at the size of the solve-sparse benchmark inputs: a random
-    block graph of 5,000 vertices and the regular families at about 3,000,
-    with their ids shuffled as the benchmark shuffles them."""
+    """Graphs at the size of the benchmark inputs: a random block graph of
+    5,000 vertices and the regular families at about 3,000, with their ids
+    shuffled as the benchmark shuffles them; a 2,000-vertex tree of
+    20-60-vertex cliques like the solve-dense inputs, whose big leaf
+    blocks take peel case 2; and big blocks mixed with edges, with ids
+    far from zero, which reach every case through big blocks."""
     from antcover.generate import random_block_graph
+    from antcover.graph import relabel_offset
 
     return {
         "random-5000": random_block_graph(5000, seed=3),
@@ -83,6 +101,10 @@ def benchmark_scale_corpus() -> dict[str, Graph]:
         "caterpillar-3000": shuffled(caterpillar_graph(750, 3), 2),
         "triangle-chain-3001": shuffled(triangle_chain_graph(1500), 3),
         "broom-3000": shuffled(broom_graph(1500, 1500), 4),
+        "blocks-2000": clique_tree_graph(2000, seed=7),
+        "mixed-blocks-3000": relabel_offset(
+            random_block_graph(3000, seed=8, edge_block_prob=0.5, max_block=30), 10**6
+        ),
     }
 
 

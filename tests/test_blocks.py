@@ -7,6 +7,7 @@ import re
 import networkx as nx
 import pytest
 
+from antcover import blocks
 from antcover.blocks import (
     block_cut_tree_dot,
     block_decomposition,
@@ -161,6 +162,80 @@ def test_is_block_graph_matches_per_block_definition():
         assert set(bd.blocks) == networkx_blocks(far)
         assert [sorted(b) for b in bd.blocks] == sorted(sorted(b) for b in bd.blocks)
         assert all(set(cuts) == b & bd.cut_vertices for b, cuts in zip(bd.blocks, bd.block_cuts))
+
+
+def hopcroft_tarjan_index(g, monkeypatch):
+    """g's BlockIndex with the clique-tree pass refusing every graph."""
+    with monkeypatch.context() as m:
+        m.setattr(blocks, "_clique_tree", lambda adj, edges: None)
+        return blocks._decompose(g)
+
+
+def spread_ids(g):
+    """g with every id v moved to 3v + 10**9."""
+    return Graph.from_data(
+        [3 * v + 10**9 for v in g.vertices], [(3 * a + 10**9, 3 * b + 10**9) for a, b in g.edges]
+    )
+
+
+def test_clique_tree_pass_matches_hopcroft_tarjan(monkeypatch):
+    accepted = []
+    original = blocks._clique_tree
+
+    def watched(adj, edges):
+        found = original(adj, edges)
+        accepted.append(found is not None)
+        return found
+
+    monkeypatch.setattr(blocks, "_clique_tree", watched)
+    rng = random.Random(14)
+    block_graphs = []
+    for i in range(150):
+        g = build_graph(rng.randint(0, 3), [])  # isolated vertices
+        for j in range(rng.randint(1, 3)):
+            piece = random_block_graph(
+                rng.randint(1, 40), seed=3000 + 4 * i + j,
+                edge_block_prob=rng.random(), max_block=rng.randint(2, 12),
+            )
+            g = disjoint_union(g, piece)
+        block_graphs += [g, spread_ids(g)]
+    for g in block_graphs:
+        accepted.clear()
+        assert blocks._decompose(g) == hopcroft_tarjan_index(g, monkeypatch)
+        assert accepted == [True]
+    general = [random_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(300)]
+    verdicts = []
+    for g in general + [spread_ids(g) for g in general]:
+        verdict = brute_is_block_graph(g)
+        accepted.clear()
+        assert blocks._decompose(g) == hopcroft_tarjan_index(g, monkeypatch)
+        assert accepted == [verdict]
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def index_adjacency(g):
+    return [g.neighbors(v) for v in range(g.vertex_count)]
+
+
+def test_clique_tree_pass_refuses_a_cycle_and_a_diamond():
+    c4 = cycle_graph(4)
+    # an edge block meets a vertex reached before: no edge count makes the
+    # cycle a tree of cliques
+    assert all(blocks._clique_tree(index_adjacency(c4), m) is None for m in range(8))
+    # the same for a bigger block: the triangle {1, 2, 4} meets vertex 2,
+    # reached through the triangle {0, 1, 2}
+    closed = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 4)])
+    assert all(blocks._clique_tree(index_adjacency(closed), m) is None for m in range(12))
+    diamond = k4_minus_edge()
+    # a tree of one block, whose 6 pairs are not the diamond's 5 edges
+    assert blocks._clique_tree(index_adjacency(diamond), 5) is None
+    assert blocks._clique_tree(index_adjacency(diamond), 6) is not None
+    for g, pair in ((c4, (0, 2)), (closed, (0, 3)), (diamond, (2, 3))):
+        assert not is_block_graph(g)
+        with pytest.raises(NotBlockGraphError) as info:
+            checked_block_decomposition(g)
+        assert str(info.value) == "block containing %d and %d is not a clique" % pair
 
 
 def test_blocks_at_matches_a_scan_of_every_block():

@@ -160,6 +160,13 @@ def test_gen_is_byte_deterministic_and_block(tmp_path, capsys):
     assert g.vertex_count == 50 and is_block_graph(g)
 
 
+def test_help_goes_to_stdout(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["cover", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: antcover cover")
+
+
 def test_gen_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--n", "10"])
@@ -264,7 +271,16 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["gen", "--seed", "1", "--n", "2000"], ["coboxicity", "-i", "GRAPH"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--seed", "1", "--n", "2000"],
+        ["coboxicity", "-i", "GRAPH"],
+        # argparse prints the help and exits before any command runs
+        ["--help"],
+        ["cover", "--help"],
+    ],
+)
 def test_stdout_write_failure_exits_2(tmp_path, argv):
     graph_file = write_graph(tmp_path, path_graph(7))
     argv = [graph_file if a == "GRAPH" else a for a in argv]

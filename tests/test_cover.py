@@ -105,10 +105,10 @@ def test_rejects_non_block_graph():
 
 
 def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
-    """One Hopcroft-Tarjan pass and one peel start state per graph, however
+    """One block decomposition and one peel start state per graph, however
     many calls read them."""
     computed = []
-    original = blocks._hopcroft_tarjan
+    original = blocks._decompose
 
     def counting(g):
         computed.append(g)
@@ -121,7 +121,7 @@ def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
         started.append(ix)
         return original_start(ix)
 
-    monkeypatch.setattr(blocks, "_hopcroft_tarjan", counting)
+    monkeypatch.setattr(blocks, "_decompose", counting)
     monkeypatch.setattr(peel, "_start_state", counting_start)
     large = random_block_graph(60, seed=5)
     small = random_block_graph(9, seed=6)
@@ -185,6 +185,59 @@ def test_solved_graph_is_freed_without_cyclic_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_block_graphs_are_solved_without_hopcroft_tarjan(monkeypatch):
+    """The clique-tree pass decomposes every block graph; Hopcroft-Tarjan
+    is left to graphs that are not."""
+
+    def refuse(adj):
+        raise AssertionError("Hopcroft-Tarjan pass on a block graph")
+
+    monkeypatch.setattr(blocks, "_hopcroft_tarjan", refuse)
+    corpus = golden_corpus()
+    corpus["two-components"] = disjoint_union(corpus["random-40"], corpus["star-60"])
+    for g in corpus.values():
+        for h in (g, relabel_offset(g, 10**9)):
+            _solve_everything(Graph.from_data(h.vertices, h.edges))
+    with pytest.raises(AssertionError, match="Hopcroft-Tarjan"):
+        blocks.is_block_graph(cycle_graph(4))
+
+
+def _engine_state(st, rg):
+    # a dead block is in no vertex's block set, so its edge flag is never read
+    live_edges = [c and a for c, a in zip(st.counted_edge, st.alive)]
+    return (
+        st.bverts, st.vblocks, st.alive, live_edges, st.bcut, st.is_int, st.nint, st.catt,
+        rg.verts, rg.nblocks, rg.nedge, rg.ncut,
+    )
+
+
+def test_leaf_block_batch_leaves_the_state_of_one_by_one_deletions():
+    """Deleting a big leaf block's non-cut members together leaves every
+    block, vertex and region aggregate as deleting them one by one does,
+    except the edge flag of the dead block."""
+    triangle_on_a_path = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
+    for g in (random_block_graph(400, seed=9, edge_block_prob=0.3, max_block=9), triangle_on_a_path):
+        bd = blocks.block_decomposition(g)
+        checked = 0
+        for b, (block, cuts) in enumerate(zip(bd.blocks, bd.block_cuts)):
+            if len(cuts) != 1 or len(block) < 3:
+                continue
+            states = []
+            for batch in (False, True):
+                st = peel._Peel(g, bd)
+                (rg,) = st.initial_regions()
+                plain = frozenset(x for x in st.bverts[b] if len(st.vblocks[x]) == 1)
+                if batch:
+                    st.remove_leaf_members(rg, b, plain)
+                else:
+                    for x in sorted(plain):
+                        assert st._remove_vertex(rg, x) == []
+                states.append(_engine_state(st, rg))
+            assert states[0] == states[1]
+            checked += 1
+        assert checked > 0
 
 
 def test_cached_block_index_equals_a_fresh_pass():
@@ -303,6 +356,12 @@ BENCHMARK_SCALE_COVER_SHA256 = {
     ("triangle-chain-3001", "threshold"): "4d2358b6e7a64e16d8d27909ab076666dd76eca1f309fba1e3091754d7b2623a",
     ("broom-3000", "cointerval"): "490d22e1ccac538f7254148acb37a8fe0ca004693ca4371227a03a4fe548e014",
     ("broom-3000", "threshold"): "2e5c28ca090db693b84dec56aca028ca71c89b815e03b66d4f20a6e77d42d0fe",
+    # recorded at commit d893eb2, before big leaf blocks lost their non-cut
+    # members in one batch
+    ("blocks-2000", "cointerval"): "8dff4399b9c18ab34519ea24be780be70c4a169349d49ca26c8dc7823a098a5f",
+    ("blocks-2000", "threshold"): "3e4bedceb27c3a896806b1a4cb8ab58e3adc0560bc401c1e568a6470acbbf346",
+    ("mixed-blocks-3000", "cointerval"): "bcde3e4f1e5769ac857ee4c7a5ece0e920ca1cb1dee0c4024a65e56b0f059691",
+    ("mixed-blocks-3000", "threshold"): "637136df83efbd5df6bcebd42d5f9a8939190220f0717c7bbf23853d19553c7b",
 }
 
 
