@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from .errors import InputError, NotBlockGraphError
@@ -18,21 +18,28 @@ from .graph import (
 
 
 @dataclass(frozen=True)
-class BlockIndex:
-    """Everything one block decomposition finds, cached on its graph.
+class BlockDecomposition:
+    """Blocks and cut-vertices of a graph, computed once and cached on it.
+
+    Blocks are maximal 2-connected components; a bridge edge is a block of
+    its own and an isolated vertex forms a singleton block. block_cuts[i]
+    lists the cut-vertices inside blocks[i], which together give the
+    bipartite incidence of the block-cut tree. cliques is True when every
+    block is a clique, that is when the graph is a block graph.
 
     Index k stands for the k-th smallest vertex id (ids[k]; ids is None
     when the ids are exactly 0..n-1, so that each id is its own index).
-    blocks, cut_vertices and block_cuts are in ids; the other fields are in
-    indices, for the peel engine. Components are numbered by increasing
-    minimum vertex. The index refers to no graph, so a graph and its cached
-    index form no reference cycle.
+    blocks, cut_vertices and block_cuts are in ids; the fields after ids
+    are in indices, for the peel engine. Components are numbered by
+    increasing minimum vertex. The decomposition refers to no graph, so a
+    graph and its cached decomposition form no reference cycle.
     """
 
-    ids: list[int] | None
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
     block_cuts: tuple[tuple[int, ...], ...]
+    cliques: bool
+    ids: tuple[int, ...] | None
     members: tuple[frozenset[int], ...]  # blocks[i] in indices
     cuts: tuple[int, ...]  # cut-vertex indices, increasing
     incidence: tuple[tuple[int, ...], ...]  # the blocks at each index, increasing
@@ -48,27 +55,10 @@ class BlockIndex:
         k = bisect_left(ids, v)
         return k if k < len(ids) and ids[k] == v else None
 
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks and cut-vertices of a graph.
-
-    Blocks are maximal 2-connected components; a bridge edge is a block of
-    its own and an isolated vertex forms a singleton block. block_cuts[i]
-    lists the cut-vertices inside blocks[i], which together give the
-    bipartite incidence of the block-cut tree.
-    """
-
-    host: Graph
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    block_cuts: tuple[tuple[int, ...], ...]
-    index: BlockIndex = field(repr=False, compare=False)
-
     def blocks_at(self, v: int) -> tuple[int, ...]:
         """Indices of the blocks containing vertex v, in increasing order."""
-        k = self.index.position(v)
-        return () if k is None else self.index.incidence[k]
+        k = self.position(v)
+        return () if k is None else self.incidence[k]
 
 
 @dataclass(frozen=True)
@@ -87,16 +77,16 @@ class NearLeafResult:
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Blocks and cut-vertices of g. The first call decomposes g and caches
-    its BlockIndex on the graph, whose edges never change; later calls wrap
-    the cached index again."""
-    ix = g._block_index
-    if ix is None:
-        ix = g._block_index = _decompose(g)
-    return BlockDecomposition(g, ix.blocks, ix.cut_vertices, ix.block_cuts, ix)
+    the decomposition on the graph, whose edges never change; later calls
+    return the cached one."""
+    bd = g._block_index
+    if bd is None:
+        bd = g._block_index = _decompose(g)
+    return bd
 
 
-def _decompose(g: Graph) -> BlockIndex:
-    """The BlockIndex of g: by the clique-tree pass when g is a block
+def _decompose(g: Graph) -> BlockDecomposition:
+    """The decomposition of g: by the clique-tree pass when g is a block
     graph, else by the Hopcroft-Tarjan pass."""
     ids = compact_ids(g)
     if ids is None:
@@ -105,9 +95,14 @@ def _decompose(g: Graph) -> BlockIndex:
         pos = {v: k for k, v in enumerate(ids)}
         adj = [{pos[w] for w in g.neighbors(v)} for v in ids]
     found = _clique_tree(adj, g.edge_count)
-    if found is None:
-        found = _hopcroft_tarjan(adj)
-    return _index(ids, *found)
+    if found is not None:
+        return _index(ids, True, *found)
+    raw_blocks, comp, components = _hopcroft_tarjan(adj)
+    # blocks partition the edges and a block on k vertices holds at most
+    # k(k-1)/2 of them, so all blocks are cliques exactly when these maxima
+    # add up to the edge count
+    cliques = sum(len(b) * (len(b) - 1) // 2 for b in raw_blocks) == g.edge_count
+    return _index(ids, cliques, raw_blocks, comp, components)
 
 
 def _clique_tree(adj: list[set[int]], m: int) -> tuple[list, list[int], int] | None:
@@ -230,12 +225,15 @@ def _hopcroft_tarjan(adj: list[set[int]]) -> tuple[list, list[int], int]:
     return raw_blocks, comp, c + 1
 
 
-def _index(ids: list[int] | None, raw_blocks: list, comp: list[int], components: int) -> BlockIndex:
-    """The BlockIndex of the blocks that a decomposition pass found, given
-    as collections of vertex indices in any order, and of its component
-    numbering. Blocks are listed by (minimum vertex id, sorted vertex
-    tuple), so the index does not depend on the pass or its traversal;
-    the cut-vertices are the vertices in two or more blocks."""
+def _index(
+    ids: tuple[int, ...] | None, cliques: bool, raw_blocks: list, comp: list[int], components: int
+) -> BlockDecomposition:
+    """The decomposition made of the blocks that a pass found, given as
+    collections of vertex indices in any order, of its component numbering
+    and of its verdict on whether every block is a clique. Blocks are
+    listed by (minimum vertex id, sorted vertex tuple), so the
+    decomposition does not depend on the pass or its traversal; the
+    cut-vertices are the vertices in two or more blocks."""
     # sorted lists compare like the (minimum, sorted tuple) key; indices
     # follow id order, so mapping them to ids keeps the order
     ordered = sorted(map(sorted, raw_blocks))
@@ -253,11 +251,12 @@ def _index(ids: list[int] | None, raw_blocks: list, comp: list[int], components:
         blocks = tuple(frozenset([ids[x] for x in b]) for b in ordered)
         cut_vertices = frozenset(ids[x] for x in cuts)
         block_cuts = tuple(tuple(ids[x] for x in bc) for bc in local_cuts)
-    return BlockIndex(
-        ids,
+    return BlockDecomposition(
         blocks,
         cut_vertices,
         block_cuts,
+        cliques,
+        ids,
         members,
         cuts,
         tuple(map(tuple, incidence)),
@@ -277,19 +276,9 @@ def classify_blocks(bd: BlockDecomposition) -> list[BlockClass]:
     return out
 
 
-def blocks_are_cliques(bd: BlockDecomposition) -> bool:
-    """True iff every block of the decomposition induces a clique.
-
-    Blocks partition the edges and a block on k vertices holds at most
-    k(k-1)/2 of them, so all blocks are cliques exactly when these maxima
-    add up to the edge count.
-    """
-    return sum(len(b) * (len(b) - 1) // 2 for b in bd.blocks) == bd.host.edge_count
-
-
 def is_block_graph(g: Graph) -> bool:
     """True iff every block induces a clique."""
-    return blocks_are_cliques(block_decomposition(g))
+    return block_decomposition(g).cliques
 
 
 def checked_block_decomposition(g: Graph) -> BlockDecomposition:
@@ -299,7 +288,7 @@ def checked_block_decomposition(g: Graph) -> BlockDecomposition:
     that is not a clique.
     """
     bd = block_decomposition(g)
-    if not blocks_are_cliques(bd):
+    if not bd.cliques:
         u, v = next(filter(None, (missing_clique_pair(g, b) for b in bd.blocks)))
         raise NotBlockGraphError(f"block containing {u} and {v} is not a clique")
     return bd

@@ -88,9 +88,11 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _load_cover(g: Graph, path: str) -> Cover:
+    # JSONDecodeError is a ValueError, and so is an integer of more than
+    # 4,300 digits; deep nesting raises RecursionError
     try:
         payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed cover JSON: {exc}") from None
     return cover_from_dict(g, payload)
 
@@ -98,9 +100,9 @@ def _load_cover(g: Graph, path: str) -> Cover:
 def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
     """DOT text for the graph (cover elements as colored edge groups)
     followed by its block-cut tree."""
-    from .blocks import block_cut_tree_dot
+    from .blocks import block_cut_tree_dot, block_decomposition
 
-    if bd.host != g:
+    if bd != block_decomposition(g):
         raise InputError("decomposition does not match the graph")
     color: dict[tuple[int, int], str] = {}
     if c is not None:

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
-
-if TYPE_CHECKING:
-    from .blocks import BlockDecomposition
 
 # The two kinds of cover element: co-interval subgraphs (two-apex big ants)
 # and threshold subgraphs (one-apex big ants).
@@ -132,16 +128,17 @@ def is_threshold(h: Graph) -> bool:
     return threshold_order(h) is not None
 
 
-def maximal_ants(bd: BlockDecomposition, two_apex: bool) -> list[BigAnt]:
-    """Maximal big ants of a block graph, given its block decomposition.
+def maximal_ants(g: Graph, two_apex: bool) -> list[BigAnt]:
+    """Maximal big ants of a block graph; NotBlockGraphError for any other.
 
     Two-apex ants are its maximal co-interval subgraphs, one-apex ants its
     maximal threshold subgraphs. Edge-dominated ants are dropped and equal
     edge sets deduplicated.
     """
-    g = bd.host
+    from .blocks import checked_block_decomposition
+
     ants = []
-    for b in bd.blocks:
+    for b in checked_block_decomposition(g).blocks:
         if len(b) < 2:
             continue
         members = sorted(b)
@@ -166,16 +163,12 @@ def maximal_ants(bd: BlockDecomposition, two_apex: bool) -> list[BigAnt]:
 
 def maximal_cointerval_subgraphs(g: Graph) -> list[BigAnt]:
     """All maximal co-interval subgraphs of a block graph, as big ants."""
-    from .blocks import checked_block_decomposition
-
-    return maximal_ants(checked_block_decomposition(g), two_apex=True)
+    return maximal_ants(g, two_apex=True)
 
 
 def maximal_threshold_subgraphs(g: Graph) -> list[BigAnt]:
     """All maximal threshold subgraphs of a block graph: one-apex big ants."""
-    from .blocks import checked_block_decomposition
-
-    return maximal_ants(checked_block_decomposition(g), two_apex=False)
+    return maximal_ants(g, two_apex=False)
 
 
 def prefix_counts(

@@ -26,7 +26,7 @@ from .cointerval import (
     threshold_order,
 )
 from .errors import InputError, SizeLimitError
-from .graph import Edge, Graph, _json_int, clique_edges, missing_clique_pair, norm_edge
+from .graph import Edge, Graph, _json_int, norm_edge
 
 # verify, boxrep and serialization never solve, so the block decomposition
 # and the peel engine load only when a solver runs
@@ -323,26 +323,35 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
 
 def is_structural_big_ant(g: Graph, element) -> bool:
     """Element is a big ant over some clique of g: a block's clique plus
-    all element edges hanging off its two apexes."""
+    all element edges hanging off its two apexes.
+
+    One pass over the element's edges decides it. Those inside a block of
+    k vertices and listed as (a, b) with a < b are distinct pairs of the
+    block, so when there are k(k-1)/2 of them and each is a host edge, the
+    block is a clique of g and its edges are all in the element; every
+    other edge must meet an apex.
+    """
     block = getattr(element, "block", None)
     if block is None:
         return False
     u, v = element.apex_u, element.apex_v
-    if u not in block or v not in block:
+    if u not in block or v not in block or not g.vertices >= block:
         return False
-    if missing_clique_pair(g, block) is not None:
-        return False
-    if not element.edges.issuperset(clique_edges(block)):
-        return False
+    inside = 0
+    touched = set(block)
     for a, b in element.edges:
         if a in block and b in block:
-            continue
-        if u not in (a, b) and v not in (a, b):
+            if a < b:
+                if not g.has_edge(a, b):
+                    return False
+                inside += 1
+        elif u in (a, b) or v in (a, b):
+            touched.add(a)
+            touched.add(b)
+        else:
             return False
-    touched = set(block)
-    for e in element.edges:
-        touched.update(e)
-    return touched == set(element.vertices)
+    k = len(block)
+    return inside == k * (k - 1) // 2 and touched == set(element.vertices)
 
 
 def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:
@@ -378,7 +387,7 @@ def cover_to_dict(c: Cover, traces: list[IterationTrace] | None = None) -> dict:
         "size": len(c.elements),
         "elements": [
             {
-                "block": sorted(el.block) if getattr(el, "block", None) else None,
+                "block": sorted(el.block) if getattr(el, "block", None) is not None else None,
                 "u": getattr(el, "apex_u", None),
                 "v": getattr(el, "apex_v", None),
                 "vertices": sorted(el.vertices),

@@ -29,10 +29,10 @@ class Graph:
     so graphs derived from a host keep referring to the host's labels.
     The sets returned by neighbors() are internal state; callers must not
     mutate them. Three caches fill on first use: the edge set, the
-    blocks.BlockIndex that blocks.block_decomposition computes, and the
-    starting state of the peel runs, which the first peel run computes from
-    that index. The last two refer to vertex ids and block indices only,
-    never back to the graph.
+    blocks.BlockDecomposition that blocks.block_decomposition computes, and
+    the starting state of the peel runs, which the first peel run computes
+    from that decomposition. The last two refer to vertex ids and block
+    indices only, never back to the graph.
     """
 
     __slots__ = ("_adj", "_edges", "_block_index", "_peel_start")
@@ -140,7 +140,7 @@ def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
     return Graph(adj)
 
 
-def compact_ids(g: Graph) -> list[int] | None:
+def compact_ids(g: Graph) -> tuple[int, ...] | None:
     """None when the vertex ids are exactly 0..n-1, so that each id is its
     own index; otherwise the ids in increasing order, so that index k
     stands for the k-th smallest id. Index-addressed state then has n slots
@@ -148,7 +148,7 @@ def compact_ids(g: Graph) -> list[int] | None:
     n = g.vertex_count
     if n == 0 or (min(g.vertices) == 0 and max(g.vertices) == n - 1):
         return None
-    return sorted(g.vertices)
+    return tuple(sorted(g.vertices))
 
 
 def clique_edges(vertices: Iterable[int]) -> list[Edge]:
@@ -367,6 +367,6 @@ def parse_structured(text: str) -> Graph:
             (_json_int(a, "an edge endpoint"), _json_int(b, "an edge endpoint"))
             for a, b in payload["edges"]
         ]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed structured input: {exc}") from None
     return build_graph(n, edges)

@@ -7,7 +7,7 @@ Ground truth for the polynomial algorithms: enumerate maximal co-interval
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .blocks import block_decomposition, blocks_are_cliques
+from .blocks import is_block_graph
 from .cointerval import is_threshold, maximal_ants
 from .errors import InputError, SizeLimitError
 from .graph import Edge, Graph, norm_edge
@@ -57,13 +57,12 @@ def enumerate_maximal_cointerval_edge_sets(
     Block graphs use the big-ant characterization (polynomially many
     candidates); general graphs enumerate ordering-generated subgraphs.
     """
-    bd = block_decomposition(g)
-    if blocks_are_cliques(bd):
+    if is_block_graph(g):
         if g.vertex_count > max(max_vertices, BLOCK_GRAPH_BOUND):
             raise SizeLimitError(
                 f"{g.vertex_count} vertices exceeds the block-graph oracle bound"
             )
-        return [ant.edges for ant in maximal_ants(bd, two_apex=True)]
+        return [ant.edges for ant in maximal_ants(g, two_apex=True)]
     if g.vertex_count > max_vertices:
         raise SizeLimitError(
             f"{g.vertex_count} vertices exceeds the permutation bound {max_vertices}"
@@ -79,13 +78,12 @@ def maximal_threshold_edge_sets(
     g: Graph, max_vertices: int = PERMUTATION_BOUND
 ) -> list[frozenset[Edge]]:
     """Containment-maximal threshold edge sets of g."""
-    bd = block_decomposition(g)
-    if blocks_are_cliques(bd):
+    if is_block_graph(g):
         if g.vertex_count > max(max_vertices, BLOCK_GRAPH_BOUND):
             raise SizeLimitError(
                 f"{g.vertex_count} vertices exceeds the block-graph oracle bound"
             )
-        return [ant.edges for ant in maximal_ants(bd, two_apex=False)]
+        return [ant.edges for ant in maximal_ants(g, two_apex=False)]
     if g.vertex_count > max_vertices:
         raise SizeLimitError(
             f"{g.vertex_count} vertices exceeds the threshold oracle bound"

@@ -25,7 +25,7 @@ from .errors import InternalInvariantError
 from .graph import Graph, clique_edges, norm_edge
 
 if TYPE_CHECKING:
-    from .blocks import BlockDecomposition, BlockIndex
+    from .blocks import BlockDecomposition
 
 
 class IterationTrace(NamedTuple):
@@ -97,37 +97,37 @@ class _Start(NamedTuple):
     regions: tuple[_RegionStart, ...]
 
 
-def _start_state(ix: BlockIndex) -> _Start:
+def _start_state(bd: BlockDecomposition) -> _Start:
     """The block flags, attachment counters and first regions of a peel run
-    over the graph whose block index is ix."""
-    members = ix.members
+    over the graph whose block decomposition is bd."""
+    members = bd.members
     # singleton blocks are isolated vertices, which no region reaches, so
     # they start dead
     alive = [len(b) >= 2 for b in members]
     counted_edge = [len(b) == 2 for b in members]
-    bcut = list(map(len, ix.block_cuts))
+    bcut = list(map(len, bd.block_cuts))
     is_int = [c >= 2 for c in bcut]
     # nint[v]: internal blocks at v; v attaches its blocks to the internal
     # part of the tree when it has two or more
-    nint = [0] * len(ix.incidence)
+    nint = [0] * len(bd.incidence)
     for b in compress(members, is_int):
         for x in b:
             nint[x] += 1
     catt = [0] * len(members)
-    for x in ix.cuts:
+    for x in bd.cuts:
         if nint[x] >= 2:
-            for i in ix.incidence[x]:
+            for i in bd.incidence[x]:
                 catt[i] += 1
 
     # one region per component with an edge; components are numbered by
     # minimum vertex and blocks come by minimum vertex, so the regions
     # arrive in that order and each block list below is sorted
-    k = ix.components
+    k = bd.components
     nblocks, nedge, ncut = [0] * k, [0] * k, [0] * k
     verts: list[list[int]] = [[] for _ in range(k)]
     bigleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     nearleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for i, c in enumerate(ix.block_comp):
+    for i, c in enumerate(bd.block_comp):
         if not alive[i]:
             continue
         nblocks[c] += 1
@@ -136,9 +136,9 @@ def _start_state(ix: BlockIndex) -> _Start:
             bigleaf[c].append((min(members[i]), i))
         if is_int[i] and catt[i] <= 1:
             nearleaf[c].append((min(members[i]), i))
-    for x in ix.cuts:
-        ncut[ix.vertex_comp[x]] += 1
-    for x, c in enumerate(ix.vertex_comp):
+    for x in bd.cuts:
+        ncut[bd.vertex_comp[x]] += 1
+    for x, c in enumerate(bd.vertex_comp):
         verts[c].append(x)
     regions = tuple(
         _RegionStart(
@@ -177,26 +177,25 @@ class _Peel:
     """
 
     def __init__(self, g: Graph, bd: BlockDecomposition):
-        ix = bd.index
-        # bd is g's decomposition, so ix is the index cached on g and the
-        # start state cached next to it was computed from ix
+        # bd is the decomposition cached on g, and the start state cached
+        # next to it was computed from bd
         start = g._peel_start
         if start is None:
-            start = g._peel_start = _start_state(ix)
-        self.ids = ix.ids
+            start = g._peel_start = _start_state(bd)
+        self.ids = bd.ids
         self.region_starts = start.regions
         # the member and incidence sets shrink during the run, so each run
         # takes its own copies; the rest is copied from the start state
-        self.bverts: list[set[int]] = list(map(set, ix.members))
-        self.vblocks: list[set[int]] = list(map(set, ix.incidence))
+        self.bverts: list[set[int]] = list(map(set, bd.members))
+        self.vblocks: list[set[int]] = list(map(set, bd.incidence))
         self.alive = list(start.alive)
         self.counted_edge = list(start.counted_edge)
         self.bcut = list(start.bcut)
         self.is_int = list(start.is_int)
         self.nint = list(start.nint)
         self.catt = list(start.catt)
-        self.comp_id = list(ix.vertex_comp)
-        self.next_rid = ix.components
+        self.comp_id = list(bd.vertex_comp)
+        self.next_rid = bd.components
 
     # -- region construction -------------------------------------------
 
@@ -557,7 +556,7 @@ def _peel(
     return traces
 
 
-def _relabel(ids: list[int], elements: list[BigAnt] | None, traces: list[IterationTrace]) -> None:
+def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[IterationTrace]) -> None:
     """Map a run over vertex indices back to the vertex ids, in place."""
     def lab(s):
         return None if s is None else frozenset(ids[x] for x in s)

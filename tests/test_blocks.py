@@ -165,7 +165,7 @@ def test_is_block_graph_matches_per_block_definition():
 
 
 def hopcroft_tarjan_index(g, monkeypatch):
-    """g's BlockIndex with the clique-tree pass refusing every graph."""
+    """g's decomposition with the clique-tree pass refusing every graph."""
     with monkeypatch.context() as m:
         m.setattr(blocks, "_clique_tree", lambda adj, edges: None)
         return blocks._decompose(g)
@@ -201,15 +201,18 @@ def test_clique_tree_pass_matches_hopcroft_tarjan(monkeypatch):
         block_graphs += [g, spread_ids(g)]
     for g in block_graphs:
         accepted.clear()
-        assert blocks._decompose(g) == hopcroft_tarjan_index(g, monkeypatch)
-        assert accepted == [True]
+        bd = blocks._decompose(g)
+        # the whole decomposition, the verdict on every block included
+        assert bd == hopcroft_tarjan_index(g, monkeypatch)
+        assert accepted == [True] and bd.cliques
     general = [random_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(300)]
     verdicts = []
     for g in general + [spread_ids(g) for g in general]:
         verdict = brute_is_block_graph(g)
         accepted.clear()
-        assert blocks._decompose(g) == hopcroft_tarjan_index(g, monkeypatch)
-        assert accepted == [verdict]
+        bd = blocks._decompose(g)
+        assert bd == hopcroft_tarjan_index(g, monkeypatch)
+        assert accepted == [verdict] and bd.cliques == verdict
         verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)
 

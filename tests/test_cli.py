@@ -15,7 +15,7 @@ from antcover.blocks import block_decomposition, is_block_graph
 from antcover.cli import export_dot, main
 from antcover.cover import min_cointerval_cover
 from antcover.errors import InputError
-from antcover.graph import build_graph, parse_edgelist, serialize_edgelist
+from antcover.graph import Graph, build_graph, parse_edgelist, serialize_edgelist
 from helpers import complete_graph, cycle_graph, path_graph
 
 
@@ -43,7 +43,7 @@ def test_cover_emit_and_verify_round_trip(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(7))
     cpath = str(tmp_path / "cover.json")
     assert main(["cover", "-i", gpath, "-o", cpath]) == 0
-    payload = json.loads(open(cpath).read())
+    payload = json.loads(Path(cpath).read_text())
     assert payload["kind"] == "cointerval" and payload["size"] == 2
     assert len(payload["traces"]) == 2
     assert main(["verify", "-i", gpath, "--cover", cpath]) == 0
@@ -349,6 +349,49 @@ def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):
     assert "malformed cover JSON" in capsys.readouterr().err
 
 
+# json.loads raises ValueError on an integer of more than 4,300 digits and
+# RecursionError on deep nesting, neither of them a JSONDecodeError
+HUGE_INT = "1" * 5000
+DEEP = "[" * 100_000 + "]" * 100_000
+HUGE_INT_COVER = json.dumps(
+    {"kind": "cointerval", "elements": [{"block": None, "vertices": ["X"], "edges": []}]}
+).replace('"X"', HUGE_INT)
+
+
+@pytest.mark.parametrize(
+    "command, graph_text, cover_text, message",
+    [
+        ("verify", None, HUGE_INT_COVER, "malformed cover JSON"),
+        ("verify", None, DEEP, "malformed cover JSON"),
+        ("boxrep", None, HUGE_INT_COVER, "malformed cover JSON"),
+        ("boxrep", None, DEEP, "malformed cover JSON"),
+        ("coboxicity", f'{{"n": {HUGE_INT}, "edges": []}}', None, "malformed structured input"),
+        ("coboxicity", f'{{"n": 3, "edges": {DEEP}}}', None, "malformed structured input"),
+    ],
+    ids=[
+        "verify-huge-int", "verify-deep", "boxrep-huge-int", "boxrep-deep",
+        "structured-huge-int", "structured-deep",
+    ],
+)
+def test_json_too_big_or_too_deep_exits_2(tmp_path, capsys, command, graph_text, cover_text, message):
+    gpath = tmp_path / "g.txt"
+    if graph_text is None:
+        gpath.write_text(serialize_edgelist(path_graph(3)))
+        args = [command, "-i", str(gpath)]
+    else:
+        gpath.write_text(graph_text)
+        args = [command, "-i", str(gpath), "-f", "structured"]
+    if cover_text is not None:
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(cover_text)
+        args += ["--cover", str(cpath)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {message}: ")
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(4))
     out = str(tmp_path / "missing-dir" / "cover.json")
@@ -385,6 +428,14 @@ def test_export_dot_shapes():
 def test_export_dot_rejects_mismatch():
     with pytest.raises(InputError):
         export_dot(path_graph(4), block_decomposition(path_graph(5)))
+
+
+def test_export_dot_accepts_the_decomposition_of_an_equal_graph():
+    for g in (path_graph(6), generate.random_block_graph(30, seed=4)):
+        text = serialize_edgelist(g)
+        for h in (parse_edgelist(text), Graph.from_data(sorted(g.vertices, reverse=True), g.edges)):
+            assert h is not g and h == g
+            assert export_dot(g, block_decomposition(h)) == export_dot(g, block_decomposition(g))
 
 
 def test_harness_quick(capsys):

@@ -38,7 +38,15 @@ from antcover.cover import (
 )
 from antcover.errors import InputError, InternalInvariantError, NotBlockGraphError, SizeLimitError
 from antcover.generate import random_block_graph
-from antcover.graph import Graph, build_graph, disjoint_union, relabel_offset, serialize_edgelist
+from antcover.graph import (
+    Graph,
+    build_graph,
+    clique_edges,
+    disjoint_union,
+    missing_clique_pair,
+    relabel_offset,
+    serialize_edgelist,
+)
 from antcover.oracle import (
     brute_coboxicity,
     brute_cothdim,
@@ -131,7 +139,7 @@ def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
     for fn in (blocks.is_block_graph, coboxicity, cothdim, min_cointerval_cover, min_threshold_cover):
         fn(large)
     assert len(computed) == 1 and computed[0] is large
-    # four peel runs, one start state, computed from the cached index
+    # four peel runs, one start state, computed from the cached decomposition
     assert len(started) == 1 and started[0] is large._block_index
 
     computed.clear()
@@ -246,13 +254,13 @@ def test_cached_block_index_equals_a_fresh_pass():
             first = blocks.block_decomposition(h)
             _solve_everything(h)
             again = blocks.block_decomposition(h)
-            assert again.index is first.index, name
+            assert again is first, name
             fresh = blocks.block_decomposition(Graph.from_data(h.vertices, h.edges))
+            # the decomposition compares every field: blocks, cuts, verdict,
+            # incidence, labels
             assert again == fresh, name
-            # BlockIndex compares every field: blocks, cuts, incidence, labels
-            assert again.index == fresh.index, name
             # no peel run changed the start state the runs share
-            assert h._peel_start == peel._start_state(fresh.index), name
+            assert h._peel_start == peel._start_state(fresh), name
 
 
 def test_p7_run_is_deterministic_and_traced():
@@ -281,6 +289,72 @@ def test_trace_invariants_random():
             assert verify_cover(g, cover).valid
             for el in cover.elements:
                 assert is_structural_big_ant(g, el)
+
+
+def structural_big_ant_reference(g, element):
+    """is_structural_big_ant as first written: a clique test on the host,
+    then a superset test on the element's edges."""
+    block = getattr(element, "block", None)
+    if block is None:
+        return False
+    u, v = element.apex_u, element.apex_v
+    if u not in block or v not in block:
+        return False
+    if missing_clique_pair(g, block) is not None:
+        return False
+    if not element.edges.issuperset(clique_edges(block)):
+        return False
+    for a, b in element.edges:
+        if a in block and b in block:
+            continue
+        if u not in (a, b) and v not in (a, b):
+            return False
+    touched = set(block)
+    for e in element.edges:
+        touched.update(e)
+    return touched == set(element.vertices)
+
+
+def tampered_elements(g, el):
+    """Copies of the big ant el that break, or only seem to break, one of
+    the conditions of is_structural_big_ant."""
+    replace = dataclasses.replace
+    block, edges = el.block, el.edges
+    inside = sorted(e for e in edges if e[0] in block and e[1] in block)
+    outside = sorted(el.vertices - block)
+    for w in sorted(el.vertices - {el.apex_u})[:3]:  # an apex moved
+        yield replace(el, apex_u=w)
+        yield replace(el, apex_v=w)
+    for e in inside[:2]:  # a clique edge dropped, or written as (b, a)
+        yield replace(el, edges=edges - {e})
+        yield replace(el, edges=edges - {e} | {e[::-1]})
+        yield replace(el, edges=edges | {e[::-1]})
+    for w in outside[:2]:  # a block that is not a clique, with or without its pairs
+        yield replace(el, block=block | {w})
+        yield replace(el, block=block | {w}, edges=edges | {(min(w, x), max(w, x)) for x in block})
+    a = min(block)
+    yield replace(el, edges=edges | {(a, a)})  # a loop inside the block
+    for w in outside[:2]:  # an outside edge at no apex
+        x = min(block - {el.apex_u, el.apex_v}, default=w)
+        yield replace(el, edges=edges | {(min(w, x), max(w, x))})
+        yield replace(el, edges=edges | {(w, w)})
+    stray = max(g.vertices) + 1  # a stray vertex, in the host or not
+    yield replace(el, vertices=el.vertices | {stray})
+    yield replace(el, vertices=el.vertices | {min(g.vertices - el.vertices, default=stray)})
+
+
+def test_structural_big_ant_matches_its_first_definition():
+    verdicts = {True: 0, False: 0}
+    for name, g in golden_corpus().items():
+        for builder in (min_cointerval_cover, min_threshold_cover):
+            cover, _ = builder(g)
+            for el in cover.elements:
+                assert is_structural_big_ant(g, el) and structural_big_ant_reference(g, el), name
+                for bad in tampered_elements(g, el):
+                    verdict = is_structural_big_ant(g, bad)
+                    assert verdict == structural_big_ant_reference(g, bad), (name, bad)
+                    verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_every_element_passes_its_recognition():
@@ -837,6 +911,15 @@ def test_cover_serialization_round_trip():
     again = cover_from_dict(g, payload)
     assert again == cover
     assert verify_cover(g, again).valid
+    # an empty block is written as [], not as null, so it reads back as a
+    # big ant and not as a blockless element
+    entry = payload["elements"][0]
+    entry["block"] = []
+    empty = cover_from_dict(g, payload)
+    assert empty.elements[0].block == frozenset()
+    written = cover_to_dict(empty)
+    assert written["elements"][0]["block"] == []
+    assert cover_from_dict(g, written) == empty
 
 
 @pytest.mark.parametrize(
