@@ -21,7 +21,6 @@ import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .cointerval import COINTERVAL, THRESHOLD
 from .cover import (
@@ -43,9 +42,6 @@ from .graph import (
     serialize_edgelist,
     serialize_structured,
 )
-
-if TYPE_CHECKING:
-    from .blocks import BlockDecomposition
 
 PALETTE = (
     "red", "blue", "forestgreen", "darkorange", "purple",
@@ -97,13 +93,11 @@ def _load_cover(g: Graph, path: str) -> Cover:
     return cover_from_dict(g, payload)
 
 
-def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
+def export_dot(g: Graph, c: Cover | None = None) -> str:
     """DOT text for the graph (cover elements as colored edge groups)
     followed by its block-cut tree."""
     from .blocks import block_cut_tree_dot, block_decomposition
 
-    if bd != block_decomposition(g):
-        raise InputError("decomposition does not match the graph")
     color: dict[tuple[int, int], str] = {}
     if c is not None:
         for i, el in enumerate(c.elements):
@@ -117,7 +111,7 @@ def export_dot(g: Graph, bd: BlockDecomposition, c: Cover | None = None) -> str:
         suffix = f' [color="{paint}"]' if paint else ""
         lines.append(f"  {u} -- {v}{suffix};")
     lines.append("}")
-    return "\n".join(lines) + "\n" + block_cut_tree_dot(bd)
+    return "\n".join(lines) + "\n" + block_cut_tree_dot(block_decomposition(g))
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
@@ -143,10 +137,10 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cover, traces, bd = min_cover(g, args.kind)
+    cover, traces, _ = min_cover(g, args.kind)
     _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
     if args.dot_path:
-        _write_text(args.dot_path, export_dot(g, bd, cover))
+        _write_text(args.dot_path, export_dot(g, cover))
     return 0
 
 

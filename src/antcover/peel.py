@@ -46,27 +46,21 @@ class IterationTrace(NamedTuple):
 
 
 class _Region:
-    """One connected piece of the residual graph, with aggregates and heaps."""
+    """One connected piece of the residual graph, with its heaps."""
 
-    __slots__ = ("rid", "verts", "nblocks", "nedge", "ncut", "bigleaf", "nearleaf", "vheap")
+    __slots__ = ("rid", "verts", "bigleaf", "nearleaf", "vheap")
 
     def __init__(
         self,
         rid: int,
         verts: set[int],
         vheap: list[int],
-        nblocks: int,
-        nedge: int,
-        ncut: int,
         bigleaf: list[tuple[int, int]],
         nearleaf: list[tuple[int, int]],
     ):
         self.rid = rid
         self.verts = verts
         self.vheap = vheap
-        self.nblocks = nblocks
-        self.nedge = nedge
-        self.ncut = ncut
         self.bigleaf = bigleaf
         self.nearleaf = nearleaf
 
@@ -76,9 +70,6 @@ class _RegionStart(NamedTuple):
 
     rid: int
     verts: tuple[int, ...]  # increasing, so also a heap
-    nblocks: int
-    nedge: int
-    ncut: int
     bigleaf: tuple[tuple[int, int], ...]  # sorted, so also a heap
     nearleaf: tuple[tuple[int, int], ...]
 
@@ -89,7 +80,6 @@ class _Start(NamedTuple):
     indices only, never the graph."""
 
     alive: tuple[bool, ...]
-    counted_edge: tuple[bool, ...]
     bcut: tuple[int, ...]
     is_int: tuple[bool, ...]
     nint: tuple[int, ...]
@@ -104,7 +94,6 @@ def _start_state(bd: BlockDecomposition) -> _Start:
     # singleton blocks are isolated vertices, which no region reaches, so
     # they start dead
     alive = [len(b) >= 2 for b in members]
-    counted_edge = [len(b) == 2 for b in members]
     bcut = list(map(len, bd.block_cuts))
     is_int = [c >= 2 for c in bcut]
     # nint[v]: internal blocks at v; v attaches its blocks to the internal
@@ -123,47 +112,35 @@ def _start_state(bd: BlockDecomposition) -> _Start:
     # minimum vertex and blocks come by minimum vertex, so the regions
     # arrive in that order and each block list below is sorted
     k = bd.components
-    nblocks, nedge, ncut = [0] * k, [0] * k, [0] * k
     verts: list[list[int]] = [[] for _ in range(k)]
     bigleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     nearleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for i, c in enumerate(bd.block_comp):
         if not alive[i]:
             continue
-        nblocks[c] += 1
-        nedge[c] += counted_edge[i]
         if bcut[i] == 1 and len(members[i]) >= 3:
             bigleaf[c].append((min(members[i]), i))
         if is_int[i] and catt[i] <= 1:
             nearleaf[c].append((min(members[i]), i))
-    for x in bd.cuts:
-        ncut[bd.vertex_comp[x]] += 1
     for x, c in enumerate(bd.vertex_comp):
         verts[c].append(x)
     regions = tuple(
-        _RegionStart(
-            c, tuple(verts[c]), nblocks[c], nedge[c], ncut[c], tuple(bigleaf[c]), tuple(nearleaf[c])
-        )
+        _RegionStart(c, tuple(verts[c]), tuple(bigleaf[c]), tuple(nearleaf[c]))
         for c in range(k)
-        if nblocks[c]
+        if len(verts[c]) >= 2
     )
-    return _Start(
-        tuple(alive), tuple(counted_edge), tuple(bcut), tuple(is_int), tuple(nint), tuple(catt), regions
-    )
+    return _Start(tuple(alive), tuple(bcut), tuple(is_int), tuple(nint), tuple(catt), regions)
 
 
 class _Scan:
     """Search state of one region or fragment, grown block by block."""
 
-    __slots__ = ("queue", "seen", "verts", "nblocks", "nedge", "ncut")
+    __slots__ = ("queue", "seen", "verts")
 
     def __init__(self, seed: int):
         self.queue = [seed]
         self.seen = {seed}
         self.verts: set[int] = set()
-        self.nblocks = 0
-        self.nedge = 0
-        self.ncut = 0
 
 
 class _Peel:
@@ -189,7 +166,6 @@ class _Peel:
         self.bverts: list[set[int]] = list(map(set, bd.members))
         self.vblocks: list[set[int]] = list(map(set, bd.incidence))
         self.alive = list(start.alive)
-        self.counted_edge = list(start.counted_edge)
         self.bcut = list(start.bcut)
         self.is_int = list(start.is_int)
         self.nint = list(start.nint)
@@ -203,10 +179,7 @@ class _Peel:
         """One region per connected component with an edge, in increasing
         order of minimum vertex."""
         return [
-            _Region(
-                t.rid, set(t.verts), list(t.verts), t.nblocks, t.nedge, t.ncut,
-                list(t.bigleaf), list(t.nearleaf),
-            )
+            _Region(t.rid, set(t.verts), list(t.verts), list(t.bigleaf), list(t.nearleaf))
             for t in self.region_starts
         ]
 
@@ -214,16 +187,12 @@ class _Peel:
         """Add the next queued block to the scan; True while more are queued."""
         queue, seen, verts, vblocks = sc.queue, sc.seen, sc.verts, self.vblocks
         b = queue.pop()
-        sc.nblocks += 1
-        if self.counted_edge[b]:
-            sc.nedge += 1
         for x in self.bverts[b]:
             if x in verts:
                 continue
             verts.add(x)
             xbl = vblocks[x]
             if len(xbl) >= 2:
-                sc.ncut += 1
                 for j in xbl:
                     if j not in seen:
                         seen.add(j)
@@ -233,7 +202,7 @@ class _Peel:
     def _new_region(self, sc: _Scan) -> _Region:
         vheap = list(sc.verts)
         heapq.heapify(vheap)
-        rg = _Region(self.next_rid, sc.verts, vheap, sc.nblocks, sc.nedge, sc.ncut, [], [])
+        rg = _Region(self.next_rid, sc.verts, vheap, [], [])
         self.next_rid += 1
         for x in sc.verts:
             self.comp_id[x] = rg.rid
@@ -250,11 +219,11 @@ class _Peel:
     # -- incremental deletion ------------------------------------------
 
     def _recheck_block(self, rg: _Region, i: int) -> None:
-        """Bring block i's flags and rg's aggregates up to date after i lost
-        a member or a cut. A block that keeps three or more members can
-        only stop being internal; a smaller one may become an edge block
-        or die. A block that dies leaves its last member y; when y keeps
-        one block, y is no longer a cut, and that block is rechecked next."""
+        """Bring block i's flags and rg's heaps up to date after i lost a
+        member or a cut. A block that keeps two or more members can only
+        stop being internal; a smaller one dies. A block that dies leaves
+        its last member y; y leaves rg when it keeps no block, and when it
+        keeps one, y is no longer a cut and that block is rechecked next."""
         alive, bverts, is_int, bcut = self.alive, self.bverts, self.is_int, self.bcut
         while alive[i]:
             members = bverts[i]
@@ -272,21 +241,11 @@ class _Peel:
                         catt[j] -= 1
                         if catt[j] <= 1:
                             heapq.heappush(rg.nearleaf, (min(bverts[j]), j))
-                if size >= 3:
-                    if bcut[i] == 1:
-                        heapq.heappush(rg.bigleaf, (min(members), i))
-                    return
-            elif size >= 3:
-                return
-            if size == 2:
-                if not self.counted_edge[i]:
-                    self.counted_edge[i] = True
-                    rg.nedge += 1
+                if size >= 3 and bcut[i] == 1:
+                    heapq.heappush(rg.bigleaf, (min(members), i))
+            if size >= 2:
                 return
             alive[i] = False
-            rg.nblocks -= 1
-            if self.counted_edge[i]:
-                rg.nedge -= 1
             if not size:
                 return
             y = members.pop()
@@ -296,16 +255,12 @@ class _Peel:
                 if not ybl:
                     rg.verts.discard(y)
                 return
-            rg.ncut -= 1
             (i,) = ybl
             bcut[i] -= 1
 
     def remove_leaf_members(self, rg: _Region, b: int, plain: frozenset[int]) -> None:
         """Delete the members of big leaf block b other than its cut, all
-        at once: each lies in b only, so b is the one block to recheck.
-        One by one, the deletions would count b as an edge block at two
-        members and uncount it at one; the batch skips both steps and ends
-        with the same aggregates."""
+        at once: each lies in b only, so b is the one block to recheck."""
         vblocks = self.vblocks
         for x in plain:
             vblocks[x].clear()
@@ -338,8 +293,6 @@ class _Peel:
                 self._recheck_block(rg, i)
             return []
         was_cut = len(vbl) >= 2
-        if was_cut:
-            rg.ncut -= 1
         if self.nint[r] >= 2:
             is_int, catt, bverts = self.is_int, self.catt, self.bverts
             for i in vbl:
@@ -385,12 +338,9 @@ class _Peel:
         new_regions = []
         for sc in done:
             rg.verts -= sc.verts
-            rg.nblocks -= sc.nblocks
-            rg.nedge -= sc.nedge
-            rg.ncut -= sc.ncut
             new_regions.append(self._new_region(sc))
         inheritor = bool(active)
-        if not inheritor and (rg.nblocks != 0 or rg.verts):
+        if not inheritor and rg.verts:
             raise InternalInvariantError("region accounting drifted across a split")
         return new_regions, inheritor
 
@@ -420,10 +370,11 @@ class _Peel:
             return b
         return None
 
-    def pop_near_leaf(self, rg: _Region) -> int:
+    def pop_near_leaf(self, rg: _Region) -> int | None:
         """The near-leaf block at the heap top, which stays in the heap
-        because it may survive this iteration; stale entries are popped.
-        A dead block is never internal, so the is_int test drops it."""
+        because it may survive this iteration, or None when rg has none;
+        stale entries are popped. A dead block is never internal, so the
+        is_int test drops it."""
         nearleaf, is_int, catt, comp_id = rg.nearleaf, self.is_int, self.catt, self.comp_id
         while nearleaf:
             key, b = nearleaf[0]
@@ -438,7 +389,7 @@ class _Peel:
                 heapq.heapreplace(nearleaf, (m, b))
                 continue
             return b
-        raise InternalInvariantError("no near-leaf block in a pointed non-star region")
+        return None
 
     def residual_neighbors(self, v: int) -> set[int]:
         out: set[int] = set()
@@ -499,21 +450,25 @@ def _peel(
     try:
         while stack:
             rg = stack.pop()
-            if rg.nblocks == 0:
+            if not rg.verts:
                 continue
             case = None
             snapshot = frozenset(rg.verts) if trace_components else None
 
-            if rg.nblocks == 1 or (rg.nedge == rg.nblocks and rg.ncut == 1):
-                step = _case_one(st, rg)
+            # a region with neither a big leaf block nor a near-leaf block
+            # has no internal block and no cut in a block of three or more:
+            # it is one block or a star of edge blocks, which case 1 checks
+            b = st.pop_big_leaf(rg)
+            if b is not None:
+                step = _case_two(st, b)
             else:
-                b = st.pop_big_leaf(rg)
-                if b is not None:
-                    step = _case_two(st, b)
+                near = st.pop_near_leaf(rg)
+                if near is None:
+                    step = _case_one(st, rg)
                 elif kind == COINTERVAL:
-                    step = _case_three(st, st.pop_near_leaf(rg))
+                    step = _case_three(st, near)
                 else:
-                    step = _case_three_threshold(st, st.pop_near_leaf(rg))
+                    step = _case_three_threshold(st, near)
             ant_block, apexes, case, chosen, protected, removed, plain, designated = step
             if elements is not None:
                 elements.append(_ant(g, st, ant_block, apexes))
@@ -539,7 +494,7 @@ def _peel(
                 if len(seeds) >= 2:
                     pieces, keep_rg = st.split(rg, seeds)
 
-            pending = pieces + ([rg] if keep_rg and rg.nblocks > 0 else [])
+            pending = pieces + ([rg] if keep_rg and rg.verts else [])
             if len(pending) >= 2:
                 pending.sort(key=st.region_min, reverse=True)
             stack.extend(pending)
@@ -600,19 +555,23 @@ def _ant(g: Graph, st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) ->
 
 
 def _case_one(st: _Peel, rg: _Region):
+    """The region is one block, or a star of edge blocks at a centre. Live
+    blocks at the centre have two or more members and share only the
+    centre, so it is a star exactly when the centre has one block for each
+    other vertex of the region."""
     verts = frozenset(rg.verts)
     x = next(iter(rg.verts))
-    if rg.nblocks == 1:
-        block = frozenset(st.bverts[next(iter(st.vblocks[x]))])
+    xbl = st.vblocks[x]
+    members = st.bverts[next(iter(xbl))]
+    if len(members) == len(verts):
+        block = frozenset(members)
         if block != verts:
             raise InternalInvariantError("single-block region is not a clique")
         center = min(block)
     else:
-        if len(st.vblocks[x]) >= 2:
-            center = x
-        else:
-            others = st.bverts[next(iter(st.vblocks[x]))] - {x}
-            center = next(iter(others))
+        center = x if len(xbl) >= 2 else next(iter(members - {x}))
+        if len(st.vblocks[center]) != len(verts) - 1:
+            raise InternalInvariantError("no near-leaf block in a pointed non-star region")
         block = frozenset({center, min(verts - {center})})
     return block, (center,), "1", None, None, verts, sorted(verts), None
 

@@ -14,8 +14,7 @@ from antcover import generate, graph, peel
 from antcover.blocks import block_decomposition, is_block_graph
 from antcover.cli import export_dot, main
 from antcover.cover import min_cointerval_cover
-from antcover.errors import InputError
-from antcover.graph import Graph, build_graph, parse_edgelist, serialize_edgelist
+from antcover.graph import build_graph, parse_edgelist, serialize_edgelist
 from helpers import complete_graph, cycle_graph, path_graph
 
 
@@ -412,30 +411,17 @@ def test_value_command_cover_matches_cover_command(tmp_path, capsys):
 
 def test_export_dot_shapes():
     k3 = complete_graph(3)
-    text = export_dot(k3, block_decomposition(k3))
+    text = export_dot(k3)
     assert text.count(" -- ") >= 3 and "graph G {" in text and "blockcut" in text
 
     p4 = path_graph(4)
     cover, _ = min_cointerval_cover(p4)
-    text = export_dot(p4, block_decomposition(p4), cover)
+    text = export_dot(p4, cover)
     assert text.count('color="red"') == 3  # one element covers all three edges
 
     empty = build_graph(0, [])
-    text = export_dot(empty, block_decomposition(empty))
+    text = export_dot(empty)
     assert "graph G {" in text
-
-
-def test_export_dot_rejects_mismatch():
-    with pytest.raises(InputError):
-        export_dot(path_graph(4), block_decomposition(path_graph(5)))
-
-
-def test_export_dot_accepts_the_decomposition_of_an_equal_graph():
-    for g in (path_graph(6), generate.random_block_graph(30, seed=4)):
-        text = serialize_edgelist(g)
-        for h in (parse_edgelist(text), Graph.from_data(sorted(g.vertices, reverse=True), g.edges)):
-            assert h is not g and h == g
-            assert export_dot(g, block_decomposition(h)) == export_dot(g, block_decomposition(g))
 
 
 def test_harness_quick(capsys):

@@ -213,18 +213,12 @@ def test_block_graphs_are_solved_without_hopcroft_tarjan(monkeypatch):
 
 
 def _engine_state(st, rg):
-    # a dead block is in no vertex's block set, so its edge flag is never read
-    live_edges = [c and a for c, a in zip(st.counted_edge, st.alive)]
-    return (
-        st.bverts, st.vblocks, st.alive, live_edges, st.bcut, st.is_int, st.nint, st.catt,
-        rg.verts, rg.nblocks, rg.nedge, rg.ncut,
-    )
+    return vars(st), (rg.rid, rg.verts, rg.vheap, rg.bigleaf, rg.nearleaf)
 
 
 def test_leaf_block_batch_leaves_the_state_of_one_by_one_deletions():
-    """Deleting a big leaf block's non-cut members together leaves every
-    block, vertex and region aggregate as deleting them one by one does,
-    except the edge flag of the dead block."""
+    """Deleting a big leaf block's non-cut members together leaves the
+    engine and its region as deleting them one by one does."""
     triangle_on_a_path = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
     for g in (random_block_graph(400, seed=9, edge_block_prob=0.3, max_block=9), triangle_on_a_path):
         bd = blocks.block_decomposition(g)
@@ -798,19 +792,19 @@ def test_invariant_failure_names_iteration_region_and_case(monkeypatch, tmp_path
 TWO_ARMS = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (7, 8)])
 
 
-def _engine_fault(patch, tmp_path, capsys):
-    """The invariant message of a run with patch applied, which the cover
-    command must report with exit 4."""
+def _engine_fault(patch, tmp_path, capsys, g=TWO_ARMS, kind=COINTERVAL):
+    """The invariant message of a run of the given kind on g with patch
+    applied, which the cover command must report with exit 4."""
     traces = min_cointerval_cover(TWO_ARMS)[1]
     assert (traces[0].case_taken, traces[0].protected_vertex) == ("3a", 2)
     graph_file = tmp_path / "g.txt"
-    graph_file.write_text(serialize_edgelist(TWO_ARMS))
+    graph_file.write_text(serialize_edgelist(g))
     with pytest.MonkeyPatch.context() as mp:
         patch(mp)
         with pytest.raises(InternalInvariantError) as info:
-            min_cointerval_cover(TWO_ARMS)
+            min_cover(g, kind)
         capsys.readouterr()
-        assert cli.main(["cover", "-i", str(graph_file)]) == 4
+        assert cli.main(["cover", "-i", str(graph_file), "--kind", kind]) == 4
     assert capsys.readouterr().err == f"internal error: {info.value}\n"
     return str(info.value)
 
@@ -832,7 +826,7 @@ def test_invariant_split_accounting_drift(tmp_path, capsys):
     original = peel._Peel.split
 
     def drifted(self, rg, seeds):
-        rg.nblocks += 1  # a block the fragments cannot account for
+        rg.verts.add(-1)  # a vertex the fragments cannot account for
         return original(self, rg, seeds)
 
     message = _engine_fault(lambda mp: mp.setattr(peel._Peel, "split", drifted), tmp_path, capsys)
@@ -849,6 +843,21 @@ def test_invariant_missing_near_leaf_block(tmp_path, capsys):
     message = _engine_fault(lambda mp: mp.setattr(peel._Peel, "pop_near_leaf", emptied), tmp_path, capsys)
     # the case is chosen with the block, so the location has none
     assert message == "no near-leaf block in a pointed non-star region (iteration 0, region 0)"
+
+    # a triangle with two pendant edges at one vertex has a big leaf block
+    # and no near-leaf block, and it is no star
+    original_big = peel._Peel.pop_big_leaf
+
+    def no_big_leaf(self, rg):
+        rg.bigleaf.clear()
+        return original_big(self, rg)
+
+    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
+    for kind in (COINTERVAL, THRESHOLD):
+        patched = _engine_fault(
+            lambda mp: mp.setattr(peel._Peel, "pop_big_leaf", no_big_leaf), tmp_path, capsys, g, kind
+        )
+        assert patched == message
 
 
 def test_invariant_near_leaf_with_several_attachments(tmp_path, capsys):

@@ -1,0 +1,49 @@
+"""README claims that code can check: the quick tour and the exit codes."""
+
+import ast
+import re
+from pathlib import Path
+
+from antcover import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+# the value a quick-tour comment states: a literal, or "<d>-dimensional"
+# for a box representation
+STATED = re.compile(r"(True|False|None|\d+)(-dimensional)?\b")
+
+
+def test_quick_tour_values_match_their_comments():
+    section = README.split("\n## Library quick tour\n", 1)[1]
+    tour = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = []
+    for line in tour.splitlines():
+        code, _, comment = line.partition("#")
+        stated = STATED.match(comment.strip())
+        if stated is None:
+            exec(code, namespace)
+            continue
+        expected = ast.literal_eval(stated.group(1))
+        if stated.group(2):
+            exec(code, namespace)
+            value = namespace[code.split("=", 1)[0].strip()].dimension
+        else:
+            value = eval(code, namespace)
+        assert (type(value), value) == (type(expected), expected), line
+        checked.append(value)
+    assert checked == [2, 3, True, 2, None, 2]
+
+
+def _readme_exit_codes() -> list[int]:
+    table = README.split("\nExit codes:\n", 1)[1].strip().split("\n\n", 1)[0]
+    return [int(m) for m in re.findall(r"^\| (\d+) \|", table, re.MULTILINE)]
+
+
+def _cli_exit_codes() -> list[int]:
+    listing = cli.__doc__.split("Exit codes:\n", 1)[1]
+    return [int(m) for m in re.findall(r"^  (\d+)  ", listing, re.MULTILINE)]
+
+
+def test_readme_and_cli_list_the_same_exit_codes():
+    assert _readme_exit_codes() == _cli_exit_codes() == [0, 1, 2, 2, 2, 3, 4]
