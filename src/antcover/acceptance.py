@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import block_decomposition
 from .cointerval import (
@@ -47,8 +47,7 @@ PROPERTY_TRIALS = 1000
 HUGE_VERTICES = 100_000
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     slug: str
     passed: bool

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import InputError, NotBlockGraphError
 from .graph import (
@@ -17,8 +17,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Blocks and cut-vertices of a graph, computed once and cached on it.
 
     Blocks are maximal 2-connected components; a bridge edge is a block of
@@ -61,15 +60,13 @@ class BlockDecomposition:
         return () if k is None else self.incidence[k]
 
 
-@dataclass(frozen=True)
-class BlockClass:
+class BlockClass(NamedTuple):
     kind: str  # "isolated", "leaf" or "internal"
     is_edge_block: bool
     cut_vertices_of_block: frozenset[int]
 
 
-@dataclass(frozen=True)
-class NearLeafResult:
+class NearLeafResult(NamedTuple):
     block_index: int
     anchor: int | None
     non_anchor_cut_vertices: tuple[int, ...]

@@ -117,7 +117,7 @@ def export_dot(g: Graph, c: Cover | None = None) -> str:
 def _cmd_value(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.with_cover:
-        cover, traces, _ = min_cover(g, args.kind)
+        cover, traces = min_cover(g, args.kind)
         value = len(cover.elements)
     else:
         value = (cothdim if args.kind == THRESHOLD else coboxicity)(g)
@@ -137,7 +137,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cover, traces, _ = min_cover(g, args.kind)
+    cover, traces = min_cover(g, args.kind)
     _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
     if args.dot_path:
         _write_text(args.dot_path, export_dot(g, cover))
@@ -166,7 +166,7 @@ def _cmd_boxrep(args: argparse.Namespace) -> int:
     if args.cover_path:
         cover = _load_cover(g, args.cover_path)
     else:
-        cover, _, _ = min_cover(g, COINTERVAL, trace_components=False)
+        cover, _ = min_cover(g, COINTERVAL, trace_components=False)
     rep = cover_to_box_representation(g, cover)
     # compact: the layout has d intervals per vertex, and indent=2 would
     # put every coordinate on a line of its own

@@ -12,7 +12,7 @@ recognition.py), and threshold_order finds the threshold form.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Set
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Edge, Graph, clique_edges, missing_clique_pair, norm_edge
@@ -23,17 +23,44 @@ COINTERVAL = "cointerval"
 THRESHOLD = "threshold"
 
 
-@dataclass(frozen=True)
-class EdgeSubgraph:
+# An element's host, its first field, takes no part in ==, hash or repr:
+# Graph compares and hashes by value, in O(|V|+|E|) per call. typing.NamedTuple
+# copies these onto the class, and __hash__ must be set along with __eq__,
+# since tuple.__hash__ would otherwise stay and hash the host.
+def _eq_without_host(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self[1:] == other[1:]
+
+
+def _ne_without_host(self, other):
+    eq = _eq_without_host(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+def _hash_without_host(self):
+    return hash(self[1:])
+
+
+def _repr_without_host(self):
+    fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[1:], self[1:]))
+    return f"{self.__class__.__name__}({fields})"
+
+
+class EdgeSubgraph(NamedTuple):
     """A subgraph given by explicit vertex and edge sets of a host graph."""
 
-    host: Graph = field(compare=False, repr=False)
+    host: Graph
     vertices: frozenset[int]
     edges: frozenset[Edge]
 
+    __eq__ = _eq_without_host
+    __ne__ = _ne_without_host
+    __hash__ = _hash_without_host
+    __repr__ = _repr_without_host
 
-@dataclass(frozen=True)
-class BigAnt:
+
+class BigAnt(NamedTuple):
     """The subgraph spanned by a clique plus the full stars of two apexes.
 
     The realized edge set is E(Q) together with every host edge incident
@@ -41,12 +68,17 @@ class BigAnt:
     is a threshold graph.
     """
 
-    host: Graph = field(compare=False, repr=False)
+    host: Graph
     block: frozenset[int]
     apex_u: int
     apex_v: int
     vertices: frozenset[int]
     edges: frozenset[Edge]
+
+    __eq__ = _eq_without_host
+    __ne__ = _ne_without_host
+    __hash__ = _hash_without_host
+    __repr__ = _repr_without_host
 
 
 def sigma_subgraph(g: Graph, sigma: Sequence[int]) -> EdgeSubgraph:
@@ -80,6 +112,11 @@ def big_ant(g: Graph, q: Iterable[int], u: int, v: int) -> BigAnt:
     missing = missing_clique_pair(g, block)
     if missing is not None:
         raise InputError(f"vertex set is not a clique: missing edge {missing}")
+    return _ant(g, block, u, v)
+
+
+def _ant(g: Graph, block: frozenset[int], u: int, v: int) -> BigAnt:
+    """The big ant over block, a clique of g, with apexes u and v in it."""
     edges = set(clique_edges(block))
     edges.update(norm_edge(u, w) for w in g.neighbors(u))
     edges.update(norm_edge(v, w) for w in g.neighbors(v))
@@ -133,7 +170,8 @@ def maximal_ants(g: Graph, two_apex: bool) -> list[BigAnt]:
 
     Two-apex ants are its maximal co-interval subgraphs, one-apex ants its
     maximal threshold subgraphs. Edge-dominated ants are dropped and equal
-    edge sets deduplicated.
+    edge sets deduplicated. Every block is a certified clique, so the ants
+    skip big_ant's clique check.
     """
     from .blocks import checked_block_decomposition
 
@@ -144,7 +182,7 @@ def maximal_ants(g: Graph, two_apex: bool) -> list[BigAnt]:
         members = sorted(b)
         for i, u in enumerate(members):
             for v in members[i:] if two_apex else (u,):
-                ants.append(big_ant(g, b, u, v))
+                ants.append(_ant(g, b, u, v))
     by_edges: dict[frozenset[Edge], BigAnt] = {}
     for ant in ants:
         key = ant.edges

@@ -12,8 +12,7 @@ from __future__ import annotations
 import gc
 from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cointerval import (
     COINTERVAL,
@@ -31,7 +30,6 @@ from .graph import Edge, Graph, _json_int, norm_edge
 # verify, boxrep and serialization never solve, so the block decomposition
 # and the peel engine load only when a solver runs
 if TYPE_CHECKING:
-    from .blocks import BlockDecomposition
     from .peel import IterationTrace
 
 __all__ = [
@@ -62,15 +60,13 @@ __all__ = [
 FALLBACK_MAX_VERTICES = 2_000
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     host: Graph
     elements: tuple
     kind: str  # "cointerval" or "threshold"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-element findings of verify_cover; uncertified lists the elements
     that the general recogniser had to judge, valid or not."""
 
@@ -87,8 +83,7 @@ class VerificationReport:
 Interval = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BoxRepresentation:
+class BoxRepresentation(NamedTuple):
     """Axis-parallel integer boxes; disjointness encodes host adjacency.
 
     Stored sparsely: dimension i keeps intervals[i], the intervals of the
@@ -168,16 +163,14 @@ def _gc_paused():
 
 def min_cover(
     g: Graph, kind: str, trace_components: bool = True
-) -> tuple[Cover, list[IterationTrace], BlockDecomposition]:
-    """Minimum cover of the given kind, its traces and the block
-    decomposition it was computed from."""
+) -> tuple[Cover, list[IterationTrace]]:
+    """Minimum cover of the given kind, with its traces."""
     from .blocks import checked_block_decomposition
     from .peel import peel_cover
 
     with _gc_paused():
-        bd = checked_block_decomposition(g)
-        elements, traces = peel_cover(g, bd, kind, trace_components)
-    return Cover(g, tuple(elements), kind), traces, bd
+        elements, traces = peel_cover(g, checked_block_decomposition(g), kind, trace_components)
+    return Cover(g, tuple(elements), kind), traces
 
 
 def min_cointerval_cover(
@@ -189,16 +182,14 @@ def min_cointerval_cover(
     vertex id, so the output is deterministic. Set trace_components=False
     on very large inputs to skip the per-iteration component snapshots.
     """
-    cover, traces, _ = min_cover(g, COINTERVAL, trace_components)
-    return cover, traces
+    return min_cover(g, COINTERVAL, trace_components)
 
 
 def min_threshold_cover(
     g: Graph, trace_components: bool = True
 ) -> tuple[Cover, list[IterationTrace]]:
     """Minimum threshold cover of a block graph; elements are one-apex ants."""
-    cover, traces, _ = min_cover(g, THRESHOLD, trace_components)
-    return cover, traces
+    return min_cover(g, THRESHOLD, trace_components)
 
 
 def _cover_size(g: Graph, kind: str) -> int:

@@ -6,7 +6,8 @@ Ground truth for the polynomial algorithms: enumerate maximal co-interval
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .blocks import is_block_graph
 from .cointerval import is_threshold, maximal_ants
 from .errors import InputError, SizeLimitError
@@ -16,8 +17,7 @@ PERMUTATION_BOUND = 9
 BLOCK_GRAPH_BOUND = 14
 
 
-@dataclass(frozen=True)
-class SetCoverInstance:
+class SetCoverInstance(NamedTuple):
     universe: frozenset
     candidates: tuple[frozenset, ...]
 

@@ -125,18 +125,32 @@ def test_verify_exits_2_on_an_uncertified_element_above_the_bound(tmp_path, caps
     assert capsys.readouterr().out == "valid\n"
 
 
-def test_cli_import_loads_only_the_modules_commands_run():
-    code = "import sys, antcover.cli; print(' '.join(sorted(sys.modules)))"
+def test_cli_import_loads_only_the_modules_commands_run(tmp_path):
     src = str(Path(antcover.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
-    loaded = set(done.stdout.split())
-    assert "antcover.cli" in loaded, done.stderr
+
+    def loaded_after(code):
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys, antcover.cli; {code}print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
     lazy = {"antcover.oracle", "antcover.generate", "antcover.recognition", "antcover.acceptance"}
     solver = {"antcover.blocks", "antcover.peel"}  # verify and boxrep --cover never solve
-    assert not loaded & (lazy | solver)
+    heavy = {"dataclasses", "inspect"}  # about 10 ms of every child's start-up
+    loaded = loaded_after("")
+    assert "antcover.cli" in loaded
+    assert not loaded & (lazy | solver | heavy)
+
+    path = write_graph(tmp_path, path_graph(7))
+    out = str(tmp_path / "c.json")
+    loaded = loaded_after(
+        f"assert antcover.cli.main(['coboxicity', '-i', {path!r}]) == 0; "
+        f"assert antcover.cli.main(['cover', '-i', {path!r}, '-o', {out!r}]) == 0; "
+    )
+    assert solver <= loaded
+    assert not loaded & (lazy | heavy)
 
 
 def test_star_import_binds_every_exported_name():
@@ -338,6 +352,18 @@ def test_gen_checks_the_vertex_limit_before_drawing_edges(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert not captured.out
     assert "vertex count 51 exceeds the limit of 50" in captured.err
+
+
+@pytest.mark.parametrize("prob", ["2", "-0.5", "nan", "inf"])
+def test_gen_rejects_an_edge_block_probability_outside_0_1(monkeypatch, capsys, prob):
+    def refuse(vertices):
+        raise AssertionError("edges drawn")
+
+    monkeypatch.setattr(generate, "clique_edges", refuse)
+    assert main(["gen", "--seed", "1", "--n", "10", "--edge-block-prob", prob]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "edge block probability" in captured.err and "not in [0, 1]" in captured.err
 
 
 def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):

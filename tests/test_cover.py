@@ -1,6 +1,5 @@
 """Cover loop: formula values, oracle equivalence, validity, box models."""
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -312,29 +311,28 @@ def structural_big_ant_reference(g, element):
 def tampered_elements(g, el):
     """Copies of the big ant el that break, or only seem to break, one of
     the conditions of is_structural_big_ant."""
-    replace = dataclasses.replace
     block, edges = el.block, el.edges
     inside = sorted(e for e in edges if e[0] in block and e[1] in block)
     outside = sorted(el.vertices - block)
     for w in sorted(el.vertices - {el.apex_u})[:3]:  # an apex moved
-        yield replace(el, apex_u=w)
-        yield replace(el, apex_v=w)
+        yield el._replace(apex_u=w)
+        yield el._replace(apex_v=w)
     for e in inside[:2]:  # a clique edge dropped, or written as (b, a)
-        yield replace(el, edges=edges - {e})
-        yield replace(el, edges=edges - {e} | {e[::-1]})
-        yield replace(el, edges=edges | {e[::-1]})
+        yield el._replace(edges=edges - {e})
+        yield el._replace(edges=edges - {e} | {e[::-1]})
+        yield el._replace(edges=edges | {e[::-1]})
     for w in outside[:2]:  # a block that is not a clique, with or without its pairs
-        yield replace(el, block=block | {w})
-        yield replace(el, block=block | {w}, edges=edges | {(min(w, x), max(w, x)) for x in block})
+        yield el._replace(block=block | {w})
+        yield el._replace(block=block | {w}, edges=edges | {(min(w, x), max(w, x)) for x in block})
     a = min(block)
-    yield replace(el, edges=edges | {(a, a)})  # a loop inside the block
+    yield el._replace(edges=edges | {(a, a)})  # a loop inside the block
     for w in outside[:2]:  # an outside edge at no apex
         x = min(block - {el.apex_u, el.apex_v}, default=w)
-        yield replace(el, edges=edges | {(min(w, x), max(w, x))})
-        yield replace(el, edges=edges | {(w, w)})
+        yield el._replace(edges=edges | {(min(w, x), max(w, x))})
+        yield el._replace(edges=edges | {(w, w)})
     stray = max(g.vertices) + 1  # a stray vertex, in the host or not
-    yield replace(el, vertices=el.vertices | {stray})
-    yield replace(el, vertices=el.vertices | {min(g.vertices - el.vertices, default=stray)})
+    yield el._replace(vertices=el.vertices | {stray})
+    yield el._replace(vertices=el.vertices | {min(g.vertices - el.vertices, default=stray)})
 
 
 def test_structural_big_ant_matches_its_first_definition():
@@ -403,7 +401,7 @@ def test_cover_json_matches_golden_hashes():
     cases = set()
     for name, g in golden_corpus().items():
         for kind in (COINTERVAL, THRESHOLD):
-            cover, traces, _ = min_cover(g, kind)
+            cover, traces = min_cover(g, kind)
             text = json.dumps(cover_to_dict(cover, traces))
             assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COVER_SHA256[name, kind], (name, kind)
             cases.update(t.case_taken for t in traces)
@@ -436,7 +434,7 @@ BENCHMARK_SCALE_COVER_SHA256 = {
 def test_cover_json_matches_golden_hashes_at_benchmark_scale():
     for name, g in benchmark_scale_corpus().items():
         for kind in (COINTERVAL, THRESHOLD):
-            cover, traces, _ = min_cover(g, kind)
+            cover, traces = min_cover(g, kind)
             text = json.dumps(cover_to_dict(cover, traces))
             digest = hashlib.sha256(text.encode()).hexdigest()
             assert digest == BENCHMARK_SCALE_COVER_SHA256[name, kind], (name, kind)
@@ -616,7 +614,7 @@ def test_certified_verify_and_box_make_no_recogniser_call(monkeypatch):
     graphs = dict(golden_corpus(), **{"star-3000": star_graph(3000)})
     for name, g in graphs.items():
         for kind in (COINTERVAL, THRESHOLD):
-            cover, _, _ = min_cover(g, kind, trace_components=False)
+            cover, _ = min_cover(g, kind, trace_components=False)
             start = time.perf_counter()
             report = verify_cover(g, cover)
             elapsed = time.perf_counter() - start
@@ -681,13 +679,13 @@ def _tampered(g, el):
     block = sorted(el.block)
     clique = [(a, b) for i, a in enumerate(block) for b in block[i + 1:]]
     if clique:
-        out.append(dataclasses.replace(el, edges=el.edges - {clique[len(clique) // 2]}))
+        out.append(el._replace(edges=el.edges - {clique[len(clique) // 2]}))
     others = [x for x in block if x not in (el.apex_u, el.apex_v)]
     if others:
-        out.append(dataclasses.replace(el, apex_u=others[0]))
+        out.append(el._replace(apex_u=others[0]))
     spare = sorted(set(g.vertices) - el.vertices)
     if spare:
-        out.append(dataclasses.replace(el, vertices=el.vertices | {spare[0]}))
+        out.append(el._replace(vertices=el.vertices | {spare[0]}))
     out.append(EdgeSubgraph(g, el.vertices, el.edges))
     return out
 

@@ -62,7 +62,7 @@ def block_graphs(draw):
 def test_engine_agrees_with_its_references(g):
     bd = block_decomposition(g)
     for kind in (COINTERVAL, THRESHOLD):
-        cover, traces, _ = min_cover(g, kind)
+        cover, traces = min_cover(g, kind)
         size, count_traces = peel_count(g, bd, kind)
         assert size == len(cover.elements)
         assert count_traces == [t._replace(component=None) for t in traces]

@@ -216,3 +216,12 @@ def test_disjoint_union_relabels():
     g = disjoint_union(path_graph(3), path_graph(2))
     assert g.vertex_count == 5
     assert len(connected_components(g)) == 2
+
+
+@pytest.mark.parametrize("prob", [1.5, -0.1, float("nan"), float("inf")])
+def test_random_block_graph_rejects_an_edge_block_probability_outside_0_1(prob):
+    with pytest.raises(InputError, match=r"not in \[0, 1\]"):
+        random_block_graph(10, seed=1, edge_block_prob=prob)
+    # the ends of the range stay legal: probability 1 makes a tree
+    assert random_block_graph(10, seed=1, edge_block_prob=1).edge_count == 9
+    assert random_block_graph(10, seed=1, edge_block_prob=0).vertex_count == 10
