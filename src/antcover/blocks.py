@@ -29,9 +29,9 @@ class BlockDecomposition(NamedTuple):
     Index k stands for the k-th smallest vertex id (ids[k]; ids is None
     when the ids are exactly 0..n-1, so that each id is its own index).
     blocks, cut_vertices and block_cuts are in ids; the fields after ids
-    are in indices, for the peel engine. Components are numbered by
-    increasing minimum vertex. The decomposition refers to no graph, so a
-    graph and its cached decomposition form no reference cycle.
+    are in indices, for the peel engine. The decomposition refers to no
+    graph, so a graph and its cached decomposition form no reference
+    cycle.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -42,9 +42,6 @@ class BlockDecomposition(NamedTuple):
     members: tuple[frozenset[int], ...]  # blocks[i] in indices
     cuts: tuple[int, ...]  # cut-vertex indices, increasing
     incidence: tuple[tuple[int, ...], ...]  # the blocks at each index, increasing
-    vertex_comp: tuple[int, ...]  # the component of each index
-    block_comp: tuple[int, ...]  # the component of each block
-    components: int
 
     def position(self, v: int) -> int | None:
         """The index of vertex id v; None when v is not a vertex."""
@@ -91,18 +88,18 @@ def _decompose(g: Graph) -> BlockDecomposition:
     else:
         pos = {v: k for k, v in enumerate(ids)}
         adj = [{pos[w] for w in g.neighbors(v)} for v in ids]
-    found = _clique_tree(adj, g.edge_count)
-    if found is not None:
-        return _index(ids, True, *found)
-    raw_blocks, comp, components = _hopcroft_tarjan(adj)
+    raw_blocks = _clique_tree(adj, g.edge_count)
+    if raw_blocks is not None:
+        return _index(ids, True, raw_blocks, len(adj))
+    raw_blocks = _hopcroft_tarjan(adj)
     # blocks partition the edges and a block on k vertices holds at most
     # k(k-1)/2 of them, so all blocks are cliques exactly when these maxima
     # add up to the edge count
     cliques = sum(len(b) * (len(b) - 1) // 2 for b in raw_blocks) == g.edge_count
-    return _index(ids, cliques, raw_blocks, comp, components)
+    return _index(ids, cliques, raw_blocks, len(adj))
 
 
-def _clique_tree(adj: list[set[int]], m: int) -> tuple[list, list[int], int] | None:
+def _clique_tree(adj: list[set[int]], m: int) -> list | None:
     """Blocks of a block graph by one breadth-first pass over its cliques;
     None when the graph is not a block graph.
 
@@ -117,16 +114,14 @@ def _clique_tree(adj: list[set[int]], m: int) -> tuple[list, list[int], int] | N
     refuses unless they do.
     """
     n = len(adj)
-    comp = [-1] * n  # -1 marks a vertex not reached yet
+    reached = [False] * n
     via: list[set[int]] = [set()] * n  # the block each vertex was reached through
     raw_blocks: list = []
     pairs = 0
-    c = -1
     for root in range(n):
-        if comp[root] >= 0:
+        if reached[root]:
             continue
-        c += 1
-        comp[root] = c
+        reached[root] = True
         if not adj[root]:
             raw_blocks.append([root])
             continue
@@ -138,9 +133,9 @@ def _clique_tree(adj: list[set[int]], m: int) -> tuple[list, list[int], int] | N
                 u = todo.pop()
                 b = nv & adj[u]
                 if not b:  # an edge block, the common case in sparse graphs
-                    if comp[u] >= 0:
+                    if reached[u]:
                         return None
-                    comp[u] = c
+                    reached[u] = True
                     via[u] = b = {u, v}
                     queue.append(u)
                     raw_blocks.append(b)
@@ -148,9 +143,9 @@ def _clique_tree(adj: list[set[int]], m: int) -> tuple[list, list[int], int] | N
                     continue
                 b.add(u)
                 for x in b:
-                    if comp[x] >= 0:
+                    if reached[x]:
                         return None
-                    comp[x] = c
+                    reached[x] = True
                     via[x] = b
                 queue.extend(b)
                 todo -= b
@@ -159,31 +154,26 @@ def _clique_tree(adj: list[set[int]], m: int) -> tuple[list, list[int], int] | N
                 pairs += len(b) * (len(b) - 1) // 2
     if pairs != m:
         return None
-    return raw_blocks, comp, c + 1
+    return raw_blocks
 
 
-def _hopcroft_tarjan(adj: list[set[int]]) -> tuple[list, list[int], int]:
+def _hopcroft_tarjan(adj: list[set[int]]) -> list[list[int]]:
     """Blocks of any graph by one iterative Hopcroft-Tarjan pass.
 
     The search runs over vertex indices with list-held discovery times and
     low points, and keeps a stack of vertices: when no edge from a child's
     subtree reaches above its parent, the vertices stacked since the
-    child, plus the parent, form a block. Each search root starts a new
-    component.
+    child, plus the parent, form a block.
     """
     n = len(adj)
     disc = [0] * n  # discovery time, from 1; 0 marks an unvisited vertex
     low = [0] * n
-    comp = [0] * n
     raw_blocks: list[list[int]] = []
     vstack: list[int] = []
     t = 0
-    c = -1
     for root in range(n):
         if disc[root]:
             continue
-        c += 1
-        comp[root] = c
         if not adj[root]:
             raw_blocks.append([root])
             continue
@@ -198,7 +188,6 @@ def _hopcroft_tarjan(adj: list[set[int]]) -> tuple[list, list[int], int]:
                 if not disc[w]:
                     t += 1
                     disc[w] = low[w] = t
-                    comp[w] = c
                     stack.append((w, iter(adj[w]), len(vstack)))
                     vstack.append(w)
                     break
@@ -219,27 +208,25 @@ def _hopcroft_tarjan(adj: list[set[int]]) -> tuple[list, list[int], int]:
                     block.append(p)
                     raw_blocks.append(block)
         vstack.clear()
-    return raw_blocks, comp, c + 1
+    return raw_blocks
 
 
-def _index(
-    ids: tuple[int, ...] | None, cliques: bool, raw_blocks: list, comp: list[int], components: int
-) -> BlockDecomposition:
-    """The decomposition made of the blocks that a pass found, given as
-    collections of vertex indices in any order, of its component numbering
-    and of its verdict on whether every block is a clique. Blocks are
-    listed by (minimum vertex id, sorted vertex tuple), so the
-    decomposition does not depend on the pass or its traversal; the
-    cut-vertices are the vertices in two or more blocks."""
+def _index(ids: tuple[int, ...] | None, cliques: bool, raw_blocks: list, n: int) -> BlockDecomposition:
+    """The decomposition of the n vertex indices made of the blocks that
+    a pass found, given as collections of indices in any order, and of its
+    verdict on whether every block is a clique. Blocks are listed by
+    (minimum vertex id, sorted vertex tuple), so the decomposition does not
+    depend on the pass or its traversal; the cut-vertices are the vertices
+    in two or more blocks."""
     # sorted lists compare like the (minimum, sorted tuple) key; indices
     # follow id order, so mapping them to ids keeps the order
     ordered = sorted(map(sorted, raw_blocks))
-    incidence: list[list[int]] = [[] for _ in comp]
+    incidence: list[list[int]] = [[] for _ in range(n)]
     for i, b in enumerate(ordered):
         for x in b:
             incidence[x].append(i)
     is_cut = [len(bl) >= 2 for bl in incidence]
-    cuts = tuple(compress(range(len(comp)), is_cut))
+    cuts = tuple(compress(range(n), is_cut))
     local_cuts = tuple(tuple(filter(is_cut.__getitem__, b)) for b in ordered)
     members = tuple(map(frozenset, ordered))
     if ids is None:
@@ -257,9 +244,6 @@ def _index(
         members,
         cuts,
         tuple(map(tuple, incidence)),
-        tuple(comp),
-        tuple(comp[b[0]] for b in ordered),
-        components,
     )
 
 

@@ -1,10 +1,11 @@
 """Minimum co-interval and threshold covers of block graphs.
 
 The loop peels one big ant per iteration off a connected component of the
-residual graph: whole cliques and stars first, then leaf blocks with at
-least three vertices, then near-leaf blocks with two apexes (one apex in
-the threshold variant). The number of elements equals the co-boxicity
-(respectively the threshold co-dimension) of the input.
+residual graph: leaf blocks with at least three vertices first, then
+near-leaf blocks with two apexes (one apex in the threshold variant),
+and last the components left, each a whole clique or star. The number of
+elements equals the co-boxicity (respectively the threshold
+co-dimension) of the input.
 """
 
 from __future__ import annotations
@@ -178,9 +179,14 @@ def min_cointerval_cover(
 ) -> tuple[Cover, list[IterationTrace]]:
     """Minimum co-interval cover of a block graph, with per-iteration traces.
 
-    Free choices (component, block, cut-vertex) are resolved by minimum
-    vertex id, so the output is deterministic. Set trace_components=False
-    on very large inputs to skip the per-iteration component snapshots.
+    Free choices (block, cut-vertex) are resolved by minimum vertex id, so
+    the output is deterministic. Iterations run in one global order: the
+    big leaf block with the least vertex, whatever its component, else the
+    near-leaf block with the least vertex, and when neither is left, case
+    1 on each component left, by least vertex. Each trace's component
+    snapshot is rebuilt after the run by a backward replay of the
+    deletions; set trace_components=False on very large inputs to skip
+    the snapshots.
     """
     return min_cover(g, COINTERVAL, trace_components)
 
@@ -280,9 +286,10 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
 def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     """Replay a run and check its progress and covering invariants.
 
-    Every iteration must delete a nonempty vertex set, delete at least one
-    residual edge, and its element must contain every residual edge at
-    every deleted vertex. Raises InputError on the first violation.
+    Every iteration must delete a nonempty vertex set of its element,
+    delete at least one residual edge, and its element must contain every
+    residual edge at every deleted vertex. Raises InputError on the first
+    violation.
     """
     alive = set(g.vertices)
     for t, trace in enumerate(traces):
@@ -293,6 +300,8 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
         if trace.component is not None and not trace.removed <= trace.component:
             raise InputError(f"iteration {t} removed outside its component")
         element = cover.elements[trace.added_element_index]
+        if not trace.removed <= element.vertices:
+            raise InputError(f"iteration {t} removed vertices outside its element")
         progress = False
         for r in sorted(trace.removed):
             for x in g.neighbors(r):

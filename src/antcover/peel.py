@@ -1,17 +1,20 @@
 """Incremental residual-structure engine behind the minimum-cover loops.
 
-The cover algorithms repeatedly classify a connected component of the
-residual graph, add one big ant, and delete a vertex set. Recomputing the
-block structure from scratch every iteration is quadratic, so this module
-maintains blocks, cut-vertices, block classes and near-leaf eligibility
-incrementally under vertex deletions. Because blocks of a block graph only
-ever shrink, every maintained quantity is monotone and lazy heaps with
-revalidation on pop are safe.
+The cover algorithms repeatedly add one big ant and delete a vertex set
+from the residual graph. Recomputing the block structure from scratch
+every iteration is quadratic, so this module maintains blocks,
+cut-vertices, block classes and near-leaf eligibility incrementally under
+vertex deletions. Because blocks of a block graph only ever shrink, every
+maintained quantity is monotone and lazy heaps with revalidation on pop
+are safe.
 
-Components are tracked as regions. A deletion can split a region only at
-the single protected vertex of the iteration; the fragments are discovered
-by a round-robin scan that leaves the largest fragment in place, so total
-scanning cost stays near-linear.
+Every case choice reads only the state of one block, and the components
+of the residual graph evolve independently, so one pair of heaps serves
+the whole graph: the least big leaf block anywhere is also the least of
+its own component, and likewise for near-leaf blocks. When both heaps are
+empty, every component left is one block or a star, and a sweep in order
+of least vertex takes case 1 once for each. Component snapshots are not
+kept during the run; they are rebuilt after it by one backward replay.
 """
 
 from __future__ import annotations
@@ -31,9 +34,15 @@ if TYPE_CHECKING:
 class IterationTrace(NamedTuple):
     """What one iteration of the cover loop did.
 
-    component is None when component snapshots are disabled for very large
-    inputs; removed always matches the vertex set deleted this iteration.
-    A trace is a tuple of its fields, so it equals that plain tuple.
+    Iterations run in one global order: each takes the big leaf block
+    with the least vertex, whatever its component, else the near-leaf
+    block with the least vertex; when neither is left, case 1 runs once
+    for each component left, by least vertex. component is the connected
+    component of the residual graph that the iteration worked in, without
+    isolated vertices; it is rebuilt after the run, and it is None when
+    component snapshots are disabled. removed always matches the vertex
+    set deleted this iteration. A trace is a tuple of its fields, so it
+    equals that plain tuple.
     """
 
     component: frozenset[int] | None
@@ -43,35 +52,6 @@ class IterationTrace(NamedTuple):
     apexes: tuple[int, ...]
     removed: frozenset[int]
     added_element_index: int
-
-
-class _Region:
-    """One connected piece of the residual graph, with its heaps."""
-
-    __slots__ = ("rid", "verts", "bigleaf", "nearleaf", "vheap")
-
-    def __init__(
-        self,
-        rid: int,
-        verts: set[int],
-        vheap: list[int],
-        bigleaf: list[tuple[int, int]],
-        nearleaf: list[tuple[int, int]],
-    ):
-        self.rid = rid
-        self.verts = verts
-        self.vheap = vheap
-        self.bigleaf = bigleaf
-        self.nearleaf = nearleaf
-
-
-class _RegionStart(NamedTuple):
-    """A component's region as every peel run starts it."""
-
-    rid: int
-    verts: tuple[int, ...]  # increasing, so also a heap
-    bigleaf: tuple[tuple[int, int], ...]  # sorted, so also a heap
-    nearleaf: tuple[tuple[int, int], ...]
 
 
 class _Start(NamedTuple):
@@ -84,15 +64,16 @@ class _Start(NamedTuple):
     is_int: tuple[bool, ...]
     nint: tuple[int, ...]
     catt: tuple[int, ...]
-    regions: tuple[_RegionStart, ...]
+    bigleaf: tuple[tuple[int, int], ...]  # sorted, so also a heap
+    nearleaf: tuple[tuple[int, int], ...]
 
 
 def _start_state(bd: BlockDecomposition) -> _Start:
-    """The block flags, attachment counters and first regions of a peel run
+    """The block flags, attachment counters and leaf heaps of a peel run
     over the graph whose block decomposition is bd."""
     members = bd.members
-    # singleton blocks are isolated vertices, which no region reaches, so
-    # they start dead
+    # singleton blocks are isolated vertices, which no case takes, so they
+    # start dead
     alive = [len(b) >= 2 for b in members]
     bcut = list(map(len, bd.block_cuts))
     is_int = [c >= 2 for c in bcut]
@@ -108,39 +89,17 @@ def _start_state(bd: BlockDecomposition) -> _Start:
             for i in bd.incidence[x]:
                 catt[i] += 1
 
-    # one region per component with an edge; components are numbered by
-    # minimum vertex and blocks come by minimum vertex, so the regions
-    # arrive in that order and each block list below is sorted
-    k = bd.components
-    verts: list[list[int]] = [[] for _ in range(k)]
-    bigleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    nearleaf: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for i, c in enumerate(bd.block_comp):
-        if not alive[i]:
-            continue
-        if bcut[i] == 1 and len(members[i]) >= 3:
-            bigleaf[c].append((min(members[i]), i))
+    # blocks come by minimum vertex, so each heap below is sorted
+    bigleaf = []
+    nearleaf = []
+    for i, b in enumerate(members):
+        if bcut[i] == 1 and len(b) >= 3:
+            bigleaf.append((min(b), i))
         if is_int[i] and catt[i] <= 1:
-            nearleaf[c].append((min(members[i]), i))
-    for x, c in enumerate(bd.vertex_comp):
-        verts[c].append(x)
-    regions = tuple(
-        _RegionStart(c, tuple(verts[c]), tuple(bigleaf[c]), tuple(nearleaf[c]))
-        for c in range(k)
-        if len(verts[c]) >= 2
+            nearleaf.append((min(b), i))
+    return _Start(
+        tuple(alive), tuple(bcut), tuple(is_int), tuple(nint), tuple(catt), tuple(bigleaf), tuple(nearleaf)
     )
-    return _Start(tuple(alive), tuple(bcut), tuple(is_int), tuple(nint), tuple(catt), regions)
-
-
-class _Scan:
-    """Search state of one region or fragment, grown block by block."""
-
-    __slots__ = ("queue", "seen", "verts")
-
-    def __init__(self, seed: int):
-        self.queue = [seed]
-        self.seen = {seed}
-        self.verts: set[int] = set()
 
 
 class _Peel:
@@ -160,7 +119,6 @@ class _Peel:
         if start is None:
             start = g._peel_start = _start_state(bd)
         self.ids = bd.ids
-        self.region_starts = start.regions
         # the member and incidence sets shrink during the run, so each run
         # takes its own copies; the rest is copied from the start state
         self.bverts: list[set[int]] = list(map(set, bd.members))
@@ -170,60 +128,17 @@ class _Peel:
         self.is_int = list(start.is_int)
         self.nint = list(start.nint)
         self.catt = list(start.catt)
-        self.comp_id = list(bd.vertex_comp)
-        self.next_rid = bd.components
-
-    # -- region construction -------------------------------------------
-
-    def initial_regions(self) -> list[_Region]:
-        """One region per connected component with an edge, in increasing
-        order of minimum vertex."""
-        return [
-            _Region(t.rid, set(t.verts), list(t.verts), list(t.bigleaf), list(t.nearleaf))
-            for t in self.region_starts
-        ]
-
-    def _scan_block(self, sc: _Scan) -> bool:
-        """Add the next queued block to the scan; True while more are queued."""
-        queue, seen, verts, vblocks = sc.queue, sc.seen, sc.verts, self.vblocks
-        b = queue.pop()
-        for x in self.bverts[b]:
-            if x in verts:
-                continue
-            verts.add(x)
-            xbl = vblocks[x]
-            if len(xbl) >= 2:
-                for j in xbl:
-                    if j not in seen:
-                        seen.add(j)
-                        queue.append(j)
-        return bool(queue)
-
-    def _new_region(self, sc: _Scan) -> _Region:
-        vheap = list(sc.verts)
-        heapq.heapify(vheap)
-        rg = _Region(self.next_rid, sc.verts, vheap, [], [])
-        self.next_rid += 1
-        for x in sc.verts:
-            self.comp_id[x] = rg.rid
-        for b in sc.seen:
-            self._push_if_eligible(rg, b)
-        return rg
-
-    def _push_if_eligible(self, rg: _Region, i: int) -> None:
-        if self.bcut[i] == 1 and len(self.bverts[i]) >= 3:
-            heapq.heappush(rg.bigleaf, (min(self.bverts[i]), i))
-        if self.is_int[i] and self.catt[i] <= 1:
-            heapq.heappush(rg.nearleaf, (min(self.bverts[i]), i))
+        self.bigleaf = list(start.bigleaf)
+        self.nearleaf = list(start.nearleaf)
 
     # -- incremental deletion ------------------------------------------
 
-    def _recheck_block(self, rg: _Region, i: int) -> None:
-        """Bring block i's flags and rg's heaps up to date after i lost a
+    def _recheck_block(self, i: int) -> None:
+        """Bring block i's flags and the heaps up to date after i lost a
         member or a cut. A block that keeps two or more members can only
         stop being internal; a smaller one dies. A block that dies leaves
-        its last member y; y leaves rg when it keeps no block, and when it
-        keeps one, y is no longer a cut and that block is rechecked next."""
+        its last member y; when y keeps one block, y is no longer a cut and
+        that block is rechecked next."""
         alive, bverts, is_int, bcut = self.alive, self.bverts, self.is_int, self.bcut
         while alive[i]:
             members = bverts[i]
@@ -240,9 +155,9 @@ class _Peel:
                                 break
                         catt[j] -= 1
                         if catt[j] <= 1:
-                            heapq.heappush(rg.nearleaf, (min(bverts[j]), j))
+                            heapq.heappush(self.nearleaf, (min(bverts[j]), j))
                 if size >= 3 and bcut[i] == 1:
-                    heapq.heappush(rg.bigleaf, (min(members), i))
+                    heapq.heappush(self.bigleaf, (min(members), i))
             if size >= 2:
                 return
             alive[i] = False
@@ -252,46 +167,35 @@ class _Peel:
             ybl = self.vblocks[y]
             ybl.discard(i)
             if len(ybl) != 1:
-                if not ybl:
-                    rg.verts.discard(y)
                 return
             (i,) = ybl
             bcut[i] -= 1
 
-    def remove_leaf_members(self, rg: _Region, b: int, plain: frozenset[int]) -> None:
+    def remove_leaf_members(self, b: int, plain: frozenset[int]) -> None:
         """Delete the members of big leaf block b other than its cut, all
         at once: each lies in b only, so b is the one block to recheck."""
         vblocks = self.vblocks
         for x in plain:
             vblocks[x].clear()
         self.bverts[b] -= plain
-        rg.verts -= plain
-        self._recheck_block(rg, b)
+        self._recheck_block(b)
 
-    def _remove_vertex(self, rg: _Region, r: int) -> list[int]:
-        """Delete r; return the seed blocks of the region fragments it may
-        leave: the surviving blocks of r, then the orphan seeds.
+    def _remove_vertex(self, r: int) -> None:
+        """Delete r.
 
-        An orphan seed is one block of a vertex y that was the last
-        co-member of a dying block of r and still touches other blocks;
-        the region fragment through y is reachable only via that seed.
-
-        A vertex in one block cannot fragment the region and reports none:
-        it leaves at most one survivor (its block) or one orphan seed (the
-        block's last member). That block keeps its cut count, and no block
+        A vertex in one block keeps that block's cut count, and no block
         stays internal with fewer than two cuts (every bcut decrement is
         rechecked at once), so only a block left with two members or fewer
         needs a recheck.
         """
         vbl = self.vblocks[r]
-        rg.verts.discard(r)
         if len(vbl) == 1:
             i = vbl.pop()
             members = self.bverts[i]
             members.discard(r)
             if len(members) <= 2:
-                self._recheck_block(rg, i)
-            return []
+                self._recheck_block(i)
+            return
         was_cut = len(vbl) >= 2
         if self.nint[r] >= 2:
             is_int, catt, bverts = self.is_int, self.catt, self.bverts
@@ -299,97 +203,67 @@ class _Peel:
                 if is_int[i]:
                     catt[i] -= 1
                     if catt[i] <= 1:
-                        heapq.heappush(rg.nearleaf, (min(bverts[i]), i))
+                        heapq.heappush(self.nearleaf, (min(bverts[i]), i))
         self.nint[r] = 0
-        survivors: list[int] = []
-        orphan_seeds: list[int] = []
-        alive, bverts, bcut, vblocks = self.alive, self.bverts, self.bcut, self.vblocks
-        for i in sorted(vbl):
-            members = bverts[i]
-            members.discard(r)
+        bverts, bcut = self.bverts, self.bcut
+        for i in vbl:
+            bverts[i].discard(r)
             if was_cut:
                 bcut[i] -= 1
-            last = next(iter(members)) if len(members) == 1 else None
-            self._recheck_block(rg, i)
-            if alive[i]:
-                survivors.append(i)
-            elif last is not None and vblocks[last]:
-                orphan_seeds.append(next(iter(vblocks[last])))
+            self._recheck_block(i)
         self.vblocks[r] = set()
-        return survivors + orphan_seeds
-
-    # -- splitting -------------------------------------------------------
-
-    def split(self, rg: _Region, seeds: list[int]) -> tuple[list[_Region], bool]:
-        """Fragment rg along the given seed blocks.
-
-        Scans all fragments round-robin and stops when one is left; that
-        largest fragment inherits the region record (its heaps keep stale
-        entries, filtered on pop). Returns (new regions, inheritor alive).
-        """
-        active = [_Scan(b) for b in seeds]
-        done: list[_Scan] = []
-        while len(active) > 1:
-            still = []
-            for sc in active:
-                (still if self._scan_block(sc) else done).append(sc)
-            active = still
-
-        new_regions = []
-        for sc in done:
-            rg.verts -= sc.verts
-            new_regions.append(self._new_region(sc))
-        inheritor = bool(active)
-        if not inheritor and rg.verts:
-            raise InternalInvariantError("region accounting drifted across a split")
-        return new_regions, inheritor
 
     # -- queries --------------------------------------------------------
 
-    def region_min(self, rg: _Region) -> int | None:
-        while rg.vheap and rg.vheap[0] not in rg.verts:
-            heapq.heappop(rg.vheap)
-        return rg.vheap[0] if rg.vheap else None
-
-    def pop_big_leaf(self, rg: _Region) -> int | None:
-        """The big leaf block of rg with the least minimum vertex, popped;
-        stale entries are dropped and entries with an old key pushed back.
-        A dead block has at most one member, so the size test drops it."""
-        bigleaf, bverts, bcut, comp_id = rg.bigleaf, self.bverts, self.bcut, self.comp_id
+    def pop_big_leaf(self) -> int | None:
+        """The big leaf block with the least minimum vertex, popped; stale
+        entries are dropped and entries with an old key pushed back. A dead
+        block has at most one member, so the size test drops it."""
+        bigleaf, bverts, bcut = self.bigleaf, self.bverts, self.bcut
         while bigleaf:
             key, b = heapq.heappop(bigleaf)
             members = bverts[b]
             if bcut[b] != 1 or len(members) < 3:
                 continue
             m = min(members)
-            if comp_id[m] != rg.rid:
-                continue
             if m != key:
                 heapq.heappush(bigleaf, (m, b))
                 continue
             return b
         return None
 
-    def pop_near_leaf(self, rg: _Region) -> int | None:
+    def pop_near_leaf(self) -> int | None:
         """The near-leaf block at the heap top, which stays in the heap
-        because it may survive this iteration, or None when rg has none;
+        because it may survive this iteration, or None when there is none;
         stale entries are popped. A dead block is never internal, so the
         is_int test drops it."""
-        nearleaf, is_int, catt, comp_id = rg.nearleaf, self.is_int, self.catt, self.comp_id
+        nearleaf, is_int, catt = self.nearleaf, self.is_int, self.catt
         while nearleaf:
             key, b = nearleaf[0]
             if not is_int[b] or catt[b] > 1:
                 heapq.heappop(nearleaf)
                 continue
             m = min(self.bverts[b])
-            if comp_id[m] != rg.rid:
-                heapq.heappop(nearleaf)
-                continue
             if m != key:
                 heapq.heapreplace(nearleaf, (m, b))
                 continue
             return b
         return None
+
+    def component(self, x: int) -> set[int]:
+        """The vertices of x's component in the residual graph."""
+        vblocks, bverts = self.vblocks, self.bverts
+        verts = {x}
+        queue = [x]
+        seen: set[int] = set()
+        for v in queue:
+            for i in vblocks[v]:
+                if i not in seen:
+                    seen.add(i)
+                    fresh = bverts[i] - verts
+                    verts |= fresh
+                    queue.extend(fresh)
+        return verts
 
     def residual_neighbors(self, v: int) -> set[int]:
         out: set[int] = set()
@@ -444,71 +318,98 @@ def _peel(
     unless that is None; the traces are returned."""
     st = _Peel(g, bd)
     remove = st._remove_vertex
-    stack = st.initial_regions()[::-1]
+    vblocks, alive = st.vblocks, st.alive
+    case_three = _case_three if kind == COINTERVAL else _case_three_threshold
     traces: list[IterationTrace] = []
+    n = len(vblocks)
+    x = 0  # the sweep's next vertex
 
     try:
-        while stack:
-            rg = stack.pop()
-            if not rg.verts:
-                continue
+        while True:
             case = None
-            snapshot = frozenset(rg.verts) if trace_components else None
-
-            # a region with neither a big leaf block nor a near-leaf block
-            # has no internal block and no cut in a block of three or more:
-            # it is one block or a star of edge blocks, which case 1 checks
-            b = st.pop_big_leaf(rg)
+            b = st.pop_big_leaf()
             if b is not None:
                 step = _case_two(st, b)
             else:
-                near = st.pop_near_leaf(rg)
-                if near is None:
-                    step = _case_one(st, rg)
-                elif kind == COINTERVAL:
-                    step = _case_three(st, near)
+                b = st.pop_near_leaf()
+                if b is not None:
+                    step = case_three(st, b)
                 else:
-                    step = _case_three_threshold(st, near)
-            ant_block, apexes, case, chosen, protected, removed, plain, designated = step
+                    # with no big leaf and no near-leaf block anywhere, every
+                    # component is one block or a star, which case 1 checks;
+                    # only an isolated input vertex keeps a dead block
+                    while x < n and not (vblocks[x] and alive[next(iter(vblocks[x]))]):
+                        x += 1
+                    if x == n:
+                        break
+                    step = _case_one(st, x)
+            ant_block, apexes, case, chosen, protected, removed, doomed = step
             if elements is not None:
                 elements.append(_ant(g, st, ant_block, apexes))
-            traces.append(
-                IterationTrace(snapshot, case, chosen, protected, apexes, removed, len(traces))
-            )
-            planned = set(plain)
-            if designated is not None:
-                planned.add(designated)
-            if planned != removed:
+            traces.append(IterationTrace(None, case, chosen, protected, apexes, removed, len(traces)))
+            if set(doomed) != removed:
                 raise InternalInvariantError("removal plan diverges from the trace")
-
             if case == "2":
-                st.remove_leaf_members(rg, b, plain)
+                (v,) = apexes
+                st.remove_leaf_members(b, doomed - {v})
+                remove(v)
             else:
-                for r in plain:
-                    if len(remove(rg, r)) > 1:
-                        raise InternalInvariantError(f"unexpected region fragmentation at vertex {r}")
-            pieces: list[_Region] = []
-            keep_rg = True
-            if designated is not None:
-                seeds = remove(rg, designated)
-                if len(seeds) >= 2:
-                    pieces, keep_rg = st.split(rg, seeds)
-
-            pending = pieces + ([rg] if keep_rg and rg.verts else [])
-            if len(pending) >= 2:
-                pending.sort(key=st.region_min, reverse=True)
-            stack.extend(pending)
+                for r in doomed:
+                    remove(r)
     except InternalInvariantError as exc:
         # the iteration's case is chosen together with its trace, which
-        # traces then holds; until then case is None
-        where = f"iteration {len(traces) - (case is not None)}, region {rg.rid}"
+        # traces then holds; until then case is None. Every check runs
+        # before the iteration deletes anything, so the chosen block's
+        # component is still whole.
+        least = min(st.component(x if b is None else min(st.bverts[b])))
+        region = least if st.ids is None else st.ids[least]
+        where = f"iteration {len(traces) - (case is not None)}, region {region}"
         if case is not None:
             where += f", case {case}"
         raise InternalInvariantError(f"{exc} ({where})") from exc
 
+    if trace_components:
+        _replay_components(bd, traces)
     if st.ids is not None:
         _relabel(st.ids, elements, traces)
     return traces
+
+
+def _replay_components(bd: BlockDecomposition, traces: list[IterationTrace]) -> None:
+    """Fill in each trace's component, in place, by running the deletions
+    backwards: starting from the vertices no iteration removed, each
+    iteration adds its removed vertices back with their host edges to the
+    vertices already there, and the component through them is the one it
+    worked in. Components are member sets, the smaller merged into the
+    larger; present members of a block are joined by the block's clique,
+    so one of them stands for all when a vertex of the block comes back."""
+    members, incidence = bd.members, bd.incidence
+    owner: list[set[int] | None] = [None] * len(incidence)
+    held = [-1] * len(members)  # a present member of each block
+
+    def add(x: int) -> None:
+        own = owner[x] = {x}
+        for i in incidence[x]:
+            y = held[i]
+            if y < 0:
+                held[i] = x
+                continue
+            other = owner[y]
+            if other is own:
+                continue
+            if len(other) > len(own):
+                own, other = other, own
+            own |= other
+            for z in other:
+                owner[z] = own
+
+    for x in set(range(len(incidence))).difference(*(t.removed for t in traces)):
+        add(x)
+    for k in range(len(traces) - 1, -1, -1):
+        t = traces[k]
+        for r in t.removed:
+            add(r)
+        traces[k] = IterationTrace(frozenset(owner[r]), *t[1:])
 
 
 def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[IterationTrace]) -> None:
@@ -537,9 +438,9 @@ def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[I
         )
 
 
-# Each case returns the step of one iteration:
-# (element block, apexes, case, chosen block, protected vertex, removed,
-#  vertices to delete without splitting, vertex whose deletion may split).
+# Each case returns the step of one iteration: (element block, apexes,
+# case, chosen block, protected vertex, removed, the removed vertices in
+# the order they are deleted; for case 2, the block).
 
 
 def _ant(g: Graph, st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) -> BigAnt:
@@ -554,13 +455,12 @@ def _ant(g: Graph, st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) ->
     return BigAnt(g, block, min(apexes), max(apexes), frozenset(verts), frozenset(edges))
 
 
-def _case_one(st: _Peel, rg: _Region):
-    """The region is one block, or a star of edge blocks at a centre. Live
-    blocks at the centre have two or more members and share only the
-    centre, so it is a star exactly when the centre has one block for each
-    other vertex of the region."""
-    verts = frozenset(rg.verts)
-    x = next(iter(rg.verts))
+def _case_one(st: _Peel, x: int):
+    """The component of x is one block, or a star of edge blocks at a
+    centre. Live blocks at the centre have two or more members and share
+    only the centre, so it is a star exactly when the centre has one block
+    for each other vertex of the component."""
+    verts = frozenset(st.component(x))
     xbl = st.vblocks[x]
     members = st.bverts[next(iter(xbl))]
     if len(members) == len(verts):
@@ -573,13 +473,13 @@ def _case_one(st: _Peel, rg: _Region):
         if len(st.vblocks[center]) != len(verts) - 1:
             raise InternalInvariantError("no near-leaf block in a pointed non-star region")
         block = frozenset({center, min(verts - {center})})
-    return block, (center,), "1", None, None, verts, sorted(verts), None
+    return block, (center,), "1", None, None, verts, sorted(verts)
 
 
 def _case_two(st: _Peel, b: int):
     block = frozenset(st.bverts[b])
     v = next(x for x in sorted(block) if len(st.vblocks[x]) >= 2)
-    return block, (v,), "2", block, None, block, block - {v}, v
+    return block, (v,), "2", block, None, block, block
 
 
 def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int]:
@@ -607,8 +507,8 @@ def _case_three(st: _Peel, b: int):
         plain = st.pendant_leaves(u)
         if len(block) > 2:
             plain += sorted(block - {u, v})
-        plain.append(u)
-        return block, (u, v), "3a", block, v, removed, plain, v
+        plain += (u, v)
+        return block, (u, v), "3a", block, v, removed, plain
     rest = [c for c in cuts if c != v]
     u, w = rest[0], rest[1]
     if len(cuts) == 3:
@@ -624,7 +524,7 @@ def _case_three(st: _Peel, b: int):
         s_w = st.pendant_leaves(w)
         removed = frozenset(set(s_u) | set(s_w) | {u, w})
         plain = s_u + s_w + [u, w]
-    return block, (u, w), "3b", block, v, removed, plain, None
+    return block, (u, w), "3b", block, v, removed, plain
 
 
 def _case_three_threshold(st: _Peel, b: int):
@@ -637,7 +537,7 @@ def _case_three_threshold(st: _Peel, b: int):
         if len(block) > 2:
             plain += sorted(block - {u, v})
         plain.append(u)
-        return block, (u,), "3*-2cuts", block, v, removed, plain, None
+        return block, (u,), "3*-2cuts", block, v, removed, plain
     s_u = st.pendant_leaves(u)
     removed = frozenset(set(s_u) | {u})
-    return block, (u,), "3*-many", block, v, removed, s_u + [u], None
+    return block, (u,), "3*-many", block, v, removed, s_u + [u]

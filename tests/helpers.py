@@ -173,21 +173,37 @@ def _clique_edges(block):
     return {(a, b) for i, a in enumerate(members) for b in members[i + 1:]}
 
 
+def _naive_turn(g: Graph, region) -> tuple[int, int]:
+    """When the component region of the residual graph takes its next
+    iteration in the global order: its least big leaf block, else its
+    least near-leaf block, else case 1 after every other case, all by
+    least vertex."""
+    h = g.induced(region)
+    if shape_check(h) in ("clique", "star"):
+        return 2, min(region)
+    bd = block_decomposition(h)
+    big = [min(b) for b, cuts in zip(bd.blocks, bd.block_cuts) if len(cuts) == 1 and len(b) >= 3]
+    if big:
+        return 0, min(big)
+    return 1, min(bd.blocks[find_near_leaf_block(h).block_index])
+
+
 def naive_cover(g: Graph, kind: str):
     """Slow reference for the cover loop: fresh decomposition every step.
 
-    Returns element tuples and trace tuples in the engine's shapes so runs
-    can be compared field by field.
+    Each step decomposes every component of the residual graph and takes
+    the least big leaf block of all, else the least near-leaf block, else
+    case 1 on the component with the least vertex. Returns element tuples
+    and trace tuples in the engine's shapes so runs can be compared field
+    by field.
     """
     alive = set(g.vertices)
-    stack = [set(c) for c in sorted(connected_components(g), key=min, reverse=True) if len(c) >= 2]
     elements, traces = [], []
-    while stack:
-        region = stack.pop() & alive
-        h = g.induced(region)
-        region = {v for v in h.vertices if h.degree(v) > 0}
-        if not region:
-            continue
+    while True:
+        regions = [c for c in connected_components(g.induced(alive)) if len(c) >= 2]
+        if not regions:
+            break
+        region = set(min(regions, key=lambda c: _naive_turn(g, c)))
         h = g.induced(region)
         bd = block_decomposition(h)
         shape = shape_check(h)
@@ -266,11 +282,6 @@ def naive_cover(g: Graph, kind: str):
         elements.append(el)
         traces.append((frozenset(region), case, chosen, prot, tuple(apex), frozenset(removed)))
         alive -= removed
-        rest = region - removed
-        if rest:
-            pieces = [p for p in connected_components(g.induced(rest)) if len(p) >= 2]
-            for piece in sorted(pieces, key=min, reverse=True):
-                stack.append(set(piece))
     return elements, traces
 
 

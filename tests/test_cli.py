@@ -194,18 +194,20 @@ def test_gen_max_block_two_makes_every_block_an_edge(capsys):
 
 
 def test_boxrep_takes_no_component_snapshots(tmp_path, capsys, monkeypatch):
-    snapshots = []
-    original = peel._peel
+    replays = []
+    original = peel._replay_components
 
-    def recording(g, bd, kind, trace_components, elements):
-        snapshots.append(trace_components)
-        return original(g, bd, kind, trace_components, elements)
+    def recording(bd, traces):
+        replays.append(len(traces))
+        return original(bd, traces)
 
-    monkeypatch.setattr(peel, "_peel", recording)
+    monkeypatch.setattr(peel, "_replay_components", recording)
     gpath = write_graph(tmp_path, path_graph(7))
+    assert main(["cover", "-i", gpath, "-o", str(tmp_path / "c.json")]) == 0
+    assert replays == [2]  # the cover's traces carry their components
     assert main(["boxrep", "-i", gpath]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 2
-    assert snapshots == [False]
+    assert replays == [2]
 
 
 def test_exit_code_parse_failure(tmp_path, capsys):

@@ -41,6 +41,7 @@ from antcover.graph import (
     Graph,
     build_graph,
     clique_edges,
+    connected_components,
     disjoint_union,
     missing_clique_pair,
     relabel_offset,
@@ -211,13 +212,9 @@ def test_block_graphs_are_solved_without_hopcroft_tarjan(monkeypatch):
         blocks.is_block_graph(cycle_graph(4))
 
 
-def _engine_state(st, rg):
-    return vars(st), (rg.rid, rg.verts, rg.vheap, rg.bigleaf, rg.nearleaf)
-
-
 def test_leaf_block_batch_leaves_the_state_of_one_by_one_deletions():
     """Deleting a big leaf block's non-cut members together leaves the
-    engine and its region as deleting them one by one does."""
+    engine as deleting them one by one does."""
     triangle_on_a_path = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
     for g in (random_block_graph(400, seed=9, edge_block_prob=0.3, max_block=9), triangle_on_a_path):
         bd = blocks.block_decomposition(g)
@@ -228,14 +225,13 @@ def test_leaf_block_batch_leaves_the_state_of_one_by_one_deletions():
             states = []
             for batch in (False, True):
                 st = peel._Peel(g, bd)
-                (rg,) = st.initial_regions()
                 plain = frozenset(x for x in st.bverts[b] if len(st.vblocks[x]) == 1)
                 if batch:
-                    st.remove_leaf_members(rg, b, plain)
+                    st.remove_leaf_members(b, plain)
                 else:
                     for x in sorted(plain):
-                        assert st._remove_vertex(rg, x) == []
-                states.append(_engine_state(st, rg))
+                        st._remove_vertex(x)
+                states.append(vars(st))
             assert states[0] == states[1]
             checked += 1
         assert checked > 0
@@ -374,26 +370,29 @@ def test_engine_matches_naive_reference():
 
 # sha256 of json.dumps(cover_to_dict(cover, traces)) on helpers.golden_corpus,
 # recorded at commit 5e6d02b; cover JSON and traces stay byte-identical
-# unless a change says why they differ
+# unless a change says why they differ. The entries of graphs whose runs
+# work in several components at once were re-recorded after commit 59e8555,
+# when the peel loop took its cases in one global order: their iterations
+# come in a new order, and RUN_PAIRS_SHA256 pins that nothing else changed
 GOLDEN_COVER_SHA256 = {
-    ("random-40", "cointerval"): "0ec1a3e16e5549f263545bd4cdce52b30e5f7bfb563b0983cc6b7d7a0c6aa8fe",
-    ("random-40", "threshold"): "85e7c0eed4247558c451e49de2954a4d107a21f38567e06f618072b64c688dff",
-    ("random-150", "cointerval"): "521d76a289e0682b657a748ce26a5378b5558aa3347b9997ae132b0676ddec25",
-    ("random-150", "threshold"): "415a846be03ffab81f987a61ccd9ab1c4b67884ebd0d00e0ec17464aaa74b67b",
-    ("random-300", "cointerval"): "4a1b2d7bb6e0155ae244300ed0cbb24cd791dc89d8721b8ef34eff5a5a9d0b78",
-    ("random-300", "threshold"): "780ccf844214d2eb6aaba188067b16aae5a5abc32f1eceb11f9b03d7432782a9",
-    ("random-edgy-200", "cointerval"): "ea6b280289f53c863f0e39fe3f4aee9fedc56c6c3a62cd5035c69babd18a97dc",
-    ("random-edgy-200", "threshold"): "11d92fe6bd76b608c099497db145a85b4272a407ee03544c83a0b75f46b4f886",
-    ("random-cliquey-200", "cointerval"): "50630de5d8539575e0553f31d75b631b3153e45b9dc6ab57f2111a0ecad95a94",
-    ("random-cliquey-200", "threshold"): "cdf51772d57710080911eb492ca5b1b88088f28940ef071b3ed3a29ca105a2b3",
+    ("random-40", "cointerval"): "a6ab0f34297f059406fcfd219eb37e3236f9f96f97daaafcda742ad9e799ea67",
+    ("random-40", "threshold"): "cd2b2b3fe0b5f5307af8e2139fe01058e391e2f277367f6552e4fdc08b49b4d9",
+    ("random-150", "cointerval"): "298ca15d47b9beaf69ffe717e647be2d93b965621f825c3c846287d364359ad9",
+    ("random-150", "threshold"): "96336b5423733212752530f05b9a335a44679e9dd63cb8921f9aee8f685d4b70",
+    ("random-300", "cointerval"): "6dc0443abad97af14e264758188acd94b4f01420138bb53d0ae63c18d8aa111f",
+    ("random-300", "threshold"): "12f8f1780879af96ff445f3c59a1ab8129f647902d02f29cd4f93336bb5547bf",
+    ("random-edgy-200", "cointerval"): "864bd47e021db389459fa66973b6e4a31e647c0b96b68ca27e8aa5e1491814b1",
+    ("random-edgy-200", "threshold"): "c171ab81de02f5d954d387291d82e224f7e4cb4583beb91b93d123ae6be7b9f0",
+    ("random-cliquey-200", "cointerval"): "5a0bbbfb2a246651fb18bc939868a2eefc426f6043d8080806d8b4e01655267e",
+    ("random-cliquey-200", "threshold"): "242455ae5d16b50f72f62bae10de26973948a06848f098b6a4e71a16103b9861",
     ("path-100", "cointerval"): "860d9924ca44475ba043fde4a2c45c95bfed7c58c20871150f10f3202eafb50e",
     ("path-100", "threshold"): "5f3910df56f889af53f80eebe9f94d5474e0d0cf61be8fa9b380a156392322d9",
     ("star-60", "cointerval"): "1f99024e8dac4a2a468cb79ad238901c44685836f64b6aa5fd968801091cdf3b",
     ("star-60", "threshold"): "7e1f754557a0544d3563d7197558328249523470d9524c7e12273c6f1f236cd3",
     ("caterpillar-30x3", "cointerval"): "186f786c28c98c07459c55cd26e6c5bb5f13abba5dcf81f644360a5bb42897d8",
     ("caterpillar-30x3", "threshold"): "3919c4fb4c364aa95f80c3ad08861222f55a26c104d8471f9b380a541c5fea90",
-    ("large-blocks-300", "cointerval"): "ca25b045214252c430b34813046e8ca6eab5a827fd6f9d9398ca42e2ca194836",
-    ("large-blocks-300", "threshold"): "84a0c2b02cecac0558f65a299c29ab97b10bf9c96a1aa19fe0bcecbeae9d502c",
+    ("large-blocks-300", "cointerval"): "643f7da13ec5b25d22fbc71a1f484948e75d3f78c95fe0949103cf5ffe1ac09d",
+    ("large-blocks-300", "threshold"): "585f691fc5cbe0d8d212eb4c273a922cba8c1e58a2261397ca9deb1178269f46",
 }
 
 
@@ -409,11 +408,13 @@ def test_cover_json_matches_golden_hashes():
 
 
 # the same hash on helpers.benchmark_scale_corpus, recorded at commit
-# 7f0759e: graphs of the benchmark's size, where runs reach region splits
-# and heap states that the small golden corpus and the naive twin do not
+# 7f0759e (random-5000 and mixed-blocks-3000 re-recorded after 59e8555, as
+# above): graphs of the benchmark's size, where runs reach component
+# splits and heap states that the small golden corpus and the naive twin
+# do not
 BENCHMARK_SCALE_COVER_SHA256 = {
-    ("random-5000", "cointerval"): "62292394d568d9ba141524014d9abdfbe37563830bf7625a9ff7c5100ca3de39",
-    ("random-5000", "threshold"): "c9e2fa392ecba7331c52686f02317512232ce9ef9ede769c76e1a4f9ea39c5c5",
+    ("random-5000", "cointerval"): "95039834b69ea5e09a5a5232f9d2e376b759c8dcaaef24abcc31a4e336acbc38",
+    ("random-5000", "threshold"): "d33c63bd8f832b44008db8ef1f4e0818fd990326f2a997db39eb06f965013a81",
     ("path-3000", "cointerval"): "2bbf378144af0b19be5dded3c96483cbca7d504d392a0cfa5afea3fc7e26465b",
     ("path-3000", "threshold"): "ae46bfbef889a5c5783fb89e39a78e657f22a8435c7aabb4ac8cd0ee4380fcf6",
     ("caterpillar-3000", "cointerval"): "521485b62760a579a04389e2a9b7fcb8c2bcb5ccfb83b821a76f4ed4acc1fd59",
@@ -426,8 +427,8 @@ BENCHMARK_SCALE_COVER_SHA256 = {
     # members in one batch
     ("blocks-2000", "cointerval"): "8dff4399b9c18ab34519ea24be780be70c4a169349d49ca26c8dc7823a098a5f",
     ("blocks-2000", "threshold"): "3e4bedceb27c3a896806b1a4cb8ab58e3adc0560bc401c1e568a6470acbbf346",
-    ("mixed-blocks-3000", "cointerval"): "bcde3e4f1e5769ac857ee4c7a5ece0e920ca1cb1dee0c4024a65e56b0f059691",
-    ("mixed-blocks-3000", "threshold"): "637136df83efbd5df6bcebd42d5f9a8939190220f0717c7bbf23853d19553c7b",
+    ("mixed-blocks-3000", "cointerval"): "6d61028ca4113cd4b220c0a7ab9e2a5249bbe893edcb66f3b0c1f68c30c7cde0",
+    ("mixed-blocks-3000", "threshold"): "6aa02e856e5481afa49705dd5440ccf4f81030795caf9bb39752b37523bdcdd4",
 }
 
 
@@ -438,6 +439,67 @@ def test_cover_json_matches_golden_hashes_at_benchmark_scale():
             text = json.dumps(cover_to_dict(cover, traces))
             digest = hashlib.sha256(text.encode()).hexdigest()
             assert digest == BENCHMARK_SCALE_COVER_SHA256[name, kind], (name, kind)
+
+
+def run_pairs_digest(cover, traces):
+    """sha256 of a run's (element, trace) pairs in their JSON form, sorted,
+    with the element index dropped from each trace: what every iteration
+    did, whatever order the iterations ran in."""
+    payload = cover_to_dict(cover, traces)
+    pairs = []
+    for t in payload["traces"]:
+        element = payload["elements"][t.pop("element")]
+        pairs.append(json.dumps([element, t]))
+    pairs.sort()
+    return hashlib.sha256("\n".join(pairs).encode()).hexdigest()
+
+
+# run_pairs_digest on both corpora, recorded at commit 59e8555, before the
+# peel loop dropped its per-component regions for one global pair of leaf
+# heaps: that change reorders iterations across components and must change
+# nothing else, component snapshots included
+RUN_PAIRS_SHA256 = {
+    ("random-40", "cointerval"): "d7fdff9fc0def3cee566016d13ae75bb58c886684368a3e4f3d346e81e01a2e8",
+    ("random-40", "threshold"): "e8e69a3e9caf91d77a70c11dee41950ad471f311e89105c04529056d8442a549",
+    ("random-150", "cointerval"): "47e71f22032d497c44158652bb0b68526bba332ba0bb065a9d30d8103a019a4a",
+    ("random-150", "threshold"): "671a98e167892f4fa7f8d17b17dc787b72540ea710ccb7f6bb278a033340b87b",
+    ("random-300", "cointerval"): "b9f020c990879a27fdd94486c0ebf9f4711aed470abab1380f121cbe389fe521",
+    ("random-300", "threshold"): "27a1ff24e443b4793306454209fb3bcc2d924b643facd93132e4b15112c95b1c",
+    ("random-edgy-200", "cointerval"): "481d5df83fdb6bcc29b6da8795e17ac9327d940cfbcaa2c0fb7b0be81964173a",
+    ("random-edgy-200", "threshold"): "caa4b4f5dc4f56e5c60e53f2920296db34bc0a45eeb1c8dd55b6c63915c8d063",
+    ("random-cliquey-200", "cointerval"): "d866cb01755bcbe8d31580e5a280cc24cc90726f36697c0b755ab638f9484e1b",
+    ("random-cliquey-200", "threshold"): "2a2837a1b363f96606bd7fe6ccdb836d197d55e973f51fa95ff4b3ecd9ec712b",
+    ("path-100", "cointerval"): "ce3cf9276a9924ea4b1e9d240ea208bf017bf857978b01b5d827fb4aa619b44a",
+    ("path-100", "threshold"): "62e515df51fec3a17fc0333eb68ed3970935c17c5a7238a5c04b73a9ebd8b237",
+    ("star-60", "cointerval"): "1a739bb41489f983f376dfd92d1d6c43a0208d191f8566f5dc897eac20633cef",
+    ("star-60", "threshold"): "1a739bb41489f983f376dfd92d1d6c43a0208d191f8566f5dc897eac20633cef",
+    ("caterpillar-30x3", "cointerval"): "ced8f1d9fe6e295bcb218c59176a8e382de2986cee49b7758a12246ce65566b1",
+    ("caterpillar-30x3", "threshold"): "3ae741660b61b4bffab99ad8488499211dac76911d58f0e47629e485a391ec83",
+    ("large-blocks-300", "cointerval"): "cab254ac582c1e221518be908653f31c9f055e68a79f76594faa19d2be26ce7e",
+    ("large-blocks-300", "threshold"): "cab254ac582c1e221518be908653f31c9f055e68a79f76594faa19d2be26ce7e",
+    ("random-5000", "cointerval"): "7689e0840d90a60b73a3e38e757528c9360798709902ca8f5dd52f6f41dcd42e",
+    ("random-5000", "threshold"): "870a7e088f84666700555843933595467341b3ba87436c70f738d8a3ff4e1109",
+    ("path-3000", "cointerval"): "0ac4ed2425eb3872723a99b4bee904c456ad2ec8e7b3597542e3baf9c91090dc",
+    ("path-3000", "threshold"): "ea131cf16e85bcda84c2048b0948f90266ae75f57bebfb77e982a5de82fbea18",
+    ("caterpillar-3000", "cointerval"): "f072784761a4541cdf07b15bffdfa9abf4dafbd4c0dab7e7a2419acec49cb60d",
+    ("caterpillar-3000", "threshold"): "1f38a0baf42a407071a51da7778ad524388c3e096ee6f14eeddd0032edd443cb",
+    ("triangle-chain-3001", "cointerval"): "4cbc4e3a74c58cab7455d31c49008bdc5d3448dcedb8a8bb2a32a8df1c20b450",
+    ("triangle-chain-3001", "threshold"): "fc7dd0672139a2e2551e8c6b1f7fb6618b725bf8db3cd283c9d0e49e5c7172a8",
+    ("broom-3000", "cointerval"): "9904a586f61beded14b754e40f20599d8d85bdbb44295eb270caa04e1d7c6aa1",
+    ("broom-3000", "threshold"): "cb37888f4b649480a5ddb5364ce7af78813fbac50d0609ed83ad8d431bc2e866",
+    ("blocks-2000", "cointerval"): "a559cb94e3e3fe74bfefb7f915999cbfee8b4e4c0255c63a50d753f3171bc418",
+    ("blocks-2000", "threshold"): "a559cb94e3e3fe74bfefb7f915999cbfee8b4e4c0255c63a50d753f3171bc418",
+    ("mixed-blocks-3000", "cointerval"): "9b260b8fd3b14e3d4baac7903900a2b90129e4e79df86053784cc0287479f118",
+    ("mixed-blocks-3000", "threshold"): "c53359156008a2b8860ac132194384c2228461078601cab0cfc4415e62d199ac",
+}
+
+
+def test_run_pairs_match_their_order_free_digests():
+    for corpus in (golden_corpus(), benchmark_scale_corpus()):
+        for name, g in corpus.items():
+            for kind in (COINTERVAL, THRESHOLD):
+                digest = run_pairs_digest(*min_cover(g, kind))
+                assert digest == RUN_PAIRS_SHA256[name, kind], (name, kind)
 
 
 def test_count_path_takes_the_same_iterations():
@@ -785,8 +847,7 @@ def test_invariant_failure_names_iteration_region_and_case(monkeypatch, tmp_path
 
 # Two three-edge paths 2-3-4-5 and 2-6-7-8 and a pendant path 2-1-0 at
 # vertex 2. The first iteration is case 3a on block {1, 2}, which protects
-# vertex 2; deleting it leaves two fragments of two blocks each, whose
-# scans end in the same round, so the split checks its accounting.
+# vertex 2.
 TWO_ARMS = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (7, 8)])
 
 
@@ -807,36 +868,12 @@ def _engine_fault(patch, tmp_path, capsys, g=TWO_ARMS, kind=COINTERVAL):
     return str(info.value)
 
 
-def test_invariant_plain_deletion_that_fragments(tmp_path, capsys):
-    original = peel._case_three
-
-    def protect_nothing(st, b):
-        # delete the protected vertex with the plain ones, which must not
-        # fragment the region
-        step = original(st, b)
-        return step[:6] + (step[6] + [step[7]], None)
-
-    message = _engine_fault(lambda mp: mp.setattr(peel, "_case_three", protect_nothing), tmp_path, capsys)
-    assert message == "unexpected region fragmentation at vertex 2 (iteration 0, region 0, case 3a)"
-
-
-def test_invariant_split_accounting_drift(tmp_path, capsys):
-    original = peel._Peel.split
-
-    def drifted(self, rg, seeds):
-        rg.verts.add(-1)  # a vertex the fragments cannot account for
-        return original(self, rg, seeds)
-
-    message = _engine_fault(lambda mp: mp.setattr(peel._Peel, "split", drifted), tmp_path, capsys)
-    assert message == "region accounting drifted across a split (iteration 0, region 0, case 3a)"
-
-
 def test_invariant_missing_near_leaf_block(tmp_path, capsys):
     original = peel._Peel.pop_near_leaf
 
-    def emptied(self, rg):
-        rg.nearleaf.clear()
-        return original(self, rg)
+    def emptied(self):
+        self.nearleaf.clear()
+        return original(self)
 
     message = _engine_fault(lambda mp: mp.setattr(peel._Peel, "pop_near_leaf", emptied), tmp_path, capsys)
     # the case is chosen with the block, so the location has none
@@ -846,9 +883,9 @@ def test_invariant_missing_near_leaf_block(tmp_path, capsys):
     # and no near-leaf block, and it is no star
     original_big = peel._Peel.pop_big_leaf
 
-    def no_big_leaf(self, rg):
-        rg.bigleaf.clear()
-        return original_big(self, rg)
+    def no_big_leaf(self):
+        self.bigleaf.clear()
+        return original_big(self)
 
     g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
     for kind in (COINTERVAL, THRESHOLD):
@@ -866,8 +903,23 @@ def test_invariant_near_leaf_with_several_attachments(tmp_path, capsys):
             st.nint[x] = 2
         return original(st, b)
 
-    message = _engine_fault(lambda mp: mp.setattr(peel, "_case_three", all_attached), tmp_path, capsys)
+    def patch(mp):
+        mp.setattr(peel, "_case_three", all_attached)
+
+    message = _engine_fault(patch, tmp_path, capsys)
     assert message == "near-leaf block with several internal attachments (iteration 0, region 0)"
+
+    # the same fault at iteration 1, in the second component: a triangle
+    # with a pendant edge takes case 2 first, and the region is named by
+    # the least vertex of the faulty block's component, in ids
+    paw = build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    two = disjoint_union(paw, TWO_ARMS)
+    message = _engine_fault(patch, tmp_path, capsys, two)
+    assert message == "near-leaf block with several internal attachments (iteration 1, region 4)"
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        with pytest.raises(InternalInvariantError, match=r"\(iteration 1, region 1000004\)$"):
+            min_cointerval_cover(relabel_offset(two, 10**6))
 
 
 def test_box_representation_k2():
@@ -972,6 +1024,40 @@ def test_validate_run_catches_tampering():
     )
     with pytest.raises(InputError):
         validate_run(g, cover, bad)
+
+
+def test_validate_run_catches_a_removal_outside_the_element():
+    # vertex 7 is isolated, so removing it too deletes no residual edge
+    # that the element misses; without snapshots, only the element check
+    # sees it
+    g = disjoint_union(path_graph(7), build_graph(1, []))
+    cover, traces = min_cointerval_cover(g, trace_components=False)
+    validate_run(g, cover, traces)
+    bad = [traces[0]._replace(removed=traces[0].removed | {7})] + traces[1:]
+    with pytest.raises(InputError, match="^iteration 0 removed vertices outside its element$"):
+        validate_run(g, cover, bad)
+
+
+def test_component_snapshots_match_a_from_scratch_reference():
+    """Each replayed snapshot is the component of the residual graph
+    through the iteration's removed vertices, without isolated vertices."""
+    rng = random.Random(65)
+    graphs = [random_block_graph(rng.randint(2, 60), seed=6500 + i) for i in range(40)]
+    graphs += [disjoint_union(graphs[i], graphs[i + 1]) for i in range(0, 20, 2)]
+    graphs += [
+        disjoint_union(disjoint_union(graphs[i], build_graph(2, [])), graphs[i + 1])
+        for i in range(20, 30, 2)
+    ]
+    graphs += [relabel_offset(disjoint_union(build_graph(1, []), g), 10**9) for g in graphs[30:35]]
+    for g in graphs:
+        for kind in (COINTERVAL, THRESHOLD):
+            traces = min_cover(g, kind)[1]
+            alive = set(g.vertices)
+            for t in traces:
+                h = g.induced(alive)
+                through = set().union(*(c for c in connected_components(h) if c & t.removed))
+                assert t.component == {v for v in through if h.degree(v)}
+                alive -= t.removed
 
 
 def test_star_cover_single_element():
