@@ -21,27 +21,51 @@ class BlockDecomposition(NamedTuple):
     """Blocks and cut-vertices of a graph, computed once and cached on it.
 
     Blocks are maximal 2-connected components; a bridge edge is a block of
-    its own and an isolated vertex forms a singleton block. block_cuts[i]
-    lists the cut-vertices inside blocks[i], which together give the
-    bipartite incidence of the block-cut tree. cliques is True when every
-    block is a clique, that is when the graph is a block graph.
+    its own and an isolated vertex forms a singleton block. cliques is True
+    when every block is a clique, that is when the graph is a block graph.
 
     Index k stands for the k-th smallest vertex id (ids[k]; ids is None
     when the ids are exactly 0..n-1, so that each id is its own index).
-    blocks, cut_vertices and block_cuts are in ids; the fields after ids
-    are in indices, for the peel engine. The decomposition refers to no
-    graph, so a graph and its cached decomposition form no reference
-    cycle.
+    The fields hold only what the peel engine reads, in indices: members
+    lists each block's vertex indices in increasing order, blocks are
+    ordered by their member tuples (so by least vertex first), cuts are
+    the vertices in two or more blocks, incidence holds the blocks at each
+    vertex and cut_counts the number of cut-vertices in each block.
+
+    blocks, cut_vertices and block_cuts are the same structure in vertex
+    ids. Each is built anew at every access, and no solver reads them; a
+    caller that reads one in a loop holds it in a local first. The
+    decomposition refers to no graph, so a graph and its cached
+    decomposition form no reference cycle.
     """
 
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    block_cuts: tuple[tuple[int, ...], ...]
     cliques: bool
     ids: tuple[int, ...] | None
-    members: tuple[frozenset[int], ...]  # blocks[i] in indices
+    members: tuple[tuple[int, ...], ...]  # each block's vertex indices, increasing
     cuts: tuple[int, ...]  # cut-vertex indices, increasing
     incidence: tuple[tuple[int, ...], ...]  # the blocks at each index, increasing
+    cut_counts: tuple[int, ...]  # cut-vertices in each block
+
+    def _labels(self, xs):
+        """The vertex ids of the indices xs, in their order."""
+        ids = self.ids
+        return xs if ids is None else [ids[x] for x in xs]
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The vertex ids of each block."""
+        return tuple(frozenset(self._labels(b)) for b in self.members)
+
+    @property
+    def cut_vertices(self) -> frozenset[int]:
+        return frozenset(self._labels(self.cuts))
+
+    @property
+    def block_cuts(self) -> tuple[tuple[int, ...], ...]:
+        """The cut-vertex ids in each block, in increasing order; together
+        they give the bipartite incidence of the block-cut tree."""
+        is_cut = [len(bl) >= 2 for bl in self.incidence]
+        return tuple(tuple(self._labels([x for x in b if is_cut[x]])) for b in self.members)
 
     def position(self, v: int) -> int | None:
         """The index of vertex id v; None when v is not a vertex."""
@@ -91,7 +115,7 @@ def _decompose(g: Graph) -> BlockDecomposition:
     raw_blocks = _clique_tree(adj, g.edge_count)
     if raw_blocks is not None:
         return _index(ids, True, raw_blocks, len(adj))
-    raw_blocks = _hopcroft_tarjan(adj)
+    raw_blocks = [tuple(sorted(b)) for b in _hopcroft_tarjan(adj)]
     # blocks partition the edges and a block on k vertices holds at most
     # k(k-1)/2 of them, so all blocks are cliques exactly when these maxima
     # add up to the edge count
@@ -99,9 +123,10 @@ def _decompose(g: Graph) -> BlockDecomposition:
     return _index(ids, cliques, raw_blocks, len(adj))
 
 
-def _clique_tree(adj: list[set[int]], m: int) -> list | None:
-    """Blocks of a block graph by one breadth-first pass over its cliques;
-    None when the graph is not a block graph.
+def _clique_tree(adj: list[set[int]], m: int) -> list[tuple[int, ...]] | None:
+    """Blocks of a block graph, each a sorted tuple of its vertices, by one
+    breadth-first pass over its cliques; None when the graph is not a
+    block graph.
 
     In a block graph the block through an edge uv is {u, v} plus the
     common neighbours of u and v. The search takes component roots in
@@ -116,14 +141,14 @@ def _clique_tree(adj: list[set[int]], m: int) -> list | None:
     n = len(adj)
     reached = [False] * n
     via: list[set[int]] = [set()] * n  # the block each vertex was reached through
-    raw_blocks: list = []
+    raw_blocks: list[tuple[int, ...]] = []
     pairs = 0
     for root in range(n):
         if reached[root]:
             continue
         reached[root] = True
         if not adj[root]:
-            raw_blocks.append([root])
+            raw_blocks.append((root,))
             continue
         queue = [root]
         for v in queue:
@@ -136,9 +161,9 @@ def _clique_tree(adj: list[set[int]], m: int) -> list | None:
                     if reached[u]:
                         return None
                     reached[u] = True
-                    via[u] = b = {u, v}
+                    via[u] = {u, v}
                     queue.append(u)
-                    raw_blocks.append(b)
+                    raw_blocks.append((u, v) if u < v else (v, u))
                     pairs += 1
                     continue
                 b.add(u)
@@ -150,7 +175,7 @@ def _clique_tree(adj: list[set[int]], m: int) -> list | None:
                 queue.extend(b)
                 todo -= b
                 b.add(v)
-                raw_blocks.append(b)
+                raw_blocks.append(tuple(sorted(b)))
                 pairs += len(b) * (len(b) - 1) // 2
     if pairs != m:
         return None
@@ -211,39 +236,32 @@ def _hopcroft_tarjan(adj: list[set[int]]) -> list[list[int]]:
     return raw_blocks
 
 
-def _index(ids: tuple[int, ...] | None, cliques: bool, raw_blocks: list, n: int) -> BlockDecomposition:
+def _index(
+    ids: tuple[int, ...] | None, cliques: bool, raw_blocks: list[tuple[int, ...]], n: int
+) -> BlockDecomposition:
     """The decomposition of the n vertex indices made of the blocks that
-    a pass found, given as collections of indices in any order, and of its
+    a pass found, each a sorted tuple of indices, in any order, and of its
     verdict on whether every block is a clique. Blocks are listed by
-    (minimum vertex id, sorted vertex tuple), so the decomposition does not
-    depend on the pass or its traversal; the cut-vertices are the vertices
-    in two or more blocks."""
-    # sorted lists compare like the (minimum, sorted tuple) key; indices
-    # follow id order, so mapping them to ids keeps the order
-    ordered = sorted(map(sorted, raw_blocks))
+    their member tuples, that is by (minimum vertex, the rest), so
+    the decomposition does not depend on the pass or its traversal; the
+    cut-vertices are the vertices in two or more blocks."""
+    raw_blocks.sort()
     incidence: list[list[int]] = [[] for _ in range(n)]
-    for i, b in enumerate(ordered):
+    for i, b in enumerate(raw_blocks):
         for x in b:
             incidence[x].append(i)
-    is_cut = [len(bl) >= 2 for bl in incidence]
-    cuts = tuple(compress(range(n), is_cut))
-    local_cuts = tuple(tuple(filter(is_cut.__getitem__, b)) for b in ordered)
-    members = tuple(map(frozenset, ordered))
-    if ids is None:
-        blocks, cut_vertices, block_cuts = members, frozenset(cuts), local_cuts
-    else:
-        blocks = tuple(frozenset([ids[x] for x in b]) for b in ordered)
-        cut_vertices = frozenset(ids[x] for x in cuts)
-        block_cuts = tuple(tuple(ids[x] for x in bc) for bc in local_cuts)
+    cuts = tuple(compress(range(n), [len(bl) >= 2 for bl in incidence]))
+    cut_counts = [0] * len(raw_blocks)
+    for x in cuts:
+        for i in incidence[x]:
+            cut_counts[i] += 1
     return BlockDecomposition(
-        blocks,
-        cut_vertices,
-        block_cuts,
         cliques,
         ids,
-        members,
+        tuple(raw_blocks),
         cuts,
         tuple(map(tuple, incidence)),
+        tuple(cut_counts),
     )
 
 
@@ -278,9 +296,7 @@ def checked_block_decomposition(g: Graph) -> BlockDecomposition:
 def is_pointed(g: Graph) -> bool:
     """True iff every leaf block is an edge block (vacuous without leaf blocks)."""
     bd = block_decomposition(g)
-    return all(
-        len(b) == 2 for b, cuts in zip(bd.blocks, bd.block_cuts) if len(cuts) == 1
-    )
+    return all(len(b) == 2 for b, k in zip(bd.members, bd.cut_counts) if k == 1)
 
 
 def core(g: Graph) -> Graph:
@@ -295,10 +311,13 @@ def core(g: Graph) -> Graph:
     return remove_vertices(g, doomed)
 
 
-def _internal_attachments(bd: BlockDecomposition, internal: set[int], i: int) -> list[int]:
-    """Vertices of block i lying in some other internal block."""
+def _internal_attachments(
+    bd: BlockDecomposition, blocks: tuple[frozenset[int], ...], internal: set[int], i: int
+) -> list[int]:
+    """Vertices of block i lying in some other internal block; blocks is
+    bd.blocks."""
     hits = []
-    for v in sorted(bd.blocks[i]):
+    for v in sorted(blocks[i]):
         for j in bd.blocks_at(v):
             if j != i and j in internal:
                 hits.append(v)
@@ -317,22 +336,23 @@ def find_near_leaf_block(h: Graph) -> NearLeafResult:
     if len(connected_components(h)) != 1:
         raise InputError("near-leaf search requires a connected graph")
     bd = block_decomposition(h)
-    if len(bd.blocks) <= 1:
+    if len(bd.members) <= 1:
         raise InputError("near-leaf search requires more than one block")
     if shape_check(h) == "star":
         raise InputError("near-leaf search is undefined on stars")
     if not is_pointed(h):
         raise InputError("near-leaf search requires a pointed graph")
 
-    internal = {i for i, cuts in enumerate(bd.block_cuts) if len(cuts) >= 2}
+    internal = {i for i, k in enumerate(bd.cut_counts) if k >= 2}
+    blocks = bd.blocks
     best: NearLeafResult | None = None
     best_key: int | None = None
-    for i in sorted(internal, key=lambda i: min(bd.blocks[i])):
-        hits = _internal_attachments(bd, internal, i)
+    for i in sorted(internal, key=lambda i: min(blocks[i])):
+        hits = _internal_attachments(bd, blocks, internal, i)
         if len(hits) > 1:
             continue
         anchor = hits[0] if hits else None
-        key = min(bd.blocks[i])
+        key = min(blocks[i])
         if best is None or key < best_key:
             non_anchor = tuple(v for v in bd.block_cuts[i] if v != anchor)
             best = NearLeafResult(i, anchor, non_anchor)

@@ -414,13 +414,19 @@ def cover_to_dict(c: Cover, traces: list[IterationTrace] | None = None) -> dict:
 
 def cover_from_dict(g: Graph, payload: dict) -> Cover:
     """Cover of g from its JSON form; every vertex id in it must be a JSON
-    integer (not a float, boolean or string)."""
+    integer (not a float, boolean or string), elements must be an array of
+    objects, and size, when present, the number of elements."""
     try:
         kind = payload["kind"]
         if kind not in (COINTERVAL, THRESHOLD):
             raise InputError(f"unknown cover kind {kind!r}")
+        entries = payload["elements"]
+        if type(entries) is not list or not all(type(entry) is dict for entry in entries):
+            raise InputError("cover elements must be a JSON array of objects")
+        if "size" in payload and _json_int(payload["size"], "size") != len(entries):
+            raise InputError(f"cover size {payload['size']} does not match its {len(entries)} elements")
         elements = []
-        for entry in payload["elements"]:
+        for entry in entries:
             vertices = frozenset(_json_int(v, "a vertex") for v in entry["vertices"])
             edges = frozenset(
                 norm_edge(_json_int(a, "an edge endpoint"), _json_int(b, "an edge endpoint"))

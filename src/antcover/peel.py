@@ -75,7 +75,7 @@ def _start_state(bd: BlockDecomposition) -> _Start:
     # singleton blocks are isolated vertices, which no case takes, so they
     # start dead
     alive = [len(b) >= 2 for b in members]
-    bcut = list(map(len, bd.block_cuts))
+    bcut = bd.cut_counts
     is_int = [c >= 2 for c in bcut]
     # nint[v]: internal blocks at v; v attaches its blocks to the internal
     # part of the tree when it has two or more
@@ -89,16 +89,17 @@ def _start_state(bd: BlockDecomposition) -> _Start:
             for i in bd.incidence[x]:
                 catt[i] += 1
 
-    # blocks come by minimum vertex, so each heap below is sorted
+    # blocks come by minimum vertex, which leads each member tuple, so each
+    # heap below is sorted
     bigleaf = []
     nearleaf = []
     for i, b in enumerate(members):
         if bcut[i] == 1 and len(b) >= 3:
-            bigleaf.append((min(b), i))
+            bigleaf.append((b[0], i))
         if is_int[i] and catt[i] <= 1:
-            nearleaf.append((min(b), i))
+            nearleaf.append((b[0], i))
     return _Start(
-        tuple(alive), tuple(bcut), tuple(is_int), tuple(nint), tuple(catt), tuple(bigleaf), tuple(nearleaf)
+        tuple(alive), bcut, tuple(is_int), tuple(nint), tuple(catt), tuple(bigleaf), tuple(nearleaf)
     )
 
 
@@ -110,6 +111,13 @@ class _Peel:
     of index k), so per-vertex lists have n slots; the run is mapped back
     to ids at the end. Index order is id order, so every minimum-id choice
     is the same in both.
+
+    bverts[i] is the set of block i's live members; each run copies these
+    from the decomposition, since every deletion shrinks them. vblocks[x]
+    holds the live blocks at vertex x and starts as the decomposition's
+    own incidence tuple, shared by every run: a deleted vertex's entry
+    becomes (), and a vertex that loses a block and stays alive (the last
+    member of a block that dies) gets a set of its own at that moment.
     """
 
     def __init__(self, g: Graph, bd: BlockDecomposition):
@@ -119,10 +127,8 @@ class _Peel:
         if start is None:
             start = g._peel_start = _start_state(bd)
         self.ids = bd.ids
-        # the member and incidence sets shrink during the run, so each run
-        # takes its own copies; the rest is copied from the start state
         self.bverts: list[set[int]] = list(map(set, bd.members))
-        self.vblocks: list[set[int]] = list(map(set, bd.incidence))
+        self.vblocks: list[tuple[int, ...] | set[int]] = list(bd.incidence)
         self.alive = list(start.alive)
         self.bcut = list(start.bcut)
         self.is_int = list(start.is_int)
@@ -165,6 +171,8 @@ class _Peel:
                 return
             y = members.pop()
             ybl = self.vblocks[y]
+            if type(ybl) is tuple:
+                ybl = self.vblocks[y] = set(ybl)
             ybl.discard(i)
             if len(ybl) != 1:
                 return
@@ -176,7 +184,7 @@ class _Peel:
         at once: each lies in b only, so b is the one block to recheck."""
         vblocks = self.vblocks
         for x in plain:
-            vblocks[x].clear()
+            vblocks[x] = ()
         self.bverts[b] -= plain
         self._recheck_block(b)
 
@@ -190,7 +198,8 @@ class _Peel:
         """
         vbl = self.vblocks[r]
         if len(vbl) == 1:
-            i = vbl.pop()
+            (i,) = vbl
+            self.vblocks[r] = ()
             members = self.bverts[i]
             members.discard(r)
             if len(members) <= 2:
@@ -211,7 +220,7 @@ class _Peel:
             if was_cut:
                 bcut[i] -= 1
             self._recheck_block(i)
-        self.vblocks[r] = set()
+        self.vblocks[r] = ()
 
     # -- queries --------------------------------------------------------
 
@@ -321,6 +330,7 @@ def _peel(
     vblocks, alive = st.vblocks, st.alive
     case_three = _case_three if kind == COINTERVAL else _case_three_threshold
     traces: list[IterationTrace] = []
+    new = tuple.__new__
     n = len(vblocks)
     x = 0  # the sweep's next vertex
 
@@ -346,7 +356,8 @@ def _peel(
             ant_block, apexes, case, chosen, protected, removed, doomed = step
             if elements is not None:
                 elements.append(_ant(g, st, ant_block, apexes))
-            traces.append(IterationTrace(None, case, chosen, protected, apexes, removed, len(traces)))
+            # tuple.__new__ skips the Python-level __new__ of the record
+            traces.append(new(IterationTrace, (None, case, chosen, protected, apexes, removed, len(traces))))
             if set(doomed) != removed:
                 raise InternalInvariantError("removal plan diverges from the trace")
             if case == "2":

@@ -156,11 +156,12 @@ def has_forbidden_threshold_subgraph(g: Graph) -> bool:
 def near_leaf_candidates(g: Graph) -> list[tuple[int, int | None]]:
     """All (block index, anchor) pairs satisfying the near-leaf definition."""
     bd = block_decomposition(g)
+    blocks = bd.blocks
     internal = {i for i, cuts in enumerate(bd.block_cuts) if len(cuts) >= 2}
     found = []
     for i in internal:
         hits = []
-        for v in sorted(bd.blocks[i]):
+        for v in sorted(blocks[i]):
             if any(j != i and j in internal for j in bd.blocks_at(v)):
                 hits.append(v)
         if len(hits) <= 1:

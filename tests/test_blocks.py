@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -215,6 +216,32 @@ def test_clique_tree_pass_matches_hopcroft_tarjan(monkeypatch):
         assert accepted == [verdict] and bd.cliques == verdict
         verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def reference_views(g):
+    """blocks, cut_vertices and block_cuts from scratch: networkx's blocks
+    by sorted member list, and the vertices in two or more of them."""
+    ordered = sorted(sorted(b) for b in networkx_blocks(g))
+    seen = Counter(v for b in ordered for v in b)
+    cuts = frozenset(v for v, k in seen.items() if k >= 2)
+    return tuple(map(frozenset, ordered)), cuts, tuple(tuple(v for v in b if v in cuts) for b in ordered)
+
+
+def test_views_match_a_reference_on_both_passes(monkeypatch):
+    rng = random.Random(16)
+    graphs = [
+        random_block_graph(rng.randint(1, 60), seed=4100 + i, edge_block_prob=rng.random(), max_block=rng.randint(2, 9))
+        for i in range(60)
+    ]
+    graphs += [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(100)]
+    graphs += [disjoint_union(build_graph(3, []), two_triangles()), build_graph(0, [])]
+    for g in graphs:
+        for h in (g, spread_ids(g)):
+            want = reference_views(h)
+            for bd in (blocks._decompose(h), hopcroft_tarjan_index(h, monkeypatch)):
+                block_cuts = bd.block_cuts
+                assert (bd.blocks, bd.cut_vertices, block_cuts) == want
+                assert bd.cut_counts == tuple(map(len, block_cuts))
 
 
 def index_adjacency(g):

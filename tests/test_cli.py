@@ -368,6 +368,31 @@ def test_gen_rejects_an_edge_block_probability_outside_0_1(monkeypatch, capsys, 
     assert "edge block probability" in captured.err and "not in [0, 1]" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "boxrep"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"elements": {}}, "cover elements must be a JSON array of objects"),
+        ({"elements": ""}, "cover elements must be a JSON array of objects"),
+        ({"elements": [1]}, "cover elements must be a JSON array of objects"),
+        ({"size": 3}, "cover size 3 does not match its 2 elements"),
+        ({"size": 2.0}, "size must be a JSON integer, got 2.0"),
+    ],
+)
+def test_cover_file_with_malformed_elements_or_size_exits_2(tmp_path, capsys, command, change, message):
+    gpath = write_graph(tmp_path, path_graph(7))
+    cpath = tmp_path / "cover.json"
+    assert main(["cover", "-i", gpath, "-o", str(cpath)]) == 0
+    payload = json.loads(cpath.read_text())
+    payload.update(change)
+    cpath.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, "-i", gpath, "--cover", str(cpath)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert message in captured.err
+
+
 def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(4))
     bad = tmp_path / "bad.json"

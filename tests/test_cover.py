@@ -56,6 +56,8 @@ from antcover.oracle import (
 from antcover.peel import COINTERVAL, THRESHOLD, peel_count, peel_cover
 from helpers import (
     benchmark_scale_corpus,
+    broom_graph,
+    caterpillar_graph,
     complete_graph,
     cycle_graph,
     engine_run_tuples,
@@ -65,6 +67,7 @@ from helpers import (
     path_graph,
     spider_graph,
     star_graph,
+    triangle_chain_graph,
 )
 
 
@@ -235,6 +238,85 @@ def test_leaf_block_batch_leaves_the_state_of_one_by_one_deletions():
             assert states[0] == states[1]
             checked += 1
         assert checked > 0
+
+
+def test_no_solve_builds_the_id_keyed_views(monkeypatch):
+    """The solvers read the decomposition's index fields only; the views
+    in vertex ids are left to the callers that ask for them."""
+
+    def refuse(bd):
+        raise AssertionError("id-keyed view built")
+
+    for view in ("blocks", "cut_vertices", "block_cuts"):
+        monkeypatch.setattr(blocks.BlockDecomposition, view, property(refuse))
+    for g in golden_corpus().values():
+        for h in (g, relabel_offset(g, 10**9)):
+            assert blocks.is_block_graph(h)
+            coboxicity(h)
+            cothdim(h)
+            for kind in (COINTERVAL, THRESHOLD):
+                for snapshots in (True, False):
+                    min_cover(h, kind, snapshots)
+    with pytest.raises(AssertionError, match="id-keyed view"):
+        blocks.block_decomposition(path_graph(3)).blocks
+
+
+class _CheckedPeel(peel._Peel):
+    """The engine, checking at the start of every iteration that each
+    vertex's block set is shared with the decomposition until the vertex
+    loses a block, and emptied when it is deleted."""
+
+    def __init__(self, g, bd):
+        super().__init__(g, bd)
+        self.bd, self.deleted, self.checks = bd, set(), 0
+
+    def _remove_vertex(self, r):
+        self.deleted.add(r)
+        super()._remove_vertex(r)
+
+    def remove_leaf_members(self, b, plain):
+        self.deleted |= plain
+        super().remove_leaf_members(b, plain)
+
+    def pop_big_leaf(self):
+        live = [set() for _ in self.vblocks]
+        for i, members in enumerate(self.bverts):
+            for x in members:
+                live[x].add(i)
+        for x, held in enumerate(self.vblocks):
+            if x in self.deleted:
+                assert held == () and not live[x]
+            elif live[x] == set(self.bd.incidence[x]):
+                assert held is self.bd.incidence[x]
+            else:
+                assert type(held) is set and held == live[x]
+        self.checks += 1
+        return super().pop_big_leaf()
+
+
+def test_vertex_block_sets_are_copied_only_when_a_block_is_lost(monkeypatch):
+    runs = []
+
+    def checked(g, bd):
+        runs.append(_CheckedPeel(g, bd))
+        return runs[-1]
+
+    monkeypatch.setattr(peel, "_Peel", checked)
+    rng = random.Random(71)
+    graphs = [
+        random_block_graph(rng.randint(2, 80), seed=7100 + i, edge_block_prob=rng.random(), max_block=rng.randint(2, 9))
+        for i in range(40)
+    ]
+    graphs += [path_graph(30), caterpillar_graph(12, 3), broom_graph(15, 8), triangle_chain_graph(14)]
+    for g in graphs:
+        bd = blocks.block_decomposition(g)
+        for kind in (COINTERVAL, THRESHOLD):
+            _, traces = peel_count(g, bd, kind)
+            st = runs[-1]
+            # one check per iteration, and one when no case is left
+            assert st.checks == len(traces) + 1
+            assert st.deleted == set().union(*(t.removed for t in traces))
+    assert len(runs) == 2 * len(graphs)
 
 
 def test_cached_block_index_equals_a_fresh_pass():

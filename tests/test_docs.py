@@ -1,10 +1,12 @@
-"""README claims that code can check: the quick tour and the exit codes."""
+"""README claims that code can check: the quick tour, the exit codes and
+the attributes of the block decomposition."""
 
 import ast
 import re
 from pathlib import Path
 
 from antcover import cli
+from antcover.blocks import BlockDecomposition
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -47,3 +49,10 @@ def _cli_exit_codes() -> list[int]:
 
 def test_readme_and_cli_list_the_same_exit_codes():
     assert _readme_exit_codes() == _cli_exit_codes() == [0, 1, 2, 2, 2, 3, 4]
+
+
+def test_readme_block_decomposition_names_match_the_class():
+    named = set(re.findall(r"`bd\.(\w+)", README))
+    views = {name for name, value in vars(BlockDecomposition).items() if isinstance(value, property)}
+    assert set(BlockDecomposition._fields) | views <= named
+    assert {name for name in named if not hasattr(BlockDecomposition, name)} == set()
