@@ -302,13 +302,13 @@ def is_pointed(g: Graph) -> bool:
 def core(g: Graph) -> Graph:
     """Delete every isolated block and every leaf block except its cut-vertex."""
     bd = block_decomposition(g)
-    doomed: set[int] = set()
+    deleted: set[int] = set()
     for b, cuts in zip(bd.blocks, bd.block_cuts):
         if len(cuts) == 0:
-            doomed |= b
+            deleted |= b
         elif len(cuts) == 1:
-            doomed |= b - {cuts[0]}
-    return remove_vertices(g, doomed)
+            deleted |= b - {cuts[0]}
+    return remove_vertices(g, deleted)
 
 
 def _internal_attachments(

@@ -6,7 +6,9 @@ every iteration is quadratic, so this module maintains blocks,
 cut-vertices, block classes and near-leaf eligibility incrementally under
 vertex deletions. Because blocks of a block graph only ever shrink, every
 maintained quantity is monotone and lazy heaps with revalidation on pop
-are safe.
+are safe. Each iteration deletes its removed set in one batch. At every
+iteration boundary the maintained state is the one the residual graph
+determines, so the order of the deletions inside a batch does not matter.
 
 Every case choice reads only the state of one block, and the components
 of the residual graph evolve independently, so one pair of heaps serves
@@ -40,9 +42,9 @@ class IterationTrace(NamedTuple):
     for each component left, by least vertex. component is the connected
     component of the residual graph that the iteration worked in, without
     isolated vertices; it is rebuilt after the run, and it is None when
-    component snapshots are disabled. removed always matches the vertex
-    set deleted this iteration. A trace is a tuple of its fields, so it
-    equals that plain tuple.
+    component snapshots are disabled. removed is the very set the
+    iteration deletes, in one batch. A trace is a tuple of its fields, so
+    it equals that plain tuple.
     """
 
     component: frozenset[int] | None
@@ -118,6 +120,10 @@ class _Peel:
     own incidence tuple, shared by every run: a deleted vertex's entry
     becomes (), and a vertex that loses a block and stays alive (the last
     member of a block that dies) gets a set of its own at that moment.
+
+    remove_all deletes one iteration's vertex set. The flags, counters
+    and heaps hold their invariants at iteration boundaries; inside the
+    batch they are stale until its rechecks have run.
     """
 
     def __init__(self, g: Graph, bd: BlockDecomposition):
@@ -144,7 +150,9 @@ class _Peel:
         member or a cut. A block that keeps two or more members can only
         stop being internal; a smaller one dies. A block that dies leaves
         its last member y; when y keeps one block, y is no longer a cut and
-        that block is rechecked next."""
+        that block is rechecked next. Inside a deletion batch the internal
+        flags of blocks not yet rechecked may be stale; nint[x] still
+        counts the flagged blocks at x, which is all this reads."""
         alive, bverts, is_int, bcut = self.alive, self.bverts, self.is_int, self.bcut
         while alive[i]:
             members = bverts[i]
@@ -179,48 +187,50 @@ class _Peel:
             (i,) = ybl
             bcut[i] -= 1
 
-    def remove_leaf_members(self, b: int, plain: frozenset[int]) -> None:
-        """Delete the members of big leaf block b other than its cut, all
-        at once: each lies in b only, so b is the one block to recheck."""
-        vblocks = self.vblocks
-        for x in plain:
-            vblocks[x] = ()
-        self.bverts[b] -= plain
-        self._recheck_block(b)
+    def remove_all(self, removed: frozenset[int]) -> None:
+        """Delete the vertex set of one iteration in one pass, then recheck.
 
-    def _remove_vertex(self, r: int) -> None:
-        """Delete r.
-
-        A vertex in one block keeps that block's cut count, and no block
-        stays internal with fewer than two cuts (every bcut decrement is
-        rechecked at once), so only a block left with two members or fewer
-        needs a recheck.
+        A vertex in one block changes no cut count and no attachment, so its
+        block is rechecked only when the pass leaves it fewer than two
+        members. A vertex in several blocks was a cut of each, so their cut
+        counts drop, and when it lay in two or more internal blocks, each of
+        those loses an attachment. After the pass the blocks left with one
+        attachment or none go onto the near-leaf heap, and each touched
+        block still alive is rechecked.
         """
-        vbl = self.vblocks[r]
-        if len(vbl) == 1:
-            (i,) = vbl
-            self.vblocks[r] = ()
-            members = self.bverts[i]
-            members.discard(r)
-            if len(members) <= 2:
-                self._recheck_block(i)
-            return
-        was_cut = len(vbl) >= 2
-        if self.nint[r] >= 2:
-            is_int, catt, bverts = self.is_int, self.catt, self.bverts
+        vblocks, bverts, bcut, nint = self.vblocks, self.bverts, self.bcut, self.nint
+        touched: list[int] = []
+        attached: list[int] = []
+        for r in removed:
+            vbl = vblocks[r]
+            vblocks[r] = ()
+            if len(vbl) == 1:
+                (i,) = vbl
+                members = bverts[i]
+                members.discard(r)
+                if len(members) < 2:
+                    touched.append(i)
+                continue
+            if nint[r] >= 2:
+                is_int, catt = self.is_int, self.catt
+                for i in vbl:
+                    if is_int[i]:
+                        catt[i] -= 1
+                        if catt[i] <= 1:
+                            attached.append(i)
+            nint[r] = 0
             for i in vbl:
-                if is_int[i]:
-                    catt[i] -= 1
-                    if catt[i] <= 1:
-                        heapq.heappush(self.nearleaf, (min(bverts[i]), i))
-        self.nint[r] = 0
-        bverts, bcut = self.bverts, self.bcut
-        for i in vbl:
-            bverts[i].discard(r)
-            if was_cut:
+                bverts[i].discard(r)
                 bcut[i] -= 1
-            self._recheck_block(i)
-        self.vblocks[r] = ()
+            touched += vbl
+        for i in attached:
+            members = bverts[i]
+            if members:
+                heapq.heappush(self.nearleaf, (min(members), i))
+        alive, recheck = self.alive, self._recheck_block
+        for i in touched:
+            if alive[i]:
+                recheck(i)
 
     # -- queries --------------------------------------------------------
 
@@ -293,7 +303,6 @@ class _Peel:
                     x = y
                 if len(vblocks[x]) == 1:
                     leaves.append(x)
-        leaves.sort()
         return leaves
 
 
@@ -326,7 +335,7 @@ def _peel(
     """The cover loop. One element per iteration is appended to elements,
     unless that is None; the traces are returned."""
     st = _Peel(g, bd)
-    remove = st._remove_vertex
+    remove_all = st.remove_all
     vblocks, alive = st.vblocks, st.alive
     case_three = _case_three if kind == COINTERVAL else _case_three_threshold
     traces: list[IterationTrace] = []
@@ -353,23 +362,15 @@ def _peel(
                     if x == n:
                         break
                     step = _case_one(st, x)
-            ant_block, apexes, case, chosen, protected, removed, doomed = step
+            ant_block, apexes, case, chosen, protected, removed = step
             if elements is not None:
                 elements.append(_ant(g, st, ant_block, apexes))
             # tuple.__new__ skips the Python-level __new__ of the record
             traces.append(new(IterationTrace, (None, case, chosen, protected, apexes, removed, len(traces))))
-            if set(doomed) != removed:
-                raise InternalInvariantError("removal plan diverges from the trace")
-            if case == "2":
-                (v,) = apexes
-                st.remove_leaf_members(b, doomed - {v})
-                remove(v)
-            else:
-                for r in doomed:
-                    remove(r)
+            remove_all(removed)
     except InternalInvariantError as exc:
         # the iteration's case is chosen together with its trace, which
-        # traces then holds; until then case is None. Every check runs
+        # traces then holds; until then case is None. The cases check
         # before the iteration deletes anything, so the chosen block's
         # component is still whole.
         least = min(st.component(x if b is None else min(st.bverts[b])))
@@ -450,8 +451,8 @@ def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[I
 
 
 # Each case returns the step of one iteration: (element block, apexes,
-# case, chosen block, protected vertex, removed, the removed vertices in
-# the order they are deleted; for case 2, the block).
+# case, chosen block, protected vertex, removed). removed is both the
+# trace's set and the batch that remove_all deletes.
 
 
 def _ant(g: Graph, st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) -> BigAnt:
@@ -484,13 +485,15 @@ def _case_one(st: _Peel, x: int):
         if len(st.vblocks[center]) != len(verts) - 1:
             raise InternalInvariantError("no near-leaf block in a pointed non-star region")
         block = frozenset({center, min(verts - {center})})
-    return block, (center,), "1", None, None, verts, sorted(verts)
+    return block, (center,), "1", None, None, verts
 
 
 def _case_two(st: _Peel, b: int):
+    """A big leaf block has one cut vertex, its apex."""
     block = frozenset(st.bverts[b])
-    v = next(x for x in sorted(block) if len(st.vblocks[x]) >= 2)
-    return block, (v,), "2", block, None, block, block
+    vblocks = st.vblocks
+    v = next(x for x in block if len(vblocks[x]) >= 2)
+    return block, (v,), "2", block, None, block
 
 
 def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int]:
@@ -499,13 +502,14 @@ def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int]:
     vblocks, nint = st.vblocks, st.nint
     cuts: list[int] = []
     attach = None
-    for x in sorted(block):
+    for x in block:
         if len(vblocks[x]) >= 2:
             cuts.append(x)
         if nint[x] >= 2:
             if attach is not None:
                 raise InternalInvariantError("near-leaf block with several internal attachments")
             attach = x
+    cuts.sort()
     return cuts, cuts[0] if attach is None else attach
 
 
@@ -515,27 +519,14 @@ def _case_three(st: _Peel, b: int):
     if len(cuts) == 2:
         u = cuts[0] if cuts[1] == v else cuts[1]
         removed = frozenset(block | st.residual_neighbors(u))
-        plain = st.pendant_leaves(u)
-        if len(block) > 2:
-            plain += sorted(block - {u, v})
-        plain += (u, v)
-        return block, (u, v), "3a", block, v, removed, plain
+        return block, (u, v), "3a", block, v, removed
     rest = [c for c in cuts if c != v]
     u, w = rest[0], rest[1]
     if len(cuts) == 3:
         removed = frozenset((block | st.residual_neighbors(u) | st.residual_neighbors(w)) - {v})
-        plain = (
-            st.pendant_leaves(u)
-            + st.pendant_leaves(w)
-            + sorted(block - set(cuts))
-            + [u, w]
-        )
     else:
-        s_u = st.pendant_leaves(u)
-        s_w = st.pendant_leaves(w)
-        removed = frozenset(set(s_u) | set(s_w) | {u, w})
-        plain = s_u + s_w + [u, w]
-    return block, (u, w), "3b", block, v, removed, plain
+        removed = frozenset((*st.pendant_leaves(u), *st.pendant_leaves(w), u, w))
+    return block, (u, w), "3b", block, v, removed
 
 
 def _case_three_threshold(st: _Peel, b: int):
@@ -544,11 +535,5 @@ def _case_three_threshold(st: _Peel, b: int):
     u = cuts[1] if cuts[0] == v else cuts[0]
     if len(cuts) == 2:
         removed = frozenset((block | st.residual_neighbors(u)) - {v})
-        plain = st.pendant_leaves(u)
-        if len(block) > 2:
-            plain += sorted(block - {u, v})
-        plain.append(u)
-        return block, (u,), "3*-2cuts", block, v, removed, plain
-    s_u = st.pendant_leaves(u)
-    removed = frozenset(set(s_u) | {u})
-    return block, (u,), "3*-many", block, v, removed, s_u + [u]
+        return block, (u,), "3*-2cuts", block, v, removed
+    return block, (u,), "3*-many", block, v, frozenset((*st.pendant_leaves(u), u))

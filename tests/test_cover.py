@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from itertools import compress
 
 import pytest
 
@@ -215,31 +216,6 @@ def test_block_graphs_are_solved_without_hopcroft_tarjan(monkeypatch):
         blocks.is_block_graph(cycle_graph(4))
 
 
-def test_leaf_block_batch_leaves_the_state_of_one_by_one_deletions():
-    """Deleting a big leaf block's non-cut members together leaves the
-    engine as deleting them one by one does."""
-    triangle_on_a_path = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
-    for g in (random_block_graph(400, seed=9, edge_block_prob=0.3, max_block=9), triangle_on_a_path):
-        bd = blocks.block_decomposition(g)
-        checked = 0
-        for b, (block, cuts) in enumerate(zip(bd.blocks, bd.block_cuts)):
-            if len(cuts) != 1 or len(block) < 3:
-                continue
-            states = []
-            for batch in (False, True):
-                st = peel._Peel(g, bd)
-                plain = frozenset(x for x in st.bverts[b] if len(st.vblocks[x]) == 1)
-                if batch:
-                    st.remove_leaf_members(b, plain)
-                else:
-                    for x in sorted(plain):
-                        st._remove_vertex(x)
-                states.append(vars(st))
-            assert states[0] == states[1]
-            checked += 1
-        assert checked > 0
-
-
 def test_no_solve_builds_the_id_keyed_views(monkeypatch):
     """The solvers read the decomposition's index fields only; the views
     in vertex ids are left to the callers that ask for them."""
@@ -270,13 +246,9 @@ class _CheckedPeel(peel._Peel):
         super().__init__(g, bd)
         self.bd, self.deleted, self.checks = bd, set(), 0
 
-    def _remove_vertex(self, r):
-        self.deleted.add(r)
-        super()._remove_vertex(r)
-
-    def remove_leaf_members(self, b, plain):
-        self.deleted |= plain
-        super().remove_leaf_members(b, plain)
+    def remove_all(self, removed):
+        self.deleted |= removed
+        super().remove_all(removed)
 
     def pop_big_leaf(self):
         live = [set() for _ in self.vblocks]
@@ -294,29 +266,115 @@ class _CheckedPeel(peel._Peel):
         return super().pop_big_leaf()
 
 
-def test_vertex_block_sets_are_copied_only_when_a_block_is_lost(monkeypatch):
-    runs = []
+def _recount_mismatches(st, bd):
+    """Where the engine's state differs from a recount of the residual
+    graph: the live members of each block of the decomposition, without
+    the deleted vertices (those whose block set was emptied). Each entry
+    names the field, the block or vertex, the engine's value and the
+    recount's."""
+    gone = [held == () for held in st.vblocks]
+    live = [[x for x in b if not gone[x]] for b in bd.members]
+    alive = [len(m) >= 2 for m in live]
+    at = [set() for _ in gone]  # the live blocks at each vertex
+    for i in compress(range(len(live)), alive):
+        for x in live[i]:
+            at[x].add(i)
+    bcut = [sum(len(at[x]) >= 2 for x in m) for m in live]
+    is_int = [a and c >= 2 for a, c in zip(alive, bcut)]
+    nint = [sum(is_int[i] for i in held) for held in at]
+    catt = [f and sum(nint[x] >= 2 for x in m) for f, m in zip(is_int, live)]
+    out = [("alive", i, st.alive[i], a) for i, a in enumerate(alive) if st.alive[i] != a]
+    for i in compress(range(len(live)), alive):
+        out += [
+            (name, i, mine, theirs)
+            for name, mine, theirs in (
+                ("members", st.bverts[i], set(live[i])),
+                ("bcut", st.bcut[i], bcut[i]),
+                ("is_int", st.is_int[i], is_int[i]),
+            )
+            if mine != theirs
+        ]
+        if is_int[i] and st.catt[i] != catt[i]:
+            out.append(("catt", i, st.catt[i], catt[i]))
+    for x, held in enumerate(at):
+        if held and set(st.vblocks[x]) != held:
+            out.append(("vblocks", x, st.vblocks[x], held))
+        if held and st.nint[x] != nint[x]:
+            out.append(("nint", x, st.nint[x], nint[x]))
+    # every eligible block has a heap entry keyed at most its least member
+    for heap, name, eligible in (
+        (st.bigleaf, "bigleaf", [a and c == 1 and len(m) >= 3 for a, c, m in zip(alive, bcut, live)]),
+        (st.nearleaf, "nearleaf", [f and c <= 1 for f, c in zip(is_int, catt)]),
+    ):
+        keys = {}
+        for key, i in heap:
+            keys[i] = min(key, keys.get(i, key))
+        for i in compress(range(len(live)), eligible):
+            key, least = keys.get(i), min(live[i])
+            if key is None or key > least:
+                out.append((name, i, key, least))
+    return out
 
-    def checked(g, bd):
-        runs.append(_CheckedPeel(g, bd))
-        return runs[-1]
 
-    monkeypatch.setattr(peel, "_Peel", checked)
+class _RecountedPeel(peel._Peel):
+    """The engine, comparing at the start of every iteration the state it
+    maintains with a recount from scratch."""
+
+    def __init__(self, g, bd):
+        super().__init__(g, bd)
+        self.bd, self.checks = bd, 0
+
+    def pop_big_leaf(self):
+        assert _recount_mismatches(self, self.bd) == []
+        self.checks += 1
+        return super().pop_big_leaf()
+
+
+def _checked_graphs():
     rng = random.Random(71)
     graphs = [
         random_block_graph(rng.randint(2, 80), seed=7100 + i, edge_block_prob=rng.random(), max_block=rng.randint(2, 9))
         for i in range(40)
     ]
-    graphs += [path_graph(30), caterpillar_graph(12, 3), broom_graph(15, 8), triangle_chain_graph(14)]
+    return graphs + [path_graph(30), caterpillar_graph(12, 3), broom_graph(15, 8), triangle_chain_graph(14)]
+
+
+def _checked_runs(monkeypatch, engine, graphs):
+    """Count runs of both kinds over graphs on the given engine class, as
+    (engine, traces) pairs; the engine checks itself once per iteration
+    and once when no case is left."""
+    runs = []
+
+    def make(g, bd):
+        runs.append(engine(g, bd))
+        return runs[-1]
+
+    monkeypatch.setattr(peel, "_Peel", make)
+    out = []
     for g in graphs:
         bd = blocks.block_decomposition(g)
         for kind in (COINTERVAL, THRESHOLD):
             _, traces = peel_count(g, bd, kind)
-            st = runs[-1]
-            # one check per iteration, and one when no case is left
-            assert st.checks == len(traces) + 1
-            assert st.deleted == set().union(*(t.removed for t in traces))
-    assert len(runs) == 2 * len(graphs)
+            assert runs[-1].checks == len(traces) + 1
+            out.append((runs[-1], traces))
+    assert len(runs) == len(out) == 2 * len(graphs)
+    return out
+
+
+def test_vertex_block_sets_are_copied_only_when_a_block_is_lost(monkeypatch):
+    for st, traces in _checked_runs(monkeypatch, _CheckedPeel, _checked_graphs()):
+        assert st.deleted == set().union(*(t.removed for t in traces))
+
+
+def test_engine_state_equals_a_recount_at_every_iteration(monkeypatch):
+    """Each iteration deletes its removed set in one batch, and the state
+    it leaves for the next is the one the residual graph determines."""
+    union = disjoint_union(disjoint_union(random_block_graph(60, seed=72), build_graph(1, [])), caterpillar_graph(8, 2))
+    graphs = _checked_graphs() + [relabel_offset(union, 10**6)]
+    for st, traces in _checked_runs(monkeypatch, _RecountedPeel, graphs):
+        ids = st.ids or range(len(st.vblocks))
+        deleted = {ids[x] for x, held in enumerate(st.vblocks) if held == ()}
+        assert deleted == set().union(*(t.removed for t in traces))
 
 
 def test_cached_block_index_equals_a_fresh_pass():
@@ -907,17 +965,19 @@ def test_invariant_failure_names_iteration_region_and_case(monkeypatch, tmp_path
     g = random_block_graph(40, seed=1)
     traces = min_cointerval_cover(g)[1]
     first = next(t for t, tr in enumerate(traces) if tr.case_taken == "2")
-    original = peel._case_two
+    original = peel._Peel.remove_all
 
-    def wrong_plan(st, b):
-        step = original(st, b)
-        return step[:5] + (step[5] | {-1},) + step[6:]
+    def faulty(st, removed):
+        # the first case-2 deletion fails before it deletes anything
+        if removed == traces[first].removed:
+            raise InternalInvariantError("injected")
+        original(st, removed)
 
-    monkeypatch.setattr(peel, "_case_two", wrong_plan)
+    monkeypatch.setattr(peel._Peel, "remove_all", faulty)
     with pytest.raises(InternalInvariantError) as info:
         min_cointerval_cover(g)
     message = str(info.value)
-    assert "removal plan diverges" in message
+    assert message.startswith("injected (")
     assert f"iteration {first}," in message and message.endswith("case 2)")
     assert "region " in message
 

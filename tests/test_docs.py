@@ -1,11 +1,11 @@
-"""README claims that code can check: the quick tour, the exit codes and
-the attributes of the block decomposition."""
+"""README claims that code can check: the quick tour, the exit codes, the
+attributes of the block decomposition and the peel engine names."""
 
 import ast
 import re
 from pathlib import Path
 
-from antcover import cli
+from antcover import cli, peel
 from antcover.blocks import BlockDecomposition
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -56,3 +56,15 @@ def test_readme_block_decomposition_names_match_the_class():
     views = {name for name, value in vars(BlockDecomposition).items() if isinstance(value, property)}
     assert set(BlockDecomposition._fields) | views <= named
     assert {name for name in named if not hasattr(BlockDecomposition, name)} == set()
+
+
+def test_readme_peel_names_exist():
+    """Every `_Peel.<name>` and `peel.<name>` README names is a method of
+    the engine or a function of its module, and README names none of the
+    deletion code that the batch replaced."""
+    named = re.findall(r"`(_Peel|peel)\.(\w+)", README)
+    assert ("_Peel", "remove_all") in named
+    owner = {"_Peel": peel._Peel, "peel": peel}
+    assert [(o, name) for o, name in named if not hasattr(owner[o], name)] == []
+    for gone in ("_remove_vertex", "remove_leaf_members", "removal plan"):
+        assert gone not in README

@@ -8,18 +8,22 @@ stays deterministic.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antcover import graph
+from antcover import cli, graph
 from antcover.blocks import block_decomposition
 from antcover.cover import (
+    Cover,
     box_to_dict,
     coboxicity,
     cothdim,
     cover_to_box_representation,
+    cover_to_dict,
     min_cover,
     validate_run,
     verify_cover,
@@ -29,6 +33,7 @@ from antcover.errors import InputError
 from antcover.graph import (
     MAX_VERTICES,
     build_graph,
+    norm_edge,
     disjoint_union,
     relabel_offset,
     serialize_edgelist,
@@ -84,6 +89,54 @@ def test_engine_agrees_with_its_references(g):
     if g.vertex_count <= ORACLE_LIMIT:
         assert coboxicity(g) == brute_coboxicity(g)
         assert cothdim(g) == brute_cothdim(g)
+
+
+def _cli_verify(g, cover):
+    """The exit code of the verify command on g and cover, read from files,
+    or None when g's ids are not 0..n-1, which no graph file can hold."""
+    if g.vertices != set(range(g.vertex_count)):
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath, cpath = Path(tmp, "g.txt"), Path(tmp, "c.json")
+        gpath.write_text(serialize_edgelist(g))
+        cpath.write_text(json.dumps(cover_to_dict(cover)))
+        return cli.main(["verify", "-i", str(gpath), "--cover", str(cpath)])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(block_graphs(), st.sampled_from((COINTERVAL, THRESHOLD)), st.data())
+def test_tampered_covers_are_caught(g, kind, data):
+    """A computed cover with one edge dropped from an element leaves that
+    edge uncovered unless another element holds it; an element given an
+    edge the host lacks is named as no subgraph, and the edges only it
+    held go uncovered. The verify command exits 1 on each invalid cover."""
+    cover, _ = min_cover(g, kind, False)
+    if not cover.elements:
+        return
+    elements = cover.elements
+    i = data.draw(st.integers(0, len(elements) - 1), label="element")
+    el = elements[i]
+
+    def with_element(tampered):
+        return Cover(g, (*elements[:i], tampered, *elements[i + 1:]), kind)
+
+    edge = data.draw(st.sampled_from(sorted(el.edges)), label="dropped edge")
+    elsewhere = set().union(*(other.edges for k, other in enumerate(elements) if k != i))
+    dropped = with_element(el._replace(edges=el.edges - {edge}))
+    report = verify_cover(g, dropped)
+    assert report.uncovered == {edge} - elsewhere
+    assert report.not_subgraphs == ()
+    assert _cli_verify(g, dropped) in (None, 0 if report.valid else 1)
+
+    a = data.draw(st.sampled_from(sorted(el.vertices)), label="endpoint in the element")
+    outside = max(g.vertices) + 1
+    b = data.draw(
+        st.sampled_from(sorted(g.vertices - g.neighbors(a) - {a}) + [outside]), label="non-neighbour"
+    )
+    added = with_element(el._replace(vertices=el.vertices | {b}, edges=el.edges | {norm_edge(a, b)}))
+    report = verify_cover(g, added)
+    assert report.not_subgraphs == (i,) and report.uncovered == el.edges - elsewhere
+    assert _cli_verify(g, added) in (None, 1)
 
 
 # Edge-list text mutations. The content ones keep the canonical form (digits,
