@@ -9,16 +9,10 @@ from importlib import import_module
 
 _EXPORTS = {
     "blocks": (
-        "BlockClass",
         "BlockDecomposition",
-        "NearLeafResult",
         "block_cut_tree_dot",
         "block_decomposition",
-        "classify_blocks",
-        "core",
-        "find_near_leaf_block",
         "is_block_graph",
-        "is_pointed",
     ),
     "cointerval": (
         "BigAnt",
@@ -56,14 +50,11 @@ _EXPORTS = {
     "graph": (
         "Graph",
         "build_graph",
-        "connected_components",
         "disjoint_union",
         "parse_edgelist",
         "parse_structured",
-        "remove_vertices",
         "serialize_edgelist",
         "serialize_structured",
-        "shape_check",
     ),
     "peel": ("IterationTrace",),
     "oracle": (

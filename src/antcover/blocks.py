@@ -1,4 +1,4 @@
-"""Block decomposition, block-cut tree, block classes, core, near-leaf blocks."""
+"""Block decomposition, the block-graph check and the block-cut tree."""
 
 from __future__ import annotations
 
@@ -6,15 +6,8 @@ from bisect import bisect_left
 from itertools import compress
 from typing import NamedTuple
 
-from .errors import InputError, NotBlockGraphError
-from .graph import (
-    Graph,
-    compact_ids,
-    connected_components,
-    missing_clique_pair,
-    remove_vertices,
-    shape_check,
-)
+from .errors import NotBlockGraphError
+from .graph import Graph, compact_ids, missing_clique_pair
 
 
 class BlockDecomposition(NamedTuple):
@@ -79,18 +72,6 @@ class BlockDecomposition(NamedTuple):
         """Indices of the blocks containing vertex v, in increasing order."""
         k = self.position(v)
         return () if k is None else self.incidence[k]
-
-
-class BlockClass(NamedTuple):
-    kind: str  # "isolated", "leaf" or "internal"
-    is_edge_block: bool
-    cut_vertices_of_block: frozenset[int]
-
-
-class NearLeafResult(NamedTuple):
-    block_index: int
-    anchor: int | None
-    non_anchor_cut_vertices: tuple[int, ...]
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -265,16 +246,6 @@ def _index(
     )
 
 
-def classify_blocks(bd: BlockDecomposition) -> list[BlockClass]:
-    """One BlockClass per block, aligned with bd.blocks."""
-    out = []
-    for b, cuts in zip(bd.blocks, bd.block_cuts):
-        k = len(cuts)
-        kind = "isolated" if k == 0 else ("leaf" if k == 1 else "internal")
-        out.append(BlockClass(kind, len(b) == 2, frozenset(cuts)))
-    return out
-
-
 def is_block_graph(g: Graph) -> bool:
     """True iff every block induces a clique."""
     return block_decomposition(g).cliques
@@ -291,75 +262,6 @@ def checked_block_decomposition(g: Graph) -> BlockDecomposition:
         u, v = next(filter(None, (missing_clique_pair(g, b) for b in bd.blocks)))
         raise NotBlockGraphError(f"block containing {u} and {v} is not a clique")
     return bd
-
-
-def is_pointed(g: Graph) -> bool:
-    """True iff every leaf block is an edge block (vacuous without leaf blocks)."""
-    bd = block_decomposition(g)
-    return all(len(b) == 2 for b, k in zip(bd.members, bd.cut_counts) if k == 1)
-
-
-def core(g: Graph) -> Graph:
-    """Delete every isolated block and every leaf block except its cut-vertex."""
-    bd = block_decomposition(g)
-    deleted: set[int] = set()
-    for b, cuts in zip(bd.blocks, bd.block_cuts):
-        if len(cuts) == 0:
-            deleted |= b
-        elif len(cuts) == 1:
-            deleted |= b - {cuts[0]}
-    return remove_vertices(g, deleted)
-
-
-def _internal_attachments(
-    bd: BlockDecomposition, blocks: tuple[frozenset[int], ...], internal: set[int], i: int
-) -> list[int]:
-    """Vertices of block i lying in some other internal block; blocks is
-    bd.blocks."""
-    hits = []
-    for v in sorted(blocks[i]):
-        for j in bd.blocks_at(v):
-            if j != i and j in internal:
-                hits.append(v)
-                break
-    return hits
-
-
-def find_near_leaf_block(h: Graph) -> NearLeafResult:
-    """Pick the near-leaf block of h with minimum contained vertex id.
-
-    A near-leaf block is an internal block whose internal block neighbours
-    all attach at one shared cut-vertex (the anchor), or whose neighbours
-    are all leaf blocks (no anchor). Requires h connected, pointed, more
-    than one block and not a star.
-    """
-    if len(connected_components(h)) != 1:
-        raise InputError("near-leaf search requires a connected graph")
-    bd = block_decomposition(h)
-    if len(bd.members) <= 1:
-        raise InputError("near-leaf search requires more than one block")
-    if shape_check(h) == "star":
-        raise InputError("near-leaf search is undefined on stars")
-    if not is_pointed(h):
-        raise InputError("near-leaf search requires a pointed graph")
-
-    internal = {i for i, k in enumerate(bd.cut_counts) if k >= 2}
-    blocks = bd.blocks
-    best: NearLeafResult | None = None
-    best_key: int | None = None
-    for i in sorted(internal, key=lambda i: min(blocks[i])):
-        hits = _internal_attachments(bd, blocks, internal, i)
-        if len(hits) > 1:
-            continue
-        anchor = hits[0] if hits else None
-        key = min(blocks[i])
-        if best is None or key < best_key:
-            non_anchor = tuple(v for v in bd.block_cuts[i] if v != anchor)
-            best = NearLeafResult(i, anchor, non_anchor)
-            best_key = key
-    if best is None:
-        raise InputError("graph has no near-leaf block")
-    return best
 
 
 def block_cut_tree_dot(bd: BlockDecomposition) -> str:

@@ -116,11 +116,7 @@ def export_dot(g: Graph, c: Cover | None = None) -> str:
 
 def _cmd_value(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if args.with_cover:
-        cover, traces = min_cover(g, args.kind)
-        value = len(cover.elements)
-    else:
-        value = (cothdim if args.kind == THRESHOLD else coboxicity)(g)
+    value = (cothdim if args.kind == THRESHOLD else coboxicity)(g)
     if args.oracle:
         from .oracle import brute_coboxicity, brute_cothdim
 
@@ -130,8 +126,6 @@ def _cmd_value(args: argparse.Namespace) -> int:
         if brute != value:
             raise InternalInvariantError("algorithm disagrees with the exact oracle")
     _print(value)
-    if args.with_cover:
-        _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
     return 0
 
 
@@ -217,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_value, kind=kind)
         add_input(p)
         p.add_argument("--oracle", action="store_true", help="cross-check against the exact oracle")
-        p.add_argument("--cover", dest="with_cover", action="store_true", help="also emit the cover as JSON")
-        p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("cover", help="emit a minimum cover with iteration traces")
     p.set_defaults(handler=_cmd_cover)

@@ -299,7 +299,10 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
             raise InputError(f"iteration {t} removed vertices twice")
         if trace.component is not None and not trace.removed <= trace.component:
             raise InputError(f"iteration {t} removed outside its component")
-        element = cover.elements[trace.added_element_index]
+        index = trace.added_element_index
+        if not 0 <= index < len(cover.elements):
+            raise InputError(f"iteration {t} names element {index}, not in the cover")
+        element = cover.elements[index]
         if not trace.removed <= element.vertices:
             raise InputError(f"iteration {t} removed vertices outside its element")
         progress = False

@@ -86,9 +86,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self._adj.get(u)
         return nbrs is not None and v in nbrs
@@ -167,57 +164,6 @@ def missing_clique_pair(g: Graph, vertices: Iterable[int]) -> Edge | None:
             if b not in nbrs:
                 return (a, b)
     return None
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, sorted by minimum vertex id."""
-    seen: set[int] = set()
-    comps = []
-    for root in sorted(g.vertices):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def remove_vertices(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph after deleting the vertices in s (ids preserved)."""
-    s_set = set(s)
-    unknown = s_set - g.vertices
-    if unknown:
-        raise InputError(f"unknown vertices {sorted(unknown)}")
-    return g.induced(g.vertices - s_set)
-
-
-def shape_check(g: Graph) -> str:
-    """Classify a connected graph with at least one edge.
-
-    Returns "clique" when all pairs are adjacent, "star" when one center
-    is adjacent to all others and no other pair is adjacent, else
-    "neither". Ties go to clique, so K2 reports clique.
-    """
-    n = g.vertex_count
-    if g.edge_count == 0:
-        raise InputError("shape_check requires at least one edge")
-    if len(connected_components(g)) != 1:
-        raise InputError("shape_check requires a connected graph")
-    if all(g.degree(v) == n - 1 for v in g.vertices):
-        return "clique"
-    centers = [v for v in g.vertices if g.degree(v) == n - 1]
-    if centers:
-        center = centers[0]
-        if all(g.degree(v) == 1 for v in g.vertices if v != center):
-            return "star"
-    return "neither"
 
 
 def relabel_offset(g: Graph, offset: int) -> Graph:

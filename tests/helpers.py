@@ -6,9 +6,10 @@ import itertools
 import random
 
 from antcover.acceptance import free_trees, path_graph, random_graph  # noqa: F401 (re-exported)
-from antcover.blocks import block_decomposition, find_near_leaf_block
-from antcover.graph import Graph, build_graph, connected_components, norm_edge, shape_check
+from antcover.blocks import block_decomposition
 from antcover.cover import min_cointerval_cover, min_threshold_cover
+from antcover.errors import InputError
+from antcover.graph import Graph, build_graph, norm_edge
 
 
 def star_graph(leaves: int) -> Graph:
@@ -108,6 +109,48 @@ def benchmark_scale_corpus() -> dict[str, Graph]:
     }
 
 
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Vertex sets of the connected components, sorted by minimum vertex id."""
+    seen: set[int] = set()
+    comps = []
+    for root in sorted(g.vertices):
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def shape_check(g: Graph) -> str:
+    """Classify a connected graph with at least one edge.
+
+    Returns "clique" when all pairs are adjacent, "star" when one center
+    is adjacent to all others and no other pair is adjacent, else
+    "neither". Ties go to clique, so K2 reports clique.
+    """
+    n = g.vertex_count
+    if g.edge_count == 0:
+        raise InputError("shape_check requires at least one edge")
+    if len(connected_components(g)) != 1:
+        raise InputError("shape_check requires a connected graph")
+    if all(g.degree(v) == n - 1 for v in g.vertices):
+        return "clique"
+    centers = [v for v in g.vertices if g.degree(v) == n - 1]
+    if centers:
+        center = centers[0]
+        if all(g.degree(v) == 1 for v in g.vertices if v != center):
+            return "star"
+    return "neither"
+
+
 def spider_graph() -> Graph:
     """Triangle 0,1,2 with one pendant edge at each triangle vertex."""
     return build_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
@@ -169,6 +212,13 @@ def near_leaf_candidates(g: Graph) -> list[tuple[int, int | None]]:
     return found
 
 
+def least_near_leaf(g: Graph) -> tuple[int, int | None]:
+    """The near-leaf (block index, anchor) pair whose block comes first by
+    (least vertex, block index), the key of the engine's near-leaf heap."""
+    blocks = block_decomposition(g).blocks
+    return min(near_leaf_candidates(g), key=lambda c: (min(blocks[c[0]]), c[0]))
+
+
 def _clique_edges(block):
     members = sorted(block)
     return {(a, b) for i, a in enumerate(members) for b in members[i + 1:]}
@@ -186,7 +236,7 @@ def _naive_turn(g: Graph, region) -> tuple[int, int]:
     big = [min(b) for b, cuts in zip(bd.blocks, bd.block_cuts) if len(cuts) == 1 and len(b) >= 3]
     if big:
         return 0, min(big)
-    return 1, min(bd.blocks[find_near_leaf_block(h).block_index])
+    return 1, min(bd.blocks[least_near_leaf(h)[0]])
 
 
 def naive_cover(g: Graph, kind: str):
@@ -235,10 +285,10 @@ def naive_cover(g: Graph, kind: str):
                 el = (bl, v, v, frozenset(bl | nres), eset)
                 case, chosen, prot, apex, removed = "2", bl, None, (v,), set(bl)
             else:
-                nl = find_near_leaf_block(h)
-                bl = bd.blocks[nl.block_index]
-                cuts = list(bd.block_cuts[nl.block_index])
-                v = nl.anchor if nl.anchor is not None else cuts[0]
+                qi, anchor = least_near_leaf(h)
+                bl = bd.blocks[qi]
+                cuts = list(bd.block_cuts[qi])
+                v = anchor if anchor is not None else cuts[0]
                 if kind == "cointerval":
                     if len(cuts) == 2:
                         u = next(c for c in cuts if c != v)

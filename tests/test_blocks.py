@@ -1,4 +1,4 @@
-"""Block decomposition, classification, core and near-leaf detection."""
+"""Block decomposition, the block-graph check, the block-cut tree and near-leaf blocks."""
 
 import itertools
 import random
@@ -13,24 +13,21 @@ from antcover.blocks import (
     block_cut_tree_dot,
     block_decomposition,
     checked_block_decomposition,
-    classify_blocks,
-    core,
-    find_near_leaf_block,
     is_block_graph,
-    is_pointed,
 )
-from antcover.errors import InputError, NotBlockGraphError
+from antcover.errors import NotBlockGraphError
 from antcover.generate import random_block_graph
-from antcover.graph import Graph, build_graph, connected_components, disjoint_union, remove_vertices
+from antcover.graph import Graph, build_graph, disjoint_union
 from helpers import (
     complete_graph,
+    connected_components,
     cycle_graph,
     free_trees,
+    least_near_leaf,
     near_leaf_candidates,
     path_graph,
     random_graph,
     spider_graph,
-    star_graph,
 )
 
 
@@ -59,7 +56,7 @@ def test_decomposition_two_triangles_vs_articulation_scan():
     cuts = {
         v
         for v in g.vertices
-        if len(connected_components(remove_vertices(g, {v}))) > base
+        if len(connected_components(g.induced(g.vertices - {v}))) > base
     }
     assert bd.cut_vertices == cuts
 
@@ -101,18 +98,6 @@ def test_edge_partition_over_blocks():
                 if g.has_edge(u, v)
             )
         assert total == g.edge_count
-
-
-def test_classify_blocks():
-    assert [(c.kind, c.is_edge_block) for c in classify_blocks(block_decomposition(path_graph(4)))] == [
-        ("leaf", True),
-        ("internal", True),
-        ("leaf", True),
-    ]
-    k5 = classify_blocks(block_decomposition(complete_graph(5)))
-    assert [(c.kind, c.is_edge_block) for c in k5] == [("isolated", False)]
-    p5 = classify_blocks(block_decomposition(path_graph(5)))
-    assert [c.kind for c in p5] == ["leaf", "internal", "internal", "leaf"]
 
 
 def test_is_block_graph():
@@ -305,34 +290,6 @@ def test_not_block_graph_error_names_a_missing_pair_of_one_block():
     assert rejected > 50
 
 
-def test_is_pointed():
-    assert is_pointed(path_graph(5))
-    triangle_pendant = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    assert not is_pointed(triangle_pendant)
-    assert is_pointed(complete_graph(5))
-
-
-def test_core_examples():
-    assert core(path_graph(5)) == path_graph(5).induced({1, 2, 3})
-    assert core(complete_graph(5)).vertex_count == 0
-    c = core(star_graph(4))
-    assert set(c.vertices) == {0} and c.edge_count == 0
-
-
-def test_core_blocks_are_internal_blocks():
-    rng = random.Random(9)
-    for _ in range(120):
-        g = random_graph(rng.randint(1, 10), rng.random(), rng)
-        bd = block_decomposition(g)
-        internal = {
-            b for b, cuts in zip(bd.blocks, bd.block_cuts) if len(cuts) >= 2
-        }
-        core_blocks = {
-            b for b in block_decomposition(core(g)).blocks if len(b) >= 2
-        }
-        assert core_blocks == internal
-
-
 def test_leaf_block_exists_in_multiblock_components():
     rng = random.Random(10)
     checked = 0
@@ -360,19 +317,17 @@ def test_near_leaf_exists_iff_internal_block_exists():
 
 
 def test_near_leaf_path():
-    res = find_near_leaf_block(path_graph(5))
-    bd = block_decomposition(path_graph(5))
-    assert bd.blocks[res.block_index] == {1, 2}
-    assert res.anchor == 2
-    assert res.non_anchor_cut_vertices == (1,)
+    g = path_graph(5)
+    i, anchor = least_near_leaf(g)
+    assert block_decomposition(g).blocks[i] == {1, 2}
+    assert anchor == 2
 
 
 def test_near_leaf_spider_has_no_anchor():
-    res = find_near_leaf_block(spider_graph())
-    bd = block_decomposition(spider_graph())
-    assert bd.blocks[res.block_index] == {0, 1, 2}
-    assert res.anchor is None
-    assert set(res.non_anchor_cut_vertices) == {0, 1, 2}
+    g = spider_graph()
+    i, anchor = least_near_leaf(g)
+    assert block_decomposition(g).blocks[i] == {0, 1, 2}
+    assert anchor is None
 
 
 def test_near_leaf_two_triangle_chain():
@@ -384,41 +339,9 @@ def test_near_leaf_two_triangle_chain():
         (4, 5), (4, 6), (5, 6), (5, 10), (6, 11),   # second triangle
     ]
     g = build_graph(12, edges)
-    res = find_near_leaf_block(g)
-    bd = block_decomposition(g)
-    assert bd.blocks[res.block_index] == {0, 1, 2}
-    assert res.anchor == 2
-    assert (res.block_index, res.anchor) in near_leaf_candidates(g)
-
-
-def test_near_leaf_choice_is_minimum_qualifying_block():
-    rng = random.Random(12)
-    checked = 0
-    for i in range(150):
-        g = random_block_graph(rng.randint(4, 14), seed=500 + i)
-        bd = block_decomposition(g)
-        try:
-            res = find_near_leaf_block(g)
-        except InputError:
-            continue  # clique, star or unpointed instance
-        checked += 1
-        cands = near_leaf_candidates(g)
-        assert (res.block_index, res.anchor) in cands
-        best = min(min(bd.blocks[i]) for i, _ in cands)
-        assert min(bd.blocks[res.block_index]) == best
-    assert checked > 30
-
-
-def test_near_leaf_preconditions():
-    with pytest.raises(InputError):
-        find_near_leaf_block(complete_graph(4))  # single block
-    with pytest.raises(InputError):
-        find_near_leaf_block(star_graph(3))  # star
-    with pytest.raises(InputError):
-        find_near_leaf_block(build_graph(4, [(0, 1), (2, 3)]))  # disconnected
-    triangle_pendant = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    with pytest.raises(InputError):
-        find_near_leaf_block(triangle_pendant)  # not pointed
+    i, anchor = least_near_leaf(g)
+    assert block_decomposition(g).blocks[i] == {0, 1, 2}
+    assert anchor == 2
 
 
 def test_block_cut_tree_dot():

@@ -45,6 +45,7 @@ def test_cover_emit_and_verify_round_trip(tmp_path, capsys):
     payload = json.loads(Path(cpath).read_text())
     assert payload["kind"] == "cointerval" and payload["size"] == 2
     assert len(payload["traces"]) == 2
+    assert all(t["component"] for t in payload["traces"])
     assert main(["verify", "-i", gpath, "--cover", cpath]) == 0
     assert capsys.readouterr().out.strip().endswith("valid")
 
@@ -178,6 +179,21 @@ def test_help_goes_to_stdout(capsys):
         main(["cover", "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: antcover cover")
+
+
+@pytest.mark.parametrize("option", ["--cover", "-o"])
+def test_value_commands_write_no_cover(tmp_path, capsys, option):
+    # antcover cover --kind writes covers; the value commands only print
+    gpath = write_graph(tmp_path, path_graph(4))
+    for command in ("coboxicity", "cothdim"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "-i", gpath, option, str(tmp_path / "c.json")])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: antcover ")
+        assert f"error: unrecognized arguments: {option} " in captured.err
+        assert not captured.out
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_gen_requires_seed(capsys):
@@ -449,17 +465,6 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     out = str(tmp_path / "missing-dir" / "cover.json")
     assert main(["cover", "-i", gpath, "-o", out]) == 2
     assert "cannot write" in capsys.readouterr().err
-
-
-def test_value_command_cover_matches_cover_command(tmp_path, capsys):
-    gpath = write_graph(tmp_path, path_graph(9))
-    for value, kind in (("coboxicity", "cointerval"), ("cothdim", "threshold")):
-        from_value = tmp_path / f"{value}.json"
-        from_cover = tmp_path / f"{kind}.json"
-        assert main([value, "-i", gpath, "--cover", "-o", str(from_value)]) == 0
-        assert main(["cover", "-i", gpath, "--kind", kind, "-o", str(from_cover)]) == 0
-        assert from_value.read_text() == from_cover.read_text()
-        assert all(t["component"] for t in json.loads(from_value.read_text())["traces"])
 
 
 def test_export_dot_shapes():

@@ -42,7 +42,6 @@ from antcover.graph import (
     Graph,
     build_graph,
     clique_edges,
-    connected_components,
     disjoint_union,
     missing_clique_pair,
     relabel_offset,
@@ -60,6 +59,7 @@ from helpers import (
     broom_graph,
     caterpillar_graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     engine_run_tuples,
     free_trees,
@@ -1166,6 +1166,11 @@ def test_validate_run_catches_tampering():
     )
     with pytest.raises(InputError):
         validate_run(g, cover, bad)
+    # an index outside the cover must not wrap around or raise IndexError
+    for index in (-1, len(cover.elements)):
+        bad = [traces[0]._replace(added_element_index=index)] + traces[1:]
+        with pytest.raises(InputError, match=f"^iteration 0 names element {index}, not in the cover$"):
+            validate_run(g, cover, bad)
 
 
 def test_validate_run_catches_a_removal_outside_the_element():

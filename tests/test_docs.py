@@ -1,8 +1,10 @@
-"""README claims that code can check: the quick tour, the exit codes, the
-attributes of the block decomposition and the peel engine names."""
+"""README claims that code can check: the quick tour, the command lines,
+the exit codes, the attributes of the block decomposition and the peel
+engine names."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 from antcover import cli, peel
@@ -35,6 +37,20 @@ def test_quick_tour_values_match_their_comments():
         assert (type(value), value) == (type(expected), expected), line
         checked.append(value)
     assert checked == [2, 3, True, 2, None, 2]
+
+
+def test_readme_command_lines_parse():
+    """Every `antcover ...` line of the "Command line" block names a
+    command and options that the parser accepts; only argparse runs, so
+    no file is opened and no handler runs."""
+    section = README.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("#")[0] for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("antcover ")]
+    assert commands
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on an unknown command or option
 
 
 def _readme_exit_codes() -> list[int]:

@@ -1,4 +1,4 @@
-"""Graph construction, components, deletion, shape classification, formats."""
+"""Graph construction, induced subgraphs, formats; the test helpers' components and shape classification."""
 
 import random
 import tracemalloc
@@ -10,16 +10,21 @@ from antcover.errors import InputError
 from antcover.generate import random_block_graph
 from antcover.graph import (
     build_graph,
-    connected_components,
     disjoint_union,
     parse_edgelist,
     parse_structured,
-    remove_vertices,
     serialize_edgelist,
     serialize_structured,
-    shape_check,
 )
-from helpers import complete_graph, golden_corpus, path_graph, random_graph, star_graph
+from helpers import (
+    complete_graph,
+    connected_components,
+    golden_corpus,
+    path_graph,
+    random_graph,
+    shape_check,
+    star_graph,
+)
 
 
 def test_build_path():
@@ -54,14 +59,14 @@ def test_components_connected_and_singletons():
 
 def test_remove_vertices_examples():
     p4 = path_graph(4)
-    g = remove_vertices(p4, {1})
+    g = p4.induced(p4.vertices - {1})
     assert set(g.vertices) == {0, 2, 3}
     assert g.edges == {(2, 3)}
     k3 = complete_graph(3)
-    assert remove_vertices(k3, set()) == k3
-    assert remove_vertices(k3, {0, 1, 2}).vertex_count == 0
+    assert k3.induced(k3.vertices) == k3
+    assert k3.induced(set()).vertex_count == 0
     with pytest.raises(InputError):
-        remove_vertices(k3, {7})
+        k3.induced({0, 7})
 
 
 def test_remove_vertices_edge_formula():
@@ -70,7 +75,7 @@ def test_remove_vertices_edge_formula():
         g = random_graph(rng.randint(1, 10), rng.random(), rng)
         s = {v for v in g.vertices if rng.random() < 0.4}
         expect = {e for e in g.edges if not (set(e) & s)}
-        assert remove_vertices(g, s).edges == expect
+        assert g.induced(g.vertices - s).edges == expect
 
 
 def test_components_partition_property():
@@ -207,7 +212,7 @@ def test_structured_accepts_only_json_integers(text, named):
 
 
 def test_serialize_requires_contiguous_ids():
-    g = remove_vertices(path_graph(4), {0})
+    g = path_graph(4).induced({1, 2, 3})
     with pytest.raises(InputError):
         serialize_edgelist(g)
 

@@ -4,7 +4,7 @@ import pytest
 
 from antcover import blocks
 from antcover.acceptance import CriterionResult
-from antcover.blocks import block_decomposition, classify_blocks, find_near_leaf_block
+from antcover.blocks import block_decomposition
 from antcover.cointerval import big_ant, sigma_subgraph
 from antcover.cover import cover_to_box_representation, min_cointerval_cover, verify_cover
 from antcover.graph import Graph
@@ -42,8 +42,6 @@ def test_records_are_immutable():
     cover, traces = min_cointerval_cover(g)
     records = [
         bd,
-        classify_blocks(bd)[0],
-        find_near_leaf_block(g),
         big_ant(g, [1, 2], 1, 2),
         sigma_subgraph(g, range(6)),
         cover,
