@@ -8,7 +8,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from antcover import blocks
+from antcover import blocks, peel
 from antcover.blocks import (
     block_cut_tree_dot,
     block_decomposition,
@@ -28,6 +28,7 @@ from helpers import (
     path_graph,
     random_graph,
     spider_graph,
+    star_graph,
 )
 
 
@@ -98,6 +99,19 @@ def test_edge_partition_over_blocks():
                 if g.has_edge(u, v)
             )
         assert total == g.edge_count
+
+
+def test_classify_blocks():
+    # a block is isolated, leaf or internal by its number of cut vertices;
+    # the peel engine's start state flags the internal ones
+    def kinds(g):
+        bd = block_decomposition(g)
+        return [(len(cuts), len(b) == 2) for b, cuts in zip(bd.blocks, bd.block_cuts)]
+
+    assert kinds(path_graph(4)) == [(1, True), (2, True), (1, True)]
+    assert kinds(complete_graph(5)) == [(0, False)]
+    assert [k for k, _ in kinds(path_graph(5))] == [1, 2, 2, 1]
+    assert peel._start_state(block_decomposition(path_graph(5))).is_int == (False, True, True, False)
 
 
 def test_is_block_graph():
@@ -290,6 +304,39 @@ def test_not_block_graph_error_names_a_missing_pair_of_one_block():
     assert rejected > 50
 
 
+def _core(g: Graph) -> Graph:
+    """g without its isolated blocks and without each leaf block except
+    that block's cut vertex."""
+    bd = block_decomposition(g)
+    kept = set(g.vertices)
+    for b, cuts in zip(bd.blocks, bd.block_cuts):
+        if len(cuts) <= 1:
+            kept -= b - set(cuts)
+    return g.induced(kept)
+
+
+def test_core_examples():
+    assert _core(path_graph(5)) == path_graph(5).induced({1, 2, 3})
+    assert _core(complete_graph(5)).vertex_count == 0
+    c = _core(star_graph(4))
+    assert set(c.vertices) == {0} and c.edge_count == 0
+
+
+def test_core_blocks_are_internal_blocks():
+    # decomposing the core again gives back exactly the internal blocks
+    rng = random.Random(9)
+    for _ in range(120):
+        g = random_graph(rng.randint(1, 10), rng.random(), rng)
+        bd = block_decomposition(g)
+        internal = {
+            b for b, cuts in zip(bd.blocks, bd.block_cuts) if len(cuts) >= 2
+        }
+        core_blocks = {
+            b for b in block_decomposition(_core(g)).blocks if len(b) >= 2
+        }
+        assert core_blocks == internal
+
+
 def test_leaf_block_exists_in_multiblock_components():
     rng = random.Random(10)
     checked = 0
@@ -342,6 +389,32 @@ def test_near_leaf_two_triangle_chain():
     i, anchor = least_near_leaf(g)
     assert block_decomposition(g).blocks[i] == {0, 1, 2}
     assert anchor == 2
+
+
+def test_near_leaf_choice_is_minimum_qualifying_block():
+    # the peel engine's near-leaf heap at the start of a run, against the
+    # literal definition
+    rng = random.Random(12)
+    checked = 0
+    for i in range(150):
+        g = random_block_graph(rng.randint(4, 14), seed=500 + i)
+        chosen = peel._Peel(g, block_decomposition(g)).pop_near_leaf()
+        if not near_leaf_candidates(g):
+            assert chosen is None
+            continue
+        checked += 1
+        assert chosen == least_near_leaf(g)[0]
+    assert checked > 30
+
+
+def test_near_leaf_preconditions():
+    # graphs outside the near-leaf search's preconditions (one block, a
+    # star, disconnected, a big leaf block) have no internal block, so
+    # neither the definition nor the engine finds a near-leaf block
+    triangle_pendant = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    for g in (complete_graph(4), star_graph(3), build_graph(4, [(0, 1), (2, 3)]), triangle_pendant):
+        assert near_leaf_candidates(g) == []
+        assert peel._Peel(g, block_decomposition(g)).pop_near_leaf() is None
 
 
 def test_block_cut_tree_dot():
