@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import compress
 from typing import NamedTuple
 
@@ -59,19 +58,6 @@ class BlockDecomposition(NamedTuple):
         they give the bipartite incidence of the block-cut tree."""
         is_cut = [len(bl) >= 2 for bl in self.incidence]
         return tuple(tuple(self._labels([x for x in b if is_cut[x]])) for b in self.members)
-
-    def position(self, v: int) -> int | None:
-        """The index of vertex id v; None when v is not a vertex."""
-        ids = self.ids
-        if ids is None:
-            return v if 0 <= v < len(self.incidence) else None
-        k = bisect_left(ids, v)
-        return k if k < len(ids) and ids[k] == v else None
-
-    def blocks_at(self, v: int) -> tuple[int, ...]:
-        """Indices of the blocks containing vertex v, in increasing order."""
-        k = self.position(v)
-        return () if k is None else self.incidence[k]
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:

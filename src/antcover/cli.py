@@ -4,8 +4,8 @@ Exit codes:
   0  success
   1  failed verification or failed acceptance check
   2  unreadable or malformed input, including a cover element with no
-     valid certificate that is too large for the general recogniser (or,
-     for harness, networkx missing)
+     valid certificate that is too large for the general recogniser and
+     a graph above the --oracle bound (or, for harness, networkx missing)
   2  an output file or stdout that cannot be written (disk full, closed
      pipe)
   2  out of memory
@@ -84,10 +84,11 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _load_cover(g: Graph, path: str) -> Cover:
+    text = _read_text(path)  # outside the try: InputError is a ValueError
     # JSONDecodeError is a ValueError, and so is an integer of more than
     # 4,300 digits; deep nesting raises RecursionError
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed cover JSON: {exc}") from None
     return cover_from_dict(g, payload)

@@ -23,41 +23,11 @@ COINTERVAL = "cointerval"
 THRESHOLD = "threshold"
 
 
-# An element's host, its first field, takes no part in ==, hash or repr:
-# Graph compares and hashes by value, in O(|V|+|E|) per call. typing.NamedTuple
-# copies these onto the class, and __hash__ must be set along with __eq__,
-# since tuple.__hash__ would otherwise stay and hash the host.
-def _eq_without_host(self, other):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return self[1:] == other[1:]
-
-
-def _ne_without_host(self, other):
-    eq = _eq_without_host(self, other)
-    return eq if eq is NotImplemented else not eq
-
-
-def _hash_without_host(self):
-    return hash(self[1:])
-
-
-def _repr_without_host(self):
-    fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[1:], self[1:]))
-    return f"{self.__class__.__name__}({fields})"
-
-
 class EdgeSubgraph(NamedTuple):
     """A subgraph given by explicit vertex and edge sets of a host graph."""
 
-    host: Graph
     vertices: frozenset[int]
     edges: frozenset[Edge]
-
-    __eq__ = _eq_without_host
-    __ne__ = _ne_without_host
-    __hash__ = _hash_without_host
-    __repr__ = _repr_without_host
 
 
 class BigAnt(NamedTuple):
@@ -68,17 +38,11 @@ class BigAnt(NamedTuple):
     is a threshold graph.
     """
 
-    host: Graph
     block: frozenset[int]
     apex_u: int
     apex_v: int
     vertices: frozenset[int]
     edges: frozenset[Edge]
-
-    __eq__ = _eq_without_host
-    __ne__ = _ne_without_host
-    __hash__ = _hash_without_host
-    __repr__ = _repr_without_host
 
 
 def sigma_subgraph(g: Graph, sigma: Sequence[int]) -> EdgeSubgraph:
@@ -101,7 +65,7 @@ def sigma_subgraph(g: Graph, sigma: Sequence[int]) -> EdgeSubgraph:
         verts.add(v)
         verts |= current
         edges.update(norm_edge(v, w) for w in current)
-    return EdgeSubgraph(g, frozenset(verts), frozenset(edges))
+    return EdgeSubgraph(frozenset(verts), frozenset(edges))
 
 
 def big_ant(g: Graph, q: Iterable[int], u: int, v: int) -> BigAnt:
@@ -122,7 +86,7 @@ def _ant(g: Graph, block: frozenset[int], u: int, v: int) -> BigAnt:
     edges.update(norm_edge(v, w) for w in g.neighbors(v))
     vertices = block | g.neighbors(u) | g.neighbors(v)
     a, b = (u, v) if u <= v else (v, u)
-    return BigAnt(g, block, a, b, frozenset(vertices), frozenset(edges))
+    return BigAnt(block, a, b, frozenset(vertices), frozenset(edges))
 
 
 def is_cointerval(h: Graph) -> tuple[int, ...] | None:

@@ -33,25 +33,6 @@ from .graph import Edge, Graph, _json_int, norm_edge
 if TYPE_CHECKING:
     from .peel import IterationTrace
 
-__all__ = [
-    "Cover",
-    "BoxRepresentation",
-    "VerificationReport",
-    "min_cointerval_cover",
-    "min_threshold_cover",
-    "coboxicity",
-    "cothdim",
-    "verify_cover",
-    "validate_run",
-    "cover_to_box_representation",
-    "path_coboxicity",
-    "is_structural_big_ant",
-    "cover_to_dict",
-    "cover_from_dict",
-    "box_to_dict",
-    "FALLBACK_MAX_VERTICES",
-]
-
 # The largest element, in vertices, that verify_cover hands to the general
 # recogniser when the element's certificate order fails or is missing; a
 # larger uncertified element raises SizeLimitError. The recogniser's memory
@@ -107,7 +88,10 @@ class BoxRepresentation(NamedTuple):
         return _Boxes(self)
 
     def satisfies(self, g: Graph) -> bool:
-        """Check every pair of boxes against the adjacency of g."""
+        """Check every pair of boxes against the adjacency of g; False when
+        g and the model have different vertices."""
+        if g.vertices != self.vertices:
+            return False
         verts = sorted(g.vertices)
         boxes = self.boxes
         full = [boxes[v] for v in verts]
@@ -296,6 +280,9 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
         if not trace.removed:
             raise InputError(f"iteration {t} removed nothing")
         if not trace.removed <= alive:
+            stray = sorted(r for r in trace.removed if r not in g.vertices)
+            if stray:
+                raise InputError(f"iteration {t} removed vertices not in the graph: {stray}")
             raise InputError(f"iteration {t} removed vertices twice")
         if trace.component is not None and not trace.removed <= trace.component:
             raise InputError(f"iteration {t} removed outside its component")
@@ -441,7 +428,6 @@ def cover_from_dict(g: Graph, payload: dict) -> Cover:
             if entry.get("block") is not None:
                 elements.append(
                     BigAnt(
-                        g,
                         frozenset(_json_int(v, "a block vertex") for v in entry["block"]),
                         _json_int(entry["u"], "apex u"),
                         _json_int(entry["v"], "apex v"),
@@ -450,7 +436,7 @@ def cover_from_dict(g: Graph, payload: dict) -> Cover:
                     )
                 )
             else:
-                elements.append(EdgeSubgraph(g, vertices, edges))
+                elements.append(EdgeSubgraph(vertices, edges))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed cover payload: {exc}") from None
     return Cover(g, tuple(elements), kind)

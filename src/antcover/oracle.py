@@ -49,24 +49,28 @@ def all_sigma_edge_sets(g: Graph) -> set[frozenset[Edge]]:
     return results
 
 
-def enumerate_maximal_cointerval_edge_sets(
-    g: Graph, max_vertices: int = PERMUTATION_BOUND
-) -> list[frozenset[Edge]]:
+def _maximal_ant_edge_sets(g: Graph, two_apex: bool) -> list[frozenset[Edge]] | None:
+    """Edge sets of the maximal big ants when g is a block graph, else None.
+
+    Raises SizeLimitError above the oracle bound for g: BLOCK_GRAPH_BOUND
+    for a block graph, PERMUTATION_BOUND for any other.
+    """
+    block = is_block_graph(g)
+    bound, name = (BLOCK_GRAPH_BOUND, "block-graph") if block else (PERMUTATION_BOUND, "general-graph")
+    if g.vertex_count > bound:
+        raise SizeLimitError(f"{g.vertex_count} vertices exceeds the {name} oracle bound of {bound}")
+    return [ant.edges for ant in maximal_ants(g, two_apex)] if block else None
+
+
+def enumerate_maximal_cointerval_edge_sets(g: Graph) -> list[frozenset[Edge]]:
     """Containment-maximal co-interval edge sets, deterministically ordered.
 
     Block graphs use the big-ant characterization (polynomially many
     candidates); general graphs enumerate ordering-generated subgraphs.
     """
-    if is_block_graph(g):
-        if g.vertex_count > max(max_vertices, BLOCK_GRAPH_BOUND):
-            raise SizeLimitError(
-                f"{g.vertex_count} vertices exceeds the block-graph oracle bound"
-            )
-        return [ant.edges for ant in maximal_ants(g, two_apex=True)]
-    if g.vertex_count > max_vertices:
-        raise SizeLimitError(
-            f"{g.vertex_count} vertices exceeds the permutation bound {max_vertices}"
-        )
+    ants = _maximal_ant_edge_sets(g, two_apex=True)
+    if ants is not None:
+        return ants
     sets = all_sigma_edge_sets(g)
     maximal = [s for s in sets if not any(s < t for t in sets)]
     if not maximal and g.edge_count == 0:
@@ -74,20 +78,11 @@ def enumerate_maximal_cointerval_edge_sets(
     return sorted(maximal, key=lambda s: (len(s), sorted(s)), reverse=True)
 
 
-def maximal_threshold_edge_sets(
-    g: Graph, max_vertices: int = PERMUTATION_BOUND
-) -> list[frozenset[Edge]]:
+def maximal_threshold_edge_sets(g: Graph) -> list[frozenset[Edge]]:
     """Containment-maximal threshold edge sets of g."""
-    if is_block_graph(g):
-        if g.vertex_count > max(max_vertices, BLOCK_GRAPH_BOUND):
-            raise SizeLimitError(
-                f"{g.vertex_count} vertices exceeds the block-graph oracle bound"
-            )
-        return [ant.edges for ant in maximal_ants(g, two_apex=False)]
-    if g.vertex_count > max_vertices:
-        raise SizeLimitError(
-            f"{g.vertex_count} vertices exceeds the threshold oracle bound"
-        )
+    ants = _maximal_ant_edge_sets(g, two_apex=False)
+    if ants is not None:
+        return ants
 
     def edge_graph(edges: frozenset[Edge]) -> Graph:
         verts = {v for e in edges for v in e}
@@ -171,21 +166,18 @@ def min_set_cover_exact(inst: SetCoverInstance) -> tuple[int, list[int]]:
     raise InputError("set cover instance is infeasible")
 
 
-def brute_coboxicity(g: Graph, max_vertices: int = PERMUTATION_BOUND) -> int:
+def _brute_cover_size(g: Graph, maximal_edge_sets) -> int:
+    """Exact minimum number of the maximal edge sets of g covering its edges."""
+    if g.edge_count == 0:
+        return 0
+    return min_set_cover_exact(SetCoverInstance(g.edges, tuple(maximal_edge_sets(g))))[0]
+
+
+def brute_coboxicity(g: Graph) -> int:
     """Minimum number of co-interval subgraphs covering all edges."""
-    if g.edge_count == 0:
-        return 0
-    cands = enumerate_maximal_cointerval_edge_sets(g, max_vertices)
-    inst = SetCoverInstance(g.edges, tuple(cands))
-    size, _ = min_set_cover_exact(inst)
-    return size
+    return _brute_cover_size(g, enumerate_maximal_cointerval_edge_sets)
 
 
-def brute_cothdim(g: Graph, max_vertices: int = PERMUTATION_BOUND) -> int:
+def brute_cothdim(g: Graph) -> int:
     """Minimum number of threshold subgraphs covering all edges."""
-    if g.edge_count == 0:
-        return 0
-    cands = maximal_threshold_edge_sets(g, max_vertices)
-    inst = SetCoverInstance(g.edges, tuple(cands))
-    size, _ = min_set_cover_exact(inst)
-    return size
+    return _brute_cover_size(g, maximal_threshold_edge_sets)

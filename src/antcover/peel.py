@@ -62,7 +62,6 @@ class _Start(NamedTuple):
     indices only, never the graph."""
 
     alive: tuple[bool, ...]
-    bcut: tuple[int, ...]
     is_int: tuple[bool, ...]
     nint: tuple[int, ...]
     catt: tuple[int, ...]
@@ -100,9 +99,7 @@ def _start_state(bd: BlockDecomposition) -> _Start:
             bigleaf.append((b[0], i))
         if is_int[i] and catt[i] <= 1:
             nearleaf.append((b[0], i))
-    return _Start(
-        tuple(alive), bcut, tuple(is_int), tuple(nint), tuple(catt), tuple(bigleaf), tuple(nearleaf)
-    )
+    return _Start(tuple(alive), tuple(is_int), tuple(nint), tuple(catt), tuple(bigleaf), tuple(nearleaf))
 
 
 class _Peel:
@@ -136,7 +133,7 @@ class _Peel:
         self.bverts: list[set[int]] = list(map(set, bd.members))
         self.vblocks: list[tuple[int, ...] | set[int]] = list(bd.incidence)
         self.alive = list(start.alive)
-        self.bcut = list(start.bcut)
+        self.bcut = list(bd.cut_counts)
         self.is_int = list(start.is_int)
         self.nint = list(start.nint)
         self.catt = list(start.catt)
@@ -364,7 +361,7 @@ def _peel(
                     step = _case_one(st, x)
             ant_block, apexes, case, chosen, protected, removed = step
             if elements is not None:
-                elements.append(_ant(g, st, ant_block, apexes))
+                elements.append(_ant(st, ant_block, apexes))
             # tuple.__new__ skips the Python-level __new__ of the record
             traces.append(new(IterationTrace, (None, case, chosen, protected, apexes, removed, len(traces))))
             remove_all(removed)
@@ -441,7 +438,6 @@ def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[I
         )
     for k, el in enumerate(elements or ()):
         elements[k] = BigAnt(
-            el.host,
             lab(el.block),
             ids[el.apex_u],
             ids[el.apex_v],
@@ -455,7 +451,7 @@ def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[I
 # trace's set and the batch that remove_all deletes.
 
 
-def _ant(g: Graph, st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) -> BigAnt:
+def _ant(st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) -> BigAnt:
     """The big ant over block with the given apexes in the residual graph:
     the block's clique plus every residual edge at an apex."""
     edges = set(clique_edges(block))
@@ -464,7 +460,7 @@ def _ant(g: Graph, st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) ->
         nres = st.residual_neighbors(a)
         verts |= nres
         edges.update(norm_edge(a, w) for w in nres)
-    return BigAnt(g, block, min(apexes), max(apexes), frozenset(verts), frozenset(edges))
+    return BigAnt(block, min(apexes), max(apexes), frozenset(verts), frozenset(edges))
 
 
 def _case_one(st: _Peel, x: int):

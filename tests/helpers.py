@@ -204,8 +204,9 @@ def near_leaf_candidates(g: Graph) -> list[tuple[int, int | None]]:
     found = []
     for i in internal:
         hits = []
-        for v in sorted(blocks[i]):
-            if any(j != i and j in internal for j in bd.blocks_at(v)):
+        # members are indices, increasing like the ids they stand for
+        for x, v in zip(bd.members[i], sorted(blocks[i])):
+            if any(j != i and j in internal for j in bd.incidence[x]):
                 hits.append(v)
         if len(hits) <= 1:
             found.append((i, hits[0] if hits else None))

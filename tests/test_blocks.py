@@ -267,7 +267,7 @@ def test_clique_tree_pass_refuses_a_cycle_and_a_diamond():
         assert str(info.value) == "block containing %d and %d is not a clique" % pair
 
 
-def test_blocks_at_matches_a_scan_of_every_block():
+def test_incidence_matches_a_scan_of_every_block():
     rng = random.Random(13)
     graphs = [random_block_graph(rng.randint(1, 80), seed=2400 + i) for i in range(60)]
     graphs += [random_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(100)]
@@ -278,11 +278,14 @@ def test_blocks_at_matches_a_scan_of_every_block():
         )
         for h in (g, spread):
             bd = block_decomposition(h)
-            top = max(h.vertices, default=0)
-            probes = set(h.vertices) | {-1, top + 1, 10**9 - 1, 10**9 + 1, 10**9 + 2}
-            for v in sorted(probes):
-                # the old definition: every block, tested for v
-                assert bd.blocks_at(v) == tuple(i for i, b in enumerate(bd.blocks) if v in b)
+            ids = sorted(h.vertices)
+            assert bd.ids == (None if ids == list(range(len(ids))) else tuple(ids))
+            assert len(bd.incidence) == len(ids)
+            members, blocks = bd.members, bd.blocks
+            for k, v in enumerate(ids):
+                # every block, tested for index k and for its vertex id v
+                assert bd.incidence[k] == tuple(i for i, b in enumerate(members) if k in b)
+                assert bd.incidence[k] == tuple(i for i, b in enumerate(blocks) if v in b)
 
 
 def test_not_block_graph_error_names_a_missing_pair_of_one_block():

@@ -417,6 +417,25 @@ def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):
     assert "malformed cover JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "boxrep"])
+def test_missing_cover_file_is_unreadable_not_malformed(tmp_path, capsys, command):
+    gpath = write_graph(tmp_path, path_graph(4))
+    missing = str(tmp_path / "missing.json")
+    assert main([command, "-i", gpath, "--cover", missing]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("command", ["coboxicity", "cothdim"])
+def test_oracle_above_its_bound_exits_2_and_names_it(tmp_path, capsys, command):
+    gpath = write_graph(tmp_path, path_graph(30))
+    assert main([command, "-i", gpath, "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: 30 vertices exceeds the block-graph oracle bound of 14\n"
+
+
 # json.loads raises ValueError on an integer of more than 4,300 digits and
 # RecursionError on deep nesting, neither of them a JSONDecodeError
 HUGE_INT = "1" * 5000

@@ -226,7 +226,7 @@ def test_representation_rejects_non_cointerval():
     # that uses it as one element
     two_k2 = build_graph(4, [(0, 1), (2, 3)])
     assert is_cointerval(two_k2) is None
-    cover = Cover(two_k2, (EdgeSubgraph(two_k2, two_k2.vertices, two_k2.edges),), "cointerval")
+    cover = Cover(two_k2, (EdgeSubgraph(two_k2.vertices, two_k2.edges),), "cointerval")
     assert verify_cover(two_k2, cover).recognition_failures == (0,)
     with pytest.raises(InputError):
         cover_to_box_representation(two_k2, cover)

@@ -177,7 +177,7 @@ def _solve_everything(g):
     for kind in (COINTERVAL, THRESHOLD):
         min_cover(g, kind)
     bd = blocks.block_decomposition(g)
-    return bd.blocks_at(min(g.vertices))
+    return bd.incidence[0]  # the blocks at the least vertex
 
 
 def test_solved_graph_is_freed_without_cyclic_gc():
@@ -772,7 +772,7 @@ def test_verify_cover_reports():
 
     missing = Cover(
         g,
-        (EdgeSubgraph(g, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)})),),
+        (EdgeSubgraph(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)})),),
         "cointerval",
     )
     report = verify_cover(g, missing)
@@ -781,7 +781,7 @@ def test_verify_cover_reports():
     two_k2 = build_graph(4, [(0, 1), (2, 3)])
     bogus = Cover(
         two_k2,
-        (EdgeSubgraph(two_k2, frozenset(range(4)), two_k2.edges),),
+        (EdgeSubgraph(frozenset(range(4)), two_k2.edges),),
         "cointerval",
     )
     report = verify_cover(two_k2, bogus)
@@ -789,14 +789,14 @@ def test_verify_cover_reports():
 
     foreign = Cover(
         g,
-        (EdgeSubgraph(g, frozenset({0, 1}), frozenset({(0, 2)})),),
+        (EdgeSubgraph(frozenset({0, 1}), frozenset({(0, 2)})),),
         "cointerval",
     )
     assert verify_cover(g, foreign).not_subgraphs == (0,)
 
     outside = Cover(
         g,
-        (EdgeSubgraph(g, frozenset({0, 1, 99}), frozenset({(0, 1)})),),
+        (EdgeSubgraph(frozenset({0, 1, 99}), frozenset({(0, 1)})),),
         "cointerval",
     )
     report = verify_cover(g, outside)
@@ -853,7 +853,7 @@ def test_blockless_covers_take_the_one_box_path():
     # an element with no vertices still spans a nonempty range
     g = spider_graph()
     cover = min_cointerval_cover(g)[0]
-    cover = Cover(g, cover.elements + (EdgeSubgraph(g, frozenset(), frozenset()),), COINTERVAL)
+    cover = Cover(g, cover.elements + (EdgeSubgraph(frozenset(), frozenset()),), COINTERVAL)
     rep = cover_to_box_representation(g, cover)
     assert rep.ranges[-1] == (0, 0) and rep.satisfies(g)
 
@@ -888,7 +888,7 @@ def _tampered(g, el):
     spare = sorted(set(g.vertices) - el.vertices)
     if spare:
         out.append(el._replace(vertices=el.vertices | {spare[0]}))
-    out.append(EdgeSubgraph(g, el.vertices, el.edges))
+    out.append(EdgeSubgraph(el.vertices, el.edges))
     return out
 
 
@@ -915,7 +915,7 @@ def test_tampered_elements_get_the_recognisers_verdict():
 
 def test_uncertified_element_above_the_bound_raises(monkeypatch):
     g = star_graph(6)
-    el = EdgeSubgraph(g, frozenset(g.vertices), g.edges)  # no block: no certificate
+    el = EdgeSubgraph(frozenset(g.vertices), g.edges)  # no block: no certificate
     cover = Cover(g, (el,), COINTERVAL)
     monkeypatch.setattr(cover_module, "FALLBACK_MAX_VERTICES", 7)
     assert verify_cover(g, cover).uncertified == (0,)
@@ -1080,6 +1080,15 @@ def test_box_representation_p7_exhaustive_pairs():
     assert rep.satisfies(g)
 
 
+def test_box_representation_of_another_vertex_set_is_not_satisfied():
+    g = path_graph(4)
+    rep = cover_to_box_representation(g, min_cointerval_cover(g)[0])
+    assert rep.satisfies(g)
+    # a vertex the model lacks, or a model vertex the graph lacks
+    assert not rep.satisfies(disjoint_union(g, build_graph(1, [])))
+    assert not rep.satisfies(path_graph(3))
+
+
 def test_box_representation_edgeless_promoted_to_one_dimension():
     g = build_graph(4, [])
     cover, _ = min_cointerval_cover(g)
@@ -1171,6 +1180,13 @@ def test_validate_run_catches_tampering():
         bad = [traces[0]._replace(added_element_index=index)] + traces[1:]
         with pytest.raises(InputError, match=f"^iteration 0 names element {index}, not in the cover$"):
             validate_run(g, cover, bad)
+    # a vertex the graph never had is not a vertex removed twice
+    bad = [traces[0]._replace(removed=traces[0].removed | {99})] + traces[1:]
+    with pytest.raises(InputError, match=r"^iteration 0 removed vertices not in the graph: \[99\]$"):
+        validate_run(g, cover, bad)
+    bad = traces[:1] + [traces[1]._replace(removed=traces[1].removed | traces[0].removed)]
+    with pytest.raises(InputError, match="^iteration 1 removed vertices twice$"):
+        validate_run(g, cover, bad)
 
 
 def test_validate_run_catches_a_removal_outside_the_element():

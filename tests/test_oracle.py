@@ -60,7 +60,7 @@ def test_min_set_cover_p5_ants():
     cover = Cover(
         g,
         tuple(
-            EdgeSubgraph(g, frozenset(v for e in cands[i] for v in e), cands[i])
+            EdgeSubgraph(frozenset(v for e in cands[i] for v in e), cands[i])
             for i in witness
         ),
         "cointerval",

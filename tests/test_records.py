@@ -28,12 +28,10 @@ def test_elements_compare_hash_and_print_without_their_host(monkeypatch):
     monkeypatch.setattr(Graph, "__hash__", refuse)
     for a, b in pairs:
         assert a == b and not a != b and hash(a) == hash(b)
-        assert a.host is g and b.host is twin
         assert repr(a) == repr(b) and "host" not in repr(a) and "Graph" not in repr(a)
     ant = pairs[0][0]
     for other in (ant._replace(apex_u=2), ant._replace(edges=ant.edges - {(0, 1)})):
         assert ant != other and not ant == other
-    assert ant._replace(host=twin) == ant
 
 
 def test_records_are_immutable():
