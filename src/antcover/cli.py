@@ -3,9 +3,9 @@
 Exit codes:
   0  success
   1  failed verification or failed acceptance check
-  2  unreadable or malformed input, including a cover element with no
-     valid certificate that is too large for the general recogniser and
-     a graph above the --oracle bound (or, for harness, networkx missing)
+  2  unreadable or malformed input, including a graph above the --oracle
+     bound and --input and --cover both on stdin (or, for harness,
+     networkx missing)
   2  an output file or stdout that cannot be written (disk full, closed
      pipe)
   2  out of memory
@@ -83,7 +83,15 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return parse_edgelist(text)
 
 
-def _load_cover(g: Graph, path: str) -> Cover:
+def _load_graph_and_cover(args: argparse.Namespace) -> tuple[Graph, Cover | None]:
+    """The graph, and the cover that --cover names, or None without one.
+    stdin can be read once only, so both on it fail before either is read."""
+    path = args.cover_path
+    if path == "-" and args.input in (None, "-"):
+        raise InputError("only one of --input and --cover can be -, and --input is - when omitted")
+    g = _load_graph(args)
+    if not path:
+        return g, None
     text = _read_text(path)  # outside the try: InputError is a ValueError
     # JSONDecodeError is a ValueError, and so is an integer of more than
     # 4,300 digits; deep nesting raises RecursionError
@@ -91,7 +99,7 @@ def _load_cover(g: Graph, path: str) -> Cover:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed cover JSON: {exc}") from None
-    return cover_from_dict(g, payload)
+    return g, cover_from_dict(g, payload)
 
 
 def export_dot(g: Graph, c: Cover | None = None) -> str:
@@ -140,8 +148,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    cover = _load_cover(g, args.cover_path)
+    g, cover = _load_graph_and_cover(args)
     report = verify_cover(g, cover)
     if report.valid:
         _print("valid")
@@ -157,10 +164,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_boxrep(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    if args.cover_path:
-        cover = _load_cover(g, args.cover_path)
-    else:
+    g, cover = _load_graph_and_cover(args)
+    if cover is None:
         cover, _ = min_cover(g, COINTERVAL, trace_components=False)
     rep = cover_to_box_representation(g, cover)
     # compact: the layout has d intervals per vertex, and indent=2 would

@@ -11,7 +11,7 @@ recognition.py), and threshold_order finds the threshold form.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Callable, Iterable, Sequence, Set
 from typing import NamedTuple
 
 from .errors import InputError
@@ -76,17 +76,21 @@ def big_ant(g: Graph, q: Iterable[int], u: int, v: int) -> BigAnt:
     missing = missing_clique_pair(g, block)
     if missing is not None:
         raise InputError(f"vertex set is not a clique: missing edge {missing}")
-    return _ant(g, block, u, v)
+    return _ant(block, (u, v), g.neighbors)
 
 
-def _ant(g: Graph, block: frozenset[int], u: int, v: int) -> BigAnt:
-    """The big ant over block, a clique of g, with apexes u and v in it."""
+def _ant(
+    block: frozenset[int], apexes: tuple[int, ...], neighbors: Callable[[int], Set[int]]
+) -> BigAnt:
+    """The big ant over block, a clique, with the given apexes in it: the
+    clique plus every edge at an apex, read from neighbors."""
     edges = set(clique_edges(block))
-    edges.update(norm_edge(u, w) for w in g.neighbors(u))
-    edges.update(norm_edge(v, w) for w in g.neighbors(v))
-    vertices = block | g.neighbors(u) | g.neighbors(v)
-    a, b = (u, v) if u <= v else (v, u)
-    return BigAnt(block, a, b, frozenset(vertices), frozenset(edges))
+    verts = set(block)
+    for a in apexes:
+        nbrs = neighbors(a)
+        verts |= nbrs
+        edges.update(norm_edge(a, w) for w in nbrs)
+    return BigAnt(block, min(apexes), max(apexes), frozenset(verts), frozenset(edges))
 
 
 def is_cointerval(h: Graph) -> tuple[int, ...] | None:
@@ -146,7 +150,7 @@ def maximal_ants(g: Graph, two_apex: bool) -> list[BigAnt]:
         members = sorted(b)
         for i, u in enumerate(members):
             for v in members[i:] if two_apex else (u,):
-                ants.append(_ant(g, b, u, v))
+                ants.append(_ant(b, (u, v), g.neighbors))
     by_edges: dict[frozenset[Edge], BigAnt] = {}
     for ant in ants:
         key = ant.edges

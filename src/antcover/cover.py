@@ -21,25 +21,15 @@ from .cointerval import (
     BigAnt,
     EdgeSubgraph,
     ant_order,
-    is_cointerval,
     prefix_counts,
-    threshold_order,
 )
-from .errors import InputError, SizeLimitError
+from .errors import InputError
 from .graph import Edge, Graph, _json_int, norm_edge
 
 # verify, boxrep and serialization never solve, so the block decomposition
 # and the peel engine load only when a solver runs
 if TYPE_CHECKING:
     from .peel import IterationTrace
-
-# The largest element, in vertices, that verify_cover hands to the general
-# recogniser when the element's certificate order fails or is missing; a
-# larger uncertified element raises SizeLimitError. The recogniser's memory
-# is linear in the element, and its time is bounded by the O(deg_max * |E|)
-# forcing in recognition.transitive_orientation. Elements of the covers
-# this package computes are always certified, whatever their size.
-FALLBACK_MAX_VERTICES = 2_000
 
 
 class Cover(NamedTuple):
@@ -49,13 +39,11 @@ class Cover(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """Per-element findings of verify_cover; uncertified lists the elements
-    that the general recogniser had to judge, valid or not."""
+    """Per-element findings of verify_cover."""
 
     not_subgraphs: tuple[int, ...]
     recognition_failures: tuple[int, ...]
     uncovered: frozenset[Edge]
-    uncertified: tuple[int, ...] = ()
 
     @property
     def valid(self) -> bool:
@@ -200,7 +188,12 @@ def coboxicity(g: Graph) -> int:
 
 
 def cothdim(g: Graph) -> int:
-    """Minimum number of threshold subgraphs covering all edges of g."""
+    """Minimum number of threshold subgraphs covering all edges of g.
+
+    Equivalently, the fewest threshold graphs whose intersection is the
+    complement of g. It is not the union-form threshold dimension of the
+    complement: on P6 this is 3, that of the complement 2.
+    """
     return _cover_size(g, THRESHOLD)
 
 
@@ -220,7 +213,6 @@ def _verify(g: Graph, c: Cover) -> tuple[VerificationReport, list[Certificate | 
     threshold = c.kind == THRESHOLD
     not_subgraphs = []
     recognition_failures = []
-    uncertified = []
     certificates: list[Certificate | None] = []
     covered: set[Edge] = set()
     host_vertices, host_edges = g.vertices, g.edges
@@ -233,23 +225,12 @@ def _verify(g: Graph, c: Cover) -> tuple[VerificationReport, list[Certificate | 
         order = ant_order(el)
         counts = None if order is None else prefix_counts(el.vertices, el.edges, order, threshold)
         if counts is None:
-            uncertified.append(i)
-            if len(el.vertices) > FALLBACK_MAX_VERTICES:
-                raise SizeLimitError(
-                    f"element {i} has no valid certificate, and its {len(el.vertices)} "
-                    f"vertices exceed the recogniser's limit of {FALLBACK_MAX_VERTICES}"
-                )
-            eg = Graph.from_data(el.vertices, el.edges)
-            order = threshold_order(eg) if threshold else is_cointerval(eg)
-            counts = None if order is None else prefix_counts(el.vertices, el.edges, order, threshold)
-            if counts is None:
-                recognition_failures.append(i)
+            recognition_failures.append(i)
         certificates.append(None if counts is None else (order, counts))
     report = VerificationReport(
         tuple(not_subgraphs),
         tuple(recognition_failures),
         frozenset(host_edges - covered),
-        tuple(uncertified),
     )
     return report, certificates
 
@@ -259,10 +240,9 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
 
     An element is recognised when the order that ant_order derives from its
     block and apexes passes prefix_counts against its own edges, in time
-    linear in its size. Elements without a block, or whose order fails,
-    go to the general recogniser and are listed in uncertified; the order
-    it returns passes the same prefix_counts check. One with more than
-    FALLBACK_MAX_VERTICES vertices raises SizeLimitError instead.
+    linear in its size. Every element the solvers return is a big ant and
+    passes; an element without a block, or whose order fails, is listed
+    in recognition_failures.
     """
     return _verify(g, c)[0]
 
@@ -349,11 +329,10 @@ def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:
 
     The vertex at position k of an element's certificate order gets
     [p_k, k], where p_k counts its earlier neighbours; every element of a
-    valid cover has a certificate, from its block and apexes or from the
-    recogniser. Vertices absent from an element span the full range of
-    that dimension, so a pair of boxes is disjoint exactly when some
-    element covers the pair as an edge, which happens exactly on the edges
-    of g.
+    valid cover has a certificate, from its block and apexes. Vertices
+    absent from an element span the full range of that dimension, so a
+    pair of boxes is disjoint exactly when some element covers the pair
+    as an edge, which happens exactly on the edges of g.
     """
     report, certificates = _verify(g, c)
     if not report.valid:
@@ -362,7 +341,7 @@ def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:
     ranges: list[Interval] = []
     for order, counts in certificates:
         intervals.append(dict(zip(order, zip(counts, range(len(order))))))
-        ranges.append((0, max(len(order) - 1, 0)))  # an empty element spans [0, 0]
+        ranges.append((0, len(order) - 1))
     if not ranges:
         intervals, ranges = [{}], [(0, 0)]
     return BoxRepresentation(frozenset(g.vertices), tuple(intervals), tuple(ranges))

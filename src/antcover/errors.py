@@ -10,9 +10,7 @@ class NotBlockGraphError(InputError):
 
 
 class SizeLimitError(InputError):
-    """An exponential or quadratic fallback (the brute-force oracle, the
-    general recogniser behind verify_cover) was asked to exceed its
-    configured size bound."""
+    """The exponential brute-force oracle was asked to exceed its size bound."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -25,9 +25,9 @@ import heapq
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cointerval import COINTERVAL, THRESHOLD, BigAnt  # noqa: F401 (THRESHOLD re-exported)
+from .cointerval import COINTERVAL, THRESHOLD, BigAnt, _ant  # noqa: F401 (THRESHOLD re-exported)
 from .errors import InternalInvariantError
-from .graph import Graph, clique_edges, norm_edge
+from .graph import Graph
 
 if TYPE_CHECKING:
     from .blocks import BlockDecomposition
@@ -361,7 +361,7 @@ def _peel(
                     step = _case_one(st, x)
             ant_block, apexes, case, chosen, protected, removed = step
             if elements is not None:
-                elements.append(_ant(st, ant_block, apexes))
+                elements.append(_ant(ant_block, apexes, st.residual_neighbors))
             # tuple.__new__ skips the Python-level __new__ of the record
             traces.append(new(IterationTrace, (None, case, chosen, protected, apexes, removed, len(traces))))
             remove_all(removed)
@@ -449,18 +449,6 @@ def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[I
 # Each case returns the step of one iteration: (element block, apexes,
 # case, chosen block, protected vertex, removed). removed is both the
 # trace's set and the batch that remove_all deletes.
-
-
-def _ant(st: _Peel, block: frozenset[int], apexes: tuple[int, ...]) -> BigAnt:
-    """The big ant over block with the given apexes in the residual graph:
-    the block's clique plus every residual edge at an apex."""
-    edges = set(clique_edges(block))
-    verts = set(block)
-    for a in apexes:
-        nres = st.residual_neighbors(a)
-        verts |= nres
-        edges.update(norm_edge(a, w) for w in nres)
-    return BigAnt(block, min(apexes), max(apexes), frozenset(verts), frozenset(edges))
 
 
 def _case_one(st: _Peel, x: int):

@@ -1,9 +1,11 @@
 """Command-line behaviour: outputs, round trips, exit codes, DOT export."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,22 +93,15 @@ def test_boxrep_of_a_blockless_cover_file(tmp_path, capsys):
     for entry in payload["elements"]:
         entry.update(block=None, u=None, v=None)
     cpath.write_text(json.dumps(payload))
-    assert main(["boxrep", "-i", gpath, "--cover", str(cpath)]) == 0
-    boxes = json.loads(capsys.readouterr().out)
-    assert boxes["d"] == payload["size"] == 3
-    for a in range(9):
-        for b in range(a + 1, 9):
-            disjoint = any(
-                hi < lo2 or hi2 < lo
-                for (lo, hi), (lo2, hi2) in zip(boxes["boxes"][str(a)], boxes["boxes"][str(b)])
-            )
-            assert disjoint == (b == a + 1)
+    # an element with no block has no certificate, so the cover is invalid
+    assert main(["boxrep", "-i", gpath, "--cover", str(cpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: box representation requires a valid cover\n"
 
 
-def test_verify_exits_2_on_an_uncertified_element_above_the_bound(tmp_path, capsys):
-    from antcover.cover import FALLBACK_MAX_VERTICES
-
-    n = FALLBACK_MAX_VERTICES + 1
+def test_verify_rejects_a_large_blockless_element_at_once(tmp_path, capsys):
+    n = 2_001
     star = build_graph(n, [(0, i) for i in range(1, n)])
     gpath = write_graph(tmp_path, star)
     edges = [[0, i] for i in range(1, n)]
@@ -117,13 +112,28 @@ def test_verify_exits_2_on_an_uncertified_element_above_the_bound(tmp_path, caps
     }
     cpath = tmp_path / "cover.json"
     cpath.write_text(json.dumps(payload))
-    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 2
-    assert "exceed the recogniser's limit" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 1
+    # a verdict from the element's own block only: no recogniser runs
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == "invalid\n  elements failing cointerval recognition: [0]\n"
     # the same star with its block and apex is certified
     payload["elements"][0].update(block=[0, 1], u=0, v=0)
     cpath.write_text(json.dumps(payload))
     assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 0
     assert capsys.readouterr().out == "valid\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "boxrep"])
+@pytest.mark.parametrize("graph_from", [["-i", "-"], []])
+def test_graph_and_cover_both_on_stdin_fail_before_reading(command, graph_from, monkeypatch, capsys):
+    stdin = io.StringIO("2 1\n0 1\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main([command, *graph_from, "--cover", "-"]) == 2
+    assert stdin.tell() == 0  # nothing was read
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: only one of --input and --cover can be -, and --input is - when omitted\n"
 
 
 def test_cli_import_loads_only_the_modules_commands_run(tmp_path):
@@ -152,6 +162,28 @@ def test_cli_import_loads_only_the_modules_commands_run(tmp_path):
     )
     assert solver <= loaded
     assert not loaded & (lazy | heavy)
+
+    # verify and boxrep --cover judge an element by its block and apexes
+    # only, so no cover, valid or not, loads the general recogniser
+    payload = json.loads(Path(out).read_text())
+    tampered = json.loads(json.dumps(payload))
+    for entry in tampered["elements"]:
+        entry["edges"] = entry["edges"][1:]
+        entry["u"] = entry["v"] = entry["block"][-1]
+    blockless = json.loads(json.dumps(payload))
+    for entry in blockless["elements"]:
+        entry["block"] = None
+    calls = ""
+    for name, cover, status in (("valid", payload, 0), ("tampered", tampered, 1), ("blockless", blockless, 1)):
+        cpath = tmp_path / f"{name}.json"
+        cpath.write_text(json.dumps(cover))
+        calls += (
+            f"assert antcover.cli.main(['verify', '-i', {path!r}, '--cover', {str(cpath)!r}]) == {status}; "
+            f"assert antcover.cli.main(['boxrep', '-i', {path!r}, '--cover', {str(cpath)!r}, "
+            f"'-o', {str(tmp_path / 'b.json')!r}]) == {2 * status}; "
+        )
+    loaded = loaded_after(calls)
+    assert not loaded & (lazy | solver | heavy)
 
 
 def test_star_import_binds_every_exported_name():

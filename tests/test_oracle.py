@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from antcover.cointerval import EdgeSubgraph
-from antcover.cover import Cover, verify_cover
+from antcover.cointerval import maximal_cointerval_subgraphs
+from antcover.cover import Cover, cothdim, verify_cover
 from antcover.errors import InputError, SizeLimitError
 from antcover.generate import random_block_graph
 from antcover.graph import Graph, build_graph
@@ -57,15 +57,19 @@ def test_min_set_cover_p5_ants():
     cands = tuple(enumerate_maximal_cointerval_edge_sets(g))
     size, witness = min_set_cover_exact(SetCoverInstance(g.edges, cands))
     assert size == 2
-    cover = Cover(
-        g,
-        tuple(
-            EdgeSubgraph(frozenset(v for e in cands[i] for v in e), cands[i])
-            for i in witness
-        ),
-        "cointerval",
-    )
+    ants = {ant.edges: ant for ant in maximal_cointerval_subgraphs(g)}
+    cover = Cover(g, tuple(ants[cands[i]] for i in witness), "cointerval")
     assert verify_cover(g, cover).valid
+
+
+def test_cothdim_covers_the_edges_of_g_not_of_its_complement():
+    """cothdim(G) is the fewest threshold subgraphs covering E(G), that is,
+    the fewest threshold graphs whose intersection is the complement of G;
+    the union-form threshold dimension of the complement differs on P6."""
+    g = path_graph(6)
+    complement = build_graph(6, [(a, b) for a in range(6) for b in range(a + 2, 6)])
+    assert cothdim(g) == brute_cothdim(g) == 3
+    assert brute_cothdim(complement) == 2
 
 
 def test_min_set_cover_infeasible():
