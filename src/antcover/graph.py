@@ -199,31 +199,25 @@ def serialize_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_canonical(text: str) -> bool:
-    """True when text is what serialize_edgelist writes: lines of two runs
-    of ASCII digits with one space between, each line ending in '\n'.
+def _is_canonical(text: str) -> int:
+    """The line count of text in the form serialize_edgelist writes: each
+    line two runs of ASCII digits with one space between, and a '\n' at
+    its end. 0 for any other text, except that a run of digits may be empty
+    here: it puts ',,', '[,' or ',]' into a chunk of _parse_canonical, which
+    json.loads refuses, so such text still goes line by line.
 
-    (A regex fullmatch of such lines keeps backtracking state for every
-    line, about 190 bytes a line, unless its group is possessive, which
-    needs Python 3.11. These checks keep none.) The checks run on the
-    ASCII bytes of the text, which bytes methods scan faster than str
-    methods scan the text.
+    The check runs on the ASCII bytes of the text, which bytes methods scan
+    faster than str methods scan the text.
     """
     try:
         data = text.encode("ascii")
     except UnicodeEncodeError:
-        return False
-    # deleting the digits must leave one ' \n' per line and nothing else...
-    if data.translate(None, b"0123456789") != b" \n" * data.count(b"\n"):
-        return False
-    # ...and no run of digits may be empty: the text starts with a digit,
-    # ends with its last '\n', and has no space next to a '\n'
-    return (
-        data.endswith(b"\n")
-        and not data.startswith(b" ")
-        and b"\n " not in data
-        and b" \n" not in data
-    )
+        return 0
+    # deleting the digits must leave one ' \n' per line and nothing else,
+    # so the pairs that count finds must fill what is left
+    rest = data.translate(None, b"0123456789")
+    lines = rest.count(b" \n")
+    return lines if 2 * lines == len(rest) and data.endswith(b"\n") else 0
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -234,8 +228,9 @@ def parse_edgelist(text: str) -> Graph:
     per edge. Any other text, and canonical text with anything to report,
     goes line by line. Both give the same graph, or the same InputError.
     """
-    if _is_canonical(text):
-        return _parse_canonical(text)
+    lines = _is_canonical(text)
+    if lines:
+        return _parse_canonical(text, lines)
     return _parse_rows(text)
 
 
@@ -248,17 +243,17 @@ _SCAN_CHUNK = 1 << 16
 _TO_COMMAS = str.maketrans(" \n", ",,")
 
 
-def _parse_canonical(text: str) -> Graph:
-    # Anything _parse_rows would report (a token json refuses, such as a
-    # leading zero or more than 4,300 digits, a wrong edge count, too many
-    # vertices, an endpoint out of range or a loop) hands the whole text to
-    # _parse_rows, so its message stays the only one.
+def _parse_canonical(text: str, lines: int) -> Graph:
+    # Anything _parse_rows would report (a token json refuses, such as an
+    # empty run of digits, a leading zero or more than 4,300 digits, a wrong
+    # edge count, too many vertices, an endpoint out of range or a loop)
+    # hands the whole text to _parse_rows, so its message stays the only one.
     first = text.index("\n")
     try:
         n, m = json.loads("[" + text[:first].replace(" ", ",") + "]")
     except ValueError:
         return _parse_rows(text)
-    if m != text.count("\n") - 1 or n > MAX_VERTICES:
+    if m != lines - 1 or n > MAX_VERTICES:
         return _parse_rows(text)
     ids = list(range(n))  # every endpoint becomes one of these n ints
     nbrs = [set() for _ in ids]

@@ -5,11 +5,39 @@ from __future__ import annotations
 import itertools
 import random
 
+from antcover import graph
 from antcover.acceptance import free_trees, path_graph, random_graph  # noqa: F401 (re-exported)
 from antcover.blocks import block_decomposition
 from antcover.cover import min_cointerval_cover, min_threshold_cover
 from antcover.errors import InputError
 from antcover.graph import Graph, build_graph, norm_edge
+
+
+def in_order(g: Graph) -> list[tuple[int, list[int]]]:
+    """Every vertex of g with its neighbours in the order its set iterates them."""
+    return [(v, list(g.neighbors(v))) for v in g.vertices]
+
+
+def parsed_in_order(parse, text: str):
+    """The message of parse's InputError, or in_order of its graph."""
+    try:
+        g = parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    return in_order(g)
+
+
+def spy_on_parse_rows(patch) -> list[str]:
+    """Patch graph._parse_rows (through a pytest MonkeyPatch) to record
+    every text it reads and then parse it as before; return the record."""
+    calls, parse_rows = [], graph._parse_rows
+
+    def spy(text):
+        calls.append(text)
+        return parse_rows(text)
+
+    patch.setattr(graph, "_parse_rows", spy)
+    return calls
 
 
 def star_graph(leaves: int) -> Graph:

@@ -1,5 +1,6 @@
-"""Differential fuzzing: the cover engine against its slow references, and
-the chunked edge-list scan against the line-by-line parser.
+"""Differential fuzzing: the cover engine against its slow references, the
+chunked edge-list scan against the line-by-line parser, and round trips
+through both graph formats.
 
 Hypothesis draws random block graphs over the generator's parameters,
 sometimes with isolated vertices added and with ids moved far from zero.
@@ -12,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antcover import cli, graph
@@ -29,18 +30,19 @@ from antcover.cover import (
     verify_cover,
 )
 from antcover.generate import random_block_graph
-from antcover.errors import InputError
 from antcover.graph import (
     MAX_VERTICES,
     build_graph,
     norm_edge,
     disjoint_union,
+    parse_structured,
     relabel_offset,
     serialize_edgelist,
+    serialize_structured,
 )
 from antcover.oracle import brute_coboxicity, brute_cothdim
 from antcover.peel import COINTERVAL, THRESHOLD, peel_count
-from helpers import naive_cover
+from helpers import in_order, naive_cover, parsed_in_order, spy_on_parse_rows
 
 ORACLE_LIMIT = 12  # vertices; the brute-force oracle is exponential
 
@@ -141,7 +143,9 @@ def test_tampered_covers_are_caught(g, kind, data):
 
 # Edge-list text mutations. The content ones keep the canonical form (digits,
 # one space, '\n' after every line), so the one-pass path still reads the
-# text; the form ones leave it to the line-by-line path.
+# text, and all but a duplicate edge are anomalies that it hands to the
+# line-by-line path; the form ones leave the text to that path, through the
+# gate or, for an empty run of digits, through json's refusal of the chunk.
 CONTENT_MUTATIONS = (
     "wrong-count", "leading-zeros", "out-of-range", "loop", "duplicate",
     "too-many-vertices", "long-token",
@@ -210,9 +214,10 @@ def _mutate_form(draw, lines, mutation):
 
 @st.composite
 def edgelist_texts(draw):
-    """(text, canonical): serialize_edgelist of a random block graph with
-    up to two content and two form mutations, and whether the text is still
-    canonical."""
+    """(text, line_by_line): serialize_edgelist of a random block graph
+    with up to two content and two form mutations, and whether the text
+    must go to the line-by-line parser: it has a form mutation or a content
+    anomaly."""
     g = random_block_graph(
         draw(st.integers(1, 30)),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -227,6 +232,10 @@ def edgelist_texts(draw):
     # the long token goes in last: the count mutations read the header as ints
     for mutation in sorted(content, key=lambda m: m == "long-token"):
         _mutate_content(draw, g.vertex_count, header, rows, mutation)
+    # two wrong counts may cancel out, so the count is read off the result
+    anomaly = header[1] != str(len(rows)) or any(
+        m not in ("wrong-count", "duplicate") for m in content
+    )
     lines = [" ".join(row) for row in [header] + rows]
     for mutation in form:
         _mutate_form(draw, lines, mutation)
@@ -234,22 +243,19 @@ def edgelist_texts(draw):
     text = end.join(lines) + ("" if "no-final-newline" in form else end)
     if "digits-after-final-newline" in form:
         text += "7"
-    return text, not form
-
-
-def _parsed(parse, text):
-    try:
-        return parse(text)
-    except InputError as exc:
-        return f"InputError: {exc}"
+    return text, bool(form) or anomaly
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(edgelist_texts())
 def test_one_pass_parse_agrees_with_the_line_parser(case):
-    text, canonical = case
-    assert graph._is_canonical(text) == canonical
-    assert _parsed(graph.parse_edgelist, text) == _parsed(graph._parse_rows, text)
+    text, line_by_line = case
+    expected = parsed_in_order(graph._parse_rows, text)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_on_parse_rows(patch)
+        parsed = parsed_in_order(graph.parse_edgelist, text)
+    assert calls == ([text] if line_by_line else [])
+    assert parsed == expected
 
 
 # Anomalies the chunked scan hands to the line parser, put on the last line,
@@ -285,16 +291,6 @@ def last_line_anomaly_texts(draw):
     return f"{n} {g.edge_count + 1}\n{body}{' '.join(row)}\n"
 
 
-def _parsed_in_order(parse, text):
-    """The message of parse's InputError, or every vertex of its graph with
-    its neighbours in the order its set iterates them."""
-    try:
-        g = parse(text)
-    except InputError as exc:
-        return f"InputError: {exc}"
-    return [(v, list(g.neighbors(v))) for v in g.vertices]
-
-
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(
     st.one_of(edgelist_texts().map(lambda case: case[0]), last_line_anomaly_texts()),
@@ -303,5 +299,30 @@ def _parsed_in_order(parse, text):
 def test_chunked_scan_agrees_with_the_line_parser(text, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "_SCAN_CHUNK", chunk)
-        scanned = _parsed_in_order(graph.parse_edgelist, text)
-    assert scanned == _parsed_in_order(graph._parse_rows, text)
+        scanned = parsed_in_order(graph.parse_edgelist, text)
+    assert scanned == parsed_in_order(graph._parse_rows, text)
+
+
+def _refuse(text):
+    raise AssertionError("line-by-line parser called")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.builds(
+        random_block_graph,
+        st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        edge_block_prob=st.floats(0.0, 1.0),
+        max_block=st.integers(2, 8),
+    )
+)
+@example(build_graph(0, []))
+@example(build_graph(7, []))
+def test_both_graph_formats_round_trip(g):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_parse_rows", _refuse)
+        parsed = graph.parse_edgelist(serialize_edgelist(g))
+    assert parsed == g
+    assert in_order(parsed) == in_order(build_graph(g.vertex_count, sorted(g.edges)))
+    assert parse_structured(serialize_structured(g)) == g

@@ -20,9 +20,11 @@ from helpers import (
     complete_graph,
     connected_components,
     golden_corpus,
+    parsed_in_order,
     path_graph,
     random_graph,
     shape_check,
+    spy_on_parse_rows,
     star_graph,
 )
 
@@ -143,10 +145,36 @@ def test_canonical_text_takes_the_one_pass_path(monkeypatch):
     "text",
     ["", "\n", " \n", "3\n", "3 \n", " 3\n", "3 0\n7", "3 1\n 1\n", "3 1\n0 \n", "3 1\n0 1 2\n"],
 )
-def test_near_canonical_text_parses_line_by_line(text):
-    assert not graph._is_canonical(text)
+def test_near_canonical_text_parses_line_by_line(monkeypatch, text):
+    calls = spy_on_parse_rows(monkeypatch)
     with pytest.raises(InputError):
         parse_edgelist(text)
+    assert calls == [text]
+
+
+# Text the gate passes although a run of digits is empty, the last case in
+# the last of several chunks, and text the gate refuses; the first group goes
+# line by line because json.loads refuses the chunk.
+@pytest.mark.parametrize(
+    "text, chunk, gate",
+    [(text, None, True) for text in (" \n", "3 \n", " 3\n", "3 1\n 1\n", "3 1\n0 \n")]
+    + [("5 4\n0 1\n1 2\n2 3\n3 \n", chunk, True) for chunk in range(1, 9)]
+    + [
+        (text, None, False)
+        for text in (
+            "", "\n", "3 0\n7", "3 1\r\n0 1\r\n", "3 1\n0\t1\n",
+            "3 1\n+1 2\n", "3 1\n-1 2\n", "3 1\n\u0661 2\n",
+        )
+    ],
+)
+def test_gate_boundary_keeps_the_line_parser_result(monkeypatch, text, chunk, gate):
+    assert bool(graph._is_canonical(text)) == gate
+    expected = parsed_in_order(graph._parse_rows, text)
+    if chunk is not None:
+        monkeypatch.setattr(graph, "_SCAN_CHUNK", chunk)
+    calls = spy_on_parse_rows(monkeypatch)
+    assert parsed_in_order(parse_edgelist, text) == expected
+    assert calls == [text]
 
 
 def _clique_tree(n, lo, hi, rng):
