@@ -279,11 +279,26 @@ def _parse_rows(text: str) -> Graph:
     rows = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not rows or len(rows[0]) != 2:
         raise InputError("edge-list input must start with a 'n m' line")
-    try:
+    try:  # a row of other than two tokens fails to unpack, also a ValueError
         n, m = int(rows[0][0]), int(rows[0][1])
         edges = [(int(a), int(b)) for a, b in rows[1:]]
-    except ValueError as exc:
-        raise InputError(f"malformed edge-list input: {exc}") from None
+    except ValueError:
+        # name the first line at fault by its 1-based number, blank lines counted
+        for number, line in enumerate(text.splitlines(), 1):
+            tokens = line.split()
+            if tokens and len(tokens) != 2:
+                raise InputError(
+                    f"malformed edge-list input: line {number}: expected 2 values, found {len(tokens)}"
+                ) from None
+            for token in tokens:
+                try:
+                    int(token)
+                except ValueError:  # also a run of more than 4,300 digits
+                    shown = token if len(token) <= 40 else token[:37] + "..."
+                    raise InputError(
+                        f"malformed edge-list input: line {number}: {shown!r} is not an integer"
+                    ) from None
+        raise
     if len(edges) != m:
         raise InputError(f"header declares {m} edges, found {len(edges)}")
     return build_graph(n, edges)

@@ -6,22 +6,12 @@ the `antcover harness` command.
 
 import pytest
 
-from antcover.acceptance import AcceptanceRun
+from antcover.acceptance import CRITERIA, AcceptanceRun, run_all
 
 
 @pytest.fixture(scope="module")
-def run():
-    return AcceptanceRun(fast=False)
-
-
-@pytest.fixture(scope="module")
-def results(run):
-    out = {}
-    for number in range(1, 11):
-        res = getattr(run, f"criterion_{number}")()
-        print(res.line())
-        out[number] = res
-    return out
+def results():
+    return {res.number: res for res in run_all(fast=False)}
 
 
 @pytest.mark.parametrize("number", range(1, 11))
@@ -29,3 +19,10 @@ def test_criterion(results, number):
     res = results[number]
     print(res.line())
     assert res.passed, res.detail
+
+
+@pytest.mark.parametrize("number, nothing", [(5, "0 covers / 0 elements"), (9, "0 box models")])
+def test_checks_of_emitted_covers_fail_when_none_were_emitted(number, nothing):
+    row = next(row for row in CRITERIA if row[0] == number)
+    res = AcceptanceRun(fast=True).result(*row)
+    assert not res.passed and nothing in res.detail

@@ -511,6 +511,24 @@ def test_json_too_big_or_too_deep_exits_2(tmp_path, capsys, command, graph_text,
     assert line.startswith(f"error: {message}: ")
 
 
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("3 0\n7", "line 2: expected 2 values, found 1"),
+        ("3 1\n0 1 2\n", "line 2: expected 2 values, found 3"),
+        ("3 1\n0 x\n", "line 2: 'x' is not an integer"),
+        ("3 1\n\n0 x\n", "line 3: 'x' is not an integer"),  # blank lines count
+    ],
+)
+def test_malformed_edge_row_exits_2_naming_its_line(tmp_path, capsys, text, fault):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text)
+    assert main(["coboxicity", "-i", str(gpath)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: malformed edge-list input: {fault}\n"
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(4))
     out = str(tmp_path / "missing-dir" / "cover.json")

@@ -1,6 +1,6 @@
 """Differential fuzzing: the cover engine against its slow references, the
 chunked edge-list scan against the line-by-line parser, and round trips
-through both graph formats.
+through both graph formats and through cover JSON.
 
 Hypothesis draws random block graphs over the generator's parameters,
 sometimes with isolated vertices added and with ids moved far from zero.
@@ -23,6 +23,7 @@ from antcover.cover import (
     box_to_dict,
     coboxicity,
     cothdim,
+    cover_from_dict,
     cover_to_box_representation,
     cover_to_dict,
     min_cover,
@@ -307,16 +308,17 @@ def _refuse(text):
     raise AssertionError("line-by-line parser called")
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(
-    st.builds(
-        random_block_graph,
-        st.integers(1, 60),
-        seed=st.integers(0, 2**32 - 1),
-        edge_block_prob=st.floats(0.0, 1.0),
-        max_block=st.integers(2, 8),
-    )
+generated_block_graphs = st.builds(
+    random_block_graph,
+    st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    edge_block_prob=st.floats(0.0, 1.0),
+    max_block=st.integers(2, 8),
 )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(generated_block_graphs)
 @example(build_graph(0, []))
 @example(build_graph(7, []))
 def test_both_graph_formats_round_trip(g):
@@ -326,3 +328,21 @@ def test_both_graph_formats_round_trip(g):
     assert parsed == g
     assert in_order(parsed) == in_order(build_graph(g.vertex_count, sorted(g.edges)))
     assert parse_structured(serialize_structured(g)) == g
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(generated_block_graphs)
+def test_cover_json_round_trips(g):
+    """Both kinds of cover, with their traces, read back from JSON text as
+    the cover written, on g, on g with its ids shifted far from zero and
+    on g with an isolated vertex added."""
+    for host in (g, relabel_offset(g, 10**9), disjoint_union(g, build_graph(1, []))):
+        for kind in (COINTERVAL, THRESHOLD):
+            cover, traces = min_cover(host, kind)
+            payload = cover_to_dict(cover, traces)
+            again = cover_from_dict(host, json.loads(json.dumps(payload)))
+            assert again == cover
+            written = cover_to_dict(again)
+            assert [written[k] for k in ("kind", "size", "elements")] == [
+                payload[k] for k in ("kind", "size", "elements")
+            ]
