@@ -33,7 +33,6 @@ _EXPORTS = {
         "cover_from_dict",
         "cover_to_box_representation",
         "cover_to_dict",
-        "is_structural_big_ant",
         "min_cointerval_cover",
         "min_threshold_cover",
         "path_coboxicity",

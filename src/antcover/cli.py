@@ -72,6 +72,11 @@ def _write_text(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from None
 
 
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write payload as compact JSON; indented, each id would take a line."""
+    _write_text(path, json.dumps(payload, separators=(",", ":")) + "\n")
+
+
 def _print(line: object) -> None:
     _write_text(None, f"{line}\n")
 
@@ -141,7 +146,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
 def _cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     cover, traces = min_cover(g, args.kind)
-    _write_text(args.output, json.dumps(cover_to_dict(cover, traces), indent=2) + "\n")
+    _write_json(args.output, cover_to_dict(cover, traces))
     if args.dot_path:
         _write_text(args.dot_path, export_dot(g, cover))
     return 0
@@ -168,9 +173,7 @@ def _cmd_boxrep(args: argparse.Namespace) -> int:
     if cover is None:
         cover, _ = min_cover(g, COINTERVAL, trace_components=False)
     rep = cover_to_box_representation(g, cover)
-    # compact: the layout has d intervals per vertex, and indent=2 would
-    # put every coordinate on a line of its own
-    _write_text(args.output, json.dumps(box_to_dict(rep), separators=(",", ":")) + "\n")
+    _write_json(args.output, box_to_dict(rep))
     return 0
 
 

@@ -24,7 +24,7 @@ from .cointerval import (
     prefix_counts,
 )
 from .errors import InputError
-from .graph import Edge, Graph, _json_int, norm_edge
+from .graph import Edge, Graph, _json_int, clique_edges, missing_clique_pair, norm_edge
 
 # verify, boxrep and serialization never solve, so the block decomposition
 # and the peel engine load only when a solver runs
@@ -248,12 +248,18 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
 
 
 def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
-    """Replay a run and check its progress and covering invariants.
+    """Replay a run and check its progress, covering and element invariants.
 
     Every iteration must delete a nonempty vertex set of its element,
     delete at least one residual edge, and its element must contain every
-    residual edge at every deleted vertex. Raises InputError on the first
-    violation.
+    residual edge at every deleted vertex. The trace must name its
+    element's apexes, and its element's block or, in case 1 only, none.
+    The element must be exactly the big ant over its block and apexes in
+    the residual graph: the block a clique of that graph holding the
+    apexes, which the iteration deletes, the edges the clique's plus every
+    residual edge at an apex, and the vertices their endpoints. Raises
+    InputError on the first violation, naming its iteration. The replay
+    is linear in the size of the graph, the cover and the traces.
     """
     alive = set(g.vertices)
     for t, trace in enumerate(traces):
@@ -283,45 +289,34 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
                         )
         if not progress:
             raise InputError(f"iteration {t} deleted no residual edge")
+        block = getattr(element, "block", None)
+        if block is None:
+            raise InputError(f"iteration {t}: its element has no block")
+        apexes = {element.apex_u, element.apex_v}
+        chosen = trace.chosen_block
+        if set(trace.apexes) != apexes or not (chosen == block or chosen is None and trace.case_taken == "1"):
+            raise InputError(f"iteration {t} names apexes or a block other than its element's")
+        # before the ant is built: a removed apex is never an apex again, so
+        # each adjacency is read for one apex at most, and a clique of g has
+        # no more pairs than g has edges
+        if not (apexes <= trace.removed and apexes <= block <= alive):
+            raise InputError(f"iteration {t}: its element's apexes are not removed vertices of a residual block")
+        if missing_clique_pair(g, block) is not None:
+            raise InputError(f"iteration {t}: its element's block is not a clique of the graph")
+        ant_edges = set(clique_edges(block))
+        ant_vertices = set(block)
+        for a in apexes:
+            nbrs = g.neighbors(a) & alive
+            ant_vertices |= nbrs
+            ant_edges.update([(a, x) if a < x else (x, a) for x in nbrs])
+        if element.edges != ant_edges or element.vertices != ant_vertices:
+            raise InputError(f"iteration {t}: its element is not the big ant over its block and apexes")
         alive -= trace.removed
     covered = set()
     for el in cover.elements:
         covered |= el.edges
     if covered != g.edges:
         raise InputError("cover does not cover the host's edges")
-
-
-def is_structural_big_ant(g: Graph, element) -> bool:
-    """Element is a big ant over some clique of g: a block's clique plus
-    all element edges hanging off its two apexes.
-
-    One pass over the element's edges decides it. Those inside a block of
-    k vertices and listed as (a, b) with a < b are distinct pairs of the
-    block, so when there are k(k-1)/2 of them and each is a host edge, the
-    block is a clique of g and its edges are all in the element; every
-    other edge must meet an apex.
-    """
-    block = getattr(element, "block", None)
-    if block is None:
-        return False
-    u, v = element.apex_u, element.apex_v
-    if u not in block or v not in block or not g.vertices >= block:
-        return False
-    inside = 0
-    touched = set(block)
-    for a, b in element.edges:
-        if a in block and b in block:
-            if a < b:
-                if not g.has_edge(a, b):
-                    return False
-                inside += 1
-        elif u in (a, b) or v in (a, b):
-            touched.add(a)
-            touched.add(b)
-        else:
-            return False
-    k = len(block)
-    return inside == k * (k - 1) // 2 and touched == set(element.vertices)
 
 
 def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:

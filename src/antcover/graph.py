@@ -9,12 +9,12 @@ from .errors import InputError
 
 Edge = tuple[int, int]
 
-# The largest vertex count build_graph accepts, a hundred times the
+# The largest vertex count build_graph accepts, ten times the
 # 100,000-vertex graphs the solvers are tuned for. Both input formats
 # declare n before any edge and build_graph allocates n adjacency sets, so
-# this bound, checked first, keeps a header such as "1000000000 0" from
-# asking for a billion sets; the generator checks it before drawing edges.
-MAX_VERTICES = 10_000_000
+# this bound, checked first, keeps a header such as "10000000 0" from
+# asking for ten million sets; the generator checks it before drawing edges.
+MAX_VERTICES = 1_000_000
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -276,32 +276,32 @@ def _parse_canonical(text: str, lines: int) -> Graph:
 
 
 def _parse_rows(text: str) -> Graph:
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 2:
+    """Edge-list text line by line, in one pass that stops at the first
+    line at fault and names it by its 1-based number, blank lines counted."""
+    rows: list[tuple[int, int]] = []
+    for number, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            if not rows:
+                break
+            raise InputError(
+                f"malformed edge-list input: line {number}: expected 2 values, found {len(tokens)}"
+            )
+        try:  # token is the first that int() refuses, also for more than 4,300 digits
+            rows.append((int(token := tokens[0]), int(token := tokens[1])))
+        except ValueError:
+            shown = token if len(token) <= 40 else token[:37] + "..."
+            raise InputError(
+                f"malformed edge-list input: line {number}: {shown!r} is not an integer"
+            ) from None
+    if not rows:
         raise InputError("edge-list input must start with a 'n m' line")
-    try:  # a row of other than two tokens fails to unpack, also a ValueError
-        n, m = int(rows[0][0]), int(rows[0][1])
-        edges = [(int(a), int(b)) for a, b in rows[1:]]
-    except ValueError:
-        # name the first line at fault by its 1-based number, blank lines counted
-        for number, line in enumerate(text.splitlines(), 1):
-            tokens = line.split()
-            if tokens and len(tokens) != 2:
-                raise InputError(
-                    f"malformed edge-list input: line {number}: expected 2 values, found {len(tokens)}"
-                ) from None
-            for token in tokens:
-                try:
-                    int(token)
-                except ValueError:  # also a run of more than 4,300 digits
-                    shown = token if len(token) <= 40 else token[:37] + "..."
-                    raise InputError(
-                        f"malformed edge-list input: line {number}: {shown!r} is not an integer"
-                    ) from None
-        raise
-    if len(edges) != m:
-        raise InputError(f"header declares {m} edges, found {len(edges)}")
-    return build_graph(n, edges)
+    n, m = rows[0]
+    if len(rows) - 1 != m:
+        raise InputError(f"header declares {m} edges, found {len(rows) - 1}")
+    return build_graph(n, rows[1:])
 
 
 def serialize_structured(g: Graph) -> str:

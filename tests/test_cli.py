@@ -12,7 +12,7 @@ import pytest
 
 import antcover
 
-from antcover import generate, graph, peel
+from antcover import generate, graph, oracle, peel
 from antcover.blocks import block_decomposition, is_block_graph
 from antcover.cli import export_dot, main
 from antcover.cover import min_cointerval_cover
@@ -40,11 +40,23 @@ def test_cothdim_command_with_oracle(tmp_path, capsys):
     assert "agree" in captured.err
 
 
+def test_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
+    brute = oracle.brute_coboxicity
+    monkeypatch.setattr(oracle, "brute_coboxicity", lambda g: brute(g) + 1)
+    path = write_graph(tmp_path, path_graph(7))
+    assert main(["coboxicity", "-i", path, "--oracle"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle 3 (DISAGREE)\ninternal error: algorithm disagrees with the exact oracle\n"
+
+
 def test_cover_emit_and_verify_round_trip(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(7))
     cpath = str(tmp_path / "cover.json")
     assert main(["cover", "-i", gpath, "-o", cpath]) == 0
-    payload = json.loads(Path(cpath).read_text())
+    text = Path(cpath).read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, separators=(",", ":")) + "\n"  # compact
     assert payload["kind"] == "cointerval" and payload["size"] == 2
     assert len(payload["traces"]) == 2
     assert all(t["component"] for t in payload["traces"])
@@ -296,23 +308,27 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_oversized_vertex_count_exits_before_allocating(tmp_path):
-    edgelist = tmp_path / "huge.txt"
-    edgelist.write_text("1000000000 0\n")
-    structured = tmp_path / "huge.json"
-    structured.write_text('{"n": 1000000000, "edges": []}\n')
-    commands = [
-        ["coboxicity", "-i", str(edgelist)],
-        ["cover", "-i", str(structured), "-f", "structured"],
-    ]
+    # a billion vertices, and one more than the limit of a million
+    commands = []
+    for n in (1000000000, 1000001):
+        edgelist = tmp_path / f"huge-{n}.txt"
+        edgelist.write_text(f"{n} 0\n")
+        structured = tmp_path / f"huge-{n}.json"
+        structured.write_text(f'{{"n": {n}, "edges": []}}\n')
+        commands += [
+            ["coboxicity", "-i", str(edgelist)],
+            ["cover", "-i", str(structured), "-f", "structured"],
+        ]
     src = str(Path(antcover.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", TRACED_CLI, json.dumps(commands)],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     results = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [code for code, _ in results] == [2, 2], done.stderr
+    assert [code for code, _ in results] == [2, 2, 2, 2], done.stderr
     assert all(peak < 1 << 20 for _, peak in results)
-    assert done.stderr.count("vertex count 1000000000 exceeds the limit") == 2
+    assert done.stderr.count("vertex count 1000000000 exceeds the limit of 1000000\n") == 2
+    assert done.stderr.count("vertex count 1000001 exceeds the limit of 1000000\n") == 2
 
 
 def test_out_of_memory_exits_2_with_one_error_line(tmp_path):

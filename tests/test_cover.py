@@ -30,7 +30,6 @@ from antcover.cover import (
     cover_from_dict,
     cover_to_box_representation,
     cover_to_dict,
-    is_structural_big_ant,
     min_cointerval_cover,
     min_cover,
     min_threshold_cover,
@@ -43,9 +42,7 @@ from antcover.generate import random_block_graph
 from antcover.graph import (
     Graph,
     build_graph,
-    clique_edges,
     disjoint_union,
-    missing_clique_pair,
     relabel_offset,
     serialize_edgelist,
 )
@@ -418,37 +415,11 @@ def test_trace_invariants_random():
                 assert t.removed <= t.component
                 assert cover.elements[t.added_element_index].edges
             assert verify_cover(g, cover).valid
-            for el in cover.elements:
-                assert is_structural_big_ant(g, el)
-
-
-def structural_big_ant_reference(g, element):
-    """is_structural_big_ant as first written: a clique test on the host,
-    then a superset test on the element's edges."""
-    block = getattr(element, "block", None)
-    if block is None:
-        return False
-    u, v = element.apex_u, element.apex_v
-    if u not in block or v not in block:
-        return False
-    if missing_clique_pair(g, block) is not None:
-        return False
-    if not element.edges.issuperset(clique_edges(block)):
-        return False
-    for a, b in element.edges:
-        if a in block and b in block:
-            continue
-        if u not in (a, b) and v not in (a, b):
-            return False
-    touched = set(block)
-    for e in element.edges:
-        touched.update(e)
-    return touched == set(element.vertices)
 
 
 def tampered_elements(g, el):
-    """Copies of the big ant el that break, or only seem to break, one of
-    the conditions of is_structural_big_ant."""
+    """Copies of the big ant el that break, or only seem to break, its
+    shape: apexes, clique, edges at the apexes, vertices."""
     block, edges = el.block, el.edges
     inside = sorted(e for e in edges if e[0] in block and e[1] in block)
     outside = sorted(el.vertices - block)
@@ -473,18 +444,37 @@ def tampered_elements(g, el):
     yield el._replace(vertices=el.vertices | {min(g.vertices - el.vertices, default=stray)})
 
 
-def test_structural_big_ant_matches_its_first_definition():
-    verdicts = {True: 0, False: 0}
+def test_validate_run_accepts_every_solver_run():
+    # each graph also with ids far from zero and an isolated vertex
+    for corpus in (golden_corpus(), benchmark_scale_corpus()):
+        for name, g in corpus.items():
+            far = disjoint_union(relabel_offset(g, 10**6), build_graph(1, []))
+            for h in (g, far):
+                for kind in (COINTERVAL, THRESHOLD):
+                    validate_run(h, *min_cover(h, kind))
+
+
+def test_validate_run_names_the_iteration_of_every_tampered_element():
+    """Each copy from tampered_elements that differs from its original,
+    put in place of it in a solver run, fails validate_run at the
+    iteration of that element; so does the element as an EdgeSubgraph,
+    which has no block."""
+    caught = 0
     for name, g in golden_corpus().items():
         for builder in (min_cointerval_cover, min_threshold_cover):
-            cover, _ = builder(g)
-            for el in cover.elements:
-                assert is_structural_big_ant(g, el) and structural_big_ant_reference(g, el), name
-                for bad in tampered_elements(g, el):
-                    verdict = is_structural_big_ant(g, bad)
-                    assert verdict == structural_big_ant_reference(g, bad), (name, bad)
-                    verdicts[verdict] += 1
-    assert verdicts[True] > 0 and verdicts[False] > 0
+            cover, traces = builder(g)
+            validate_run(g, cover, traces)
+            for t, trace in enumerate(traces):
+                k = trace.added_element_index
+                el = cover.elements[k]
+                bad_copies = [bad for bad in tampered_elements(g, el) if bad != el]
+                bad_copies.append(EdgeSubgraph(el.vertices, el.edges))
+                for bad in bad_copies:
+                    elements = cover.elements[:k] + (bad,) + cover.elements[k + 1:]
+                    with pytest.raises(InputError, match=f"^iteration {t}[ :]"):
+                        validate_run(g, cover._replace(elements=elements), traces)
+                    caught += 1
+    assert caught > 10_000
 
 
 def test_every_element_passes_its_recognition():
@@ -1189,6 +1179,24 @@ def test_validate_run_catches_a_removal_outside_the_element():
     bad = [traces[0]._replace(removed=traces[0].removed | {7})] + traces[1:]
     with pytest.raises(InputError, match="^iteration 0 removed vertices outside its element$"):
         validate_run(g, cover, bad)
+
+
+def test_validate_run_refuses_a_kept_apex_or_a_false_block_before_building_its_ant():
+    g = path_graph(7)
+    cover, traces = min_cointerval_cover(g)
+    kept = traces[0]._replace(removed=traces[0].removed - {traces[0].apexes[0]})
+    with pytest.raises(InputError, match="^iteration 0: its element's apexes are not removed vertices of a residual block$"):
+        validate_run(g, cover, [kept] + traces[1:])
+    # one element of a star that claims the whole star as its block: found
+    # at the first missing pair, not by listing all 4.5 million of them
+    n = 3_000
+    star = build_graph(n, [(0, i) for i in range(1, n)])
+    cover, traces = min_threshold_cover(star)
+    whole = cover._replace(elements=(cover.elements[0]._replace(block=frozenset(range(n))),))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="^iteration 0: its element's block is not a clique of the graph$"):
+        validate_run(star, whole, traces)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_component_snapshots_match_a_from_scratch_reference():
