@@ -193,18 +193,26 @@ def _bounds(run: AcceptanceRun) -> tuple[bool, str]:
     return violations == 0, detail
 
 
+def _run_problem(g: Graph, cover: Cover, traces: list) -> str | None:
+    """What is wrong with a run, by verify_cover and then validate_run, or
+    None when it passes both."""
+    report = verify_cover(g, cover)
+    if not report.valid:
+        return (
+            f"cover invalid: {len(report.not_subgraphs)} not subgraphs, "
+            f"{len(report.recognition_failures)} unrecognised, "
+            f"{len(report.uncovered)} edges uncovered"
+        )
+    try:
+        validate_run(g, cover, traces)
+    except InputError as exc:
+        return f"run: {exc}"
+    return None
+
+
 def _cover_validity(run: AcceptanceRun) -> tuple[bool, str]:
-    bad = 0
-    elements = 0
-    for g, cover, traces in run.emitted:
-        elements += len(cover.elements)
-        if not verify_cover(g, cover).valid:
-            bad += 1
-            continue
-        try:
-            validate_run(g, cover, traces)
-        except InputError:
-            bad += 1
+    bad = sum(_run_problem(*emitted) is not None for emitted in run.emitted)
+    elements = sum(len(cover.elements) for _, cover, _ in run.emitted)
     detail = f"{len(run.emitted)} covers / {elements} elements verified, {bad} failures"
     return bad == 0 and bool(run.emitted), detail
 
@@ -288,17 +296,9 @@ def _large_instance(run: AcceptanceRun) -> tuple[bool, str]:
         parts.append(f"{name} {took:.1f}s ({len(cover.elements)} elements)")
         if took >= 60:
             problems.append(f"{name} cover took {took:.1f}s")
-        report = verify_cover(g, cover)
-        if not report.valid:
-            problems.append(
-                f"{name} cover invalid: {len(report.not_subgraphs)} not subgraphs, "
-                f"{len(report.recognition_failures)} unrecognised, "
-                f"{len(report.uncovered)} edges uncovered"
-            )
-        try:
-            validate_run(g, cover, traces)
-        except InputError as exc:
-            problems.append(f"{name} run: {exc}")
+        problem = _run_problem(g, cover, traces)
+        if problem is not None:
+            problems.append(f"{name} {problem}")
     return not problems, "; ".join([f"n={n}: " + ", ".join(parts)] + problems)
 
 

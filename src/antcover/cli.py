@@ -3,9 +3,9 @@
 Exit codes:
   0  success
   1  failed verification or failed acceptance check
-  2  unreadable or malformed input, including a graph above the --oracle
-     bound and --input and --cover both on stdin (or, for harness,
-     networkx missing)
+  2  unreadable or malformed input, including a cover element without a
+     block, a graph above the --oracle bound and --input and --cover both
+     on stdin (or, for harness, networkx missing)
   2  an output file or stdout that cannot be written (disk full, closed
      pipe)
   2  out of memory

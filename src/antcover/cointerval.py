@@ -216,9 +216,9 @@ def prefix_counts(
     return counts
 
 
-def ant_order(element) -> list[int] | None:
+def ant_order(element: BigAnt) -> list[int]:
     """The candidate certificate order of a big ant, built from its block
-    and apexes; None when it has no block or an apex lies outside it.
+    and apexes.
 
     Two apexes u != v: u, the rest of the block, the outside vertices
     adjacent to v only, those adjacent to both or neither, v, and the
@@ -228,15 +228,10 @@ def ant_order(element) -> list[int] | None:
     without u, the outside vertices, then u,
     which certifies a threshold graph too. Adjacency is read from the
     element's own edges, and prefix_counts decides whether the order is
-    a certificate, so a tampered element merely fails that check.
+    a certificate, so a tampered element merely fails that check, an apex
+    outside the block or a block vertex outside the element included.
     """
-    block = getattr(element, "block", None)
-    if block is None:
-        return None
-    u, v = element.apex_u, element.apex_v
-    vertices, edges = element.vertices, element.edges
-    if u not in block or v not in block or not block <= vertices:
-        return None
+    block, u, v, vertices, edges = element
     middle = sorted(block - {u, v})
     outside = sorted(vertices - block)
     if u == v:

@@ -19,7 +19,6 @@ from .cointerval import (
     COINTERVAL,
     THRESHOLD,
     BigAnt,
-    EdgeSubgraph,
     ant_order,
     prefix_counts,
 )
@@ -34,7 +33,7 @@ if TYPE_CHECKING:
 
 class Cover(NamedTuple):
     host: Graph
-    elements: tuple
+    elements: tuple[BigAnt, ...]
     kind: str  # "cointerval" or "threshold"
 
 
@@ -223,7 +222,7 @@ def _verify(g: Graph, c: Cover) -> tuple[VerificationReport, list[Certificate | 
             continue
         covered |= el.edges
         order = ant_order(el)
-        counts = None if order is None else prefix_counts(el.vertices, el.edges, order, threshold)
+        counts = prefix_counts(el.vertices, el.edges, order, threshold)
         if counts is None:
             recognition_failures.append(i)
         certificates.append(None if counts is None else (order, counts))
@@ -241,8 +240,7 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
     An element is recognised when the order that ant_order derives from its
     block and apexes passes prefix_counts against its own edges, in time
     linear in its size. Every element the solvers return is a big ant and
-    passes; an element without a block, or whose order fails, is listed
-    in recognition_failures.
+    passes; an element whose order fails is listed in recognition_failures.
     """
     return _verify(g, c)[0]
 
@@ -250,21 +248,25 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
 def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     """Replay a run and check its progress, covering and element invariants.
 
-    Every iteration must delete a nonempty vertex set of its element,
-    delete at least one residual edge, and its element must contain every
-    residual edge at every deleted vertex. The trace must name its
-    element's apexes, and its element's block or, in case 1 only, none.
-    The element must be exactly the big ant over its block and apexes in
-    the residual graph: the block a clique of that graph holding the
-    apexes, which the iteration deletes, the edges the clique's plus every
-    residual edge at an apex, and the vertices their endpoints. Raises
-    InputError on the first violation, naming its iteration. The replay
-    is linear in the size of the graph, the cover and the traces.
+    Trace t must name element t, one trace per element. Every iteration
+    must delete vertices of its element and at least one residual edge,
+    and its element must contain every residual edge at every deleted
+    vertex. The trace must name its element's apexes, and its element's
+    block or, in case 1 only, none. The element must be exactly the big
+    ant over its block and apexes in the residual graph: the block a
+    clique of that graph holding the apexes, which the iteration deletes,
+    the edges the clique's plus every residual edge at an apex, and the
+    vertices their endpoints. Last, no edge may join two vertices that no
+    iteration deleted, so the cover covers g. Raises InputError on the
+    first violation, naming its iteration. The replay is linear in the
+    size of the graph, the cover and the traces.
     """
+    if len(traces) != len(cover.elements):
+        raise InputError(f"the run has {len(traces)} traces for {len(cover.elements)} elements")
     alive = set(g.vertices)
-    for t, trace in enumerate(traces):
-        if not trace.removed:
-            raise InputError(f"iteration {t} removed nothing")
+    for t, (trace, element) in enumerate(zip(traces, cover.elements)):
+        if trace.added_element_index != t:
+            raise InputError(f"iteration {t} names element {trace.added_element_index}, not element {t}")
         if not trace.removed <= alive:
             stray = sorted(r for r in trace.removed if r not in g.vertices)
             if stray:
@@ -272,26 +274,13 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
             raise InputError(f"iteration {t} removed vertices twice")
         if trace.component is not None and not trace.removed <= trace.component:
             raise InputError(f"iteration {t} removed outside its component")
-        index = trace.added_element_index
-        if not 0 <= index < len(cover.elements):
-            raise InputError(f"iteration {t} names element {index}, not in the cover")
-        element = cover.elements[index]
         if not trace.removed <= element.vertices:
             raise InputError(f"iteration {t} removed vertices outside its element")
-        progress = False
         for r in sorted(trace.removed):
             for x in g.neighbors(r):
-                if x in alive:
-                    progress = True
-                    if norm_edge(r, x) not in element.edges:
-                        raise InputError(
-                            f"iteration {t}: residual edge ({r}, {x}) not in its element"
-                        )
-        if not progress:
-            raise InputError(f"iteration {t} deleted no residual edge")
-        block = getattr(element, "block", None)
-        if block is None:
-            raise InputError(f"iteration {t}: its element has no block")
+                if x in alive and norm_edge(r, x) not in element.edges:
+                    raise InputError(f"iteration {t}: residual edge ({r}, {x}) not in its element")
+        block = element.block
         apexes = {element.apex_u, element.apex_v}
         chosen = trace.chosen_block
         if set(trace.apexes) != apexes or not (chosen == block or chosen is None and trace.case_taken == "1"):
@@ -311,12 +300,13 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
             ant_edges.update([(a, x) if a < x else (x, a) for x in nbrs])
         if element.edges != ant_edges or element.vertices != ant_vertices:
             raise InputError(f"iteration {t}: its element is not the big ant over its block and apexes")
+        # the ant has an edge exactly when a removed apex has a residual neighbour
+        if not element.edges:
+            raise InputError(f"iteration {t} deleted no residual edge")
         alive -= trace.removed
-    covered = set()
-    for el in cover.elements:
-        covered |= el.edges
-    if covered != g.edges:
-        raise InputError("cover does not cover the host's edges")
+    left = sorted(norm_edge(v, x) for v in alive for x in g.neighbors(v) if x in alive)
+    if left:
+        raise InputError(f"edge {left[0]} is left between vertices that no iteration removed")
 
 
 def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:
@@ -351,9 +341,9 @@ def cover_to_dict(c: Cover, traces: list[IterationTrace] | None = None) -> dict:
         "size": len(c.elements),
         "elements": [
             {
-                "block": sorted(el.block) if getattr(el, "block", None) is not None else None,
-                "u": getattr(el, "apex_u", None),
-                "v": getattr(el, "apex_v", None),
+                "block": sorted(el.block),
+                "u": el.apex_u,
+                "v": el.apex_v,
                 "vertices": sorted(el.vertices),
                 "edges": [list(e) for e in sorted(el.edges)],
             }
@@ -376,11 +366,14 @@ def cover_to_dict(c: Cover, traces: list[IterationTrace] | None = None) -> dict:
     return payload
 
 
-def cover_from_dict(g: Graph, payload: dict) -> Cover:
-    """Cover of g from its JSON form; every vertex id in it must be a JSON
-    integer (not a float, boolean or string), elements must be an array of
-    objects, and size, when present, the number of elements."""
+def cover_from_dict(g: Graph, payload: object) -> Cover:
+    """Cover of g from its JSON form, an object; every vertex id in it must
+    be a JSON integer (not a float, boolean or string), elements must be an
+    array of objects, each with a block, and size, when present, the number
+    of elements."""
     try:
+        if type(payload) is not dict:
+            raise InputError("cover JSON must be an object")
         kind = payload["kind"]
         if kind not in (COINTERVAL, THRESHOLD):
             raise InputError(f"unknown cover kind {kind!r}")
@@ -390,7 +383,9 @@ def cover_from_dict(g: Graph, payload: dict) -> Cover:
         if "size" in payload and _json_int(payload["size"], "size") != len(entries):
             raise InputError(f"cover size {payload['size']} does not match its {len(entries)} elements")
         elements = []
-        for entry in entries:
+        for i, entry in enumerate(entries):
+            if entry.get("block") is None:
+                raise InputError(f"cover element {i} has no block")
             vertices = frozenset(_json_int(v, "a vertex") for v in entry["vertices"])
             edges = frozenset(
                 norm_edge(_json_int(a, "an edge endpoint"), _json_int(b, "an edge endpoint"))
@@ -399,18 +394,9 @@ def cover_from_dict(g: Graph, payload: dict) -> Cover:
             stray = {v for e in edges for v in e} - vertices
             if stray:
                 raise InputError(f"element edges use undeclared vertices {sorted(stray)}")
-            if entry.get("block") is not None:
-                elements.append(
-                    BigAnt(
-                        frozenset(_json_int(v, "a block vertex") for v in entry["block"]),
-                        _json_int(entry["u"], "apex u"),
-                        _json_int(entry["v"], "apex v"),
-                        vertices,
-                        edges,
-                    )
-                )
-            else:
-                elements.append(EdgeSubgraph(vertices, edges))
+            block = frozenset(_json_int(v, "a block vertex") for v in entry["block"])
+            apexes = _json_int(entry["u"], "apex u"), _json_int(entry["v"], "apex v")
+            elements.append(BigAnt(block, *apexes, vertices, edges))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed cover payload: {exc}") from None
     return Cover(g, tuple(elements), kind)

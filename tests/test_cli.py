@@ -105,11 +105,12 @@ def test_boxrep_of_a_blockless_cover_file(tmp_path, capsys):
     for entry in payload["elements"]:
         entry.update(block=None, u=None, v=None)
     cpath.write_text(json.dumps(payload))
-    # an element with no block has no certificate, so the cover is invalid
+    # the solvers only ever write big ants, so an element without a block
+    # is malformed input, named by its index
     assert main(["boxrep", "-i", gpath, "--cover", str(cpath)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: box representation requires a valid cover\n"
+    assert captured.err == "error: malformed cover payload: cover element 0 has no block\n"
 
 
 def test_verify_rejects_a_large_blockless_element_at_once(tmp_path, capsys):
@@ -125,10 +126,12 @@ def test_verify_rejects_a_large_blockless_element_at_once(tmp_path, capsys):
     cpath = tmp_path / "cover.json"
     cpath.write_text(json.dumps(payload))
     start = time.perf_counter()
-    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 1
-    # a verdict from the element's own block only: no recogniser runs
+    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 2
+    # refused as it is read: no recogniser runs
     assert time.perf_counter() - start < 0.5
-    assert capsys.readouterr().out == "invalid\n  elements failing cointerval recognition: [0]\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed cover payload: cover element 0 has no block\n"
     # the same star with its block and apex is certified
     payload["elements"][0].update(block=[0, 1], u=0, v=0)
     cpath.write_text(json.dumps(payload))
@@ -186,13 +189,15 @@ def test_cli_import_loads_only_the_modules_commands_run(tmp_path):
     for entry in blockless["elements"]:
         entry["block"] = None
     calls = ""
-    for name, cover, status in (("valid", payload, 0), ("tampered", tampered, 1), ("blockless", blockless, 1)):
+    # (name, cover, verify's status, boxrep's status); a blockless element is malformed
+    runs = (("valid", payload, 0, 0), ("tampered", tampered, 1, 2), ("blockless", blockless, 2, 2))
+    for name, cover, verified, boxed in runs:
         cpath = tmp_path / f"{name}.json"
         cpath.write_text(json.dumps(cover))
         calls += (
-            f"assert antcover.cli.main(['verify', '-i', {path!r}, '--cover', {str(cpath)!r}]) == {status}; "
+            f"assert antcover.cli.main(['verify', '-i', {path!r}, '--cover', {str(cpath)!r}]) == {verified}; "
             f"assert antcover.cli.main(['boxrep', '-i', {path!r}, '--cover', {str(cpath)!r}, "
-            f"'-o', {str(tmp_path / 'b.json')!r}]) == {2 * status}; "
+            f"'-o', {str(tmp_path / 'b.json')!r}]) == {boxed}; "
         )
     loaded = loaded_after(calls)
     assert not loaded & (lazy | solver | heavy)
@@ -441,14 +446,21 @@ def test_gen_rejects_an_edge_block_probability_outside_0_1(monkeypatch, capsys, 
         ({"elements": [1]}, "cover elements must be a JSON array of objects"),
         ({"size": 3}, "cover size 3 does not match its 2 elements"),
         ({"size": 2.0}, "size must be a JSON integer, got 2.0"),
+        ([], "cover JSON must be an object"),
+        (None, "cover JSON must be an object"),
     ],
 )
 def test_cover_file_with_malformed_elements_or_size_exits_2(tmp_path, capsys, command, change, message):
+    """change is merged into the solver's cover file, or, when it is not an
+    object, written in its place."""
     gpath = write_graph(tmp_path, path_graph(7))
     cpath = tmp_path / "cover.json"
     assert main(["cover", "-i", gpath, "-o", str(cpath)]) == 0
     payload = json.loads(cpath.read_text())
-    payload.update(change)
+    if isinstance(change, dict):
+        payload.update(change)
+    else:
+        payload = change
     cpath.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main([command, "-i", gpath, "--cover", str(cpath)]) == 2

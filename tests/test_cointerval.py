@@ -6,7 +6,7 @@ import random
 import pytest
 
 from antcover.cointerval import (
-    EdgeSubgraph,
+    BigAnt,
     is_cointerval,
     is_threshold,
     prefix_counts,
@@ -226,7 +226,8 @@ def test_representation_rejects_non_cointerval():
     # that uses it as one element
     two_k2 = build_graph(4, [(0, 1), (2, 3)])
     assert is_cointerval(two_k2) is None
-    cover = Cover(two_k2, (EdgeSubgraph(two_k2.vertices, two_k2.edges),), "cointerval")
+    element = BigAnt(frozenset({0, 1}), 0, 1, two_k2.vertices, two_k2.edges)
+    cover = Cover(two_k2, (element,), "cointerval")
     assert verify_cover(two_k2, cover).recognition_failures == (0,)
     with pytest.raises(InputError):
         cover_to_box_representation(two_k2, cover)

@@ -14,7 +14,7 @@ import pytest
 
 from antcover import blocks, cli, peel
 from antcover.cointerval import (
-    EdgeSubgraph,
+    BigAnt,
     ant_order,
     is_cointerval,
     is_threshold,
@@ -457,8 +457,7 @@ def test_validate_run_accepts_every_solver_run():
 def test_validate_run_names_the_iteration_of_every_tampered_element():
     """Each copy from tampered_elements that differs from its original,
     put in place of it in a solver run, fails validate_run at the
-    iteration of that element; so does the element as an EdgeSubgraph,
-    which has no block."""
+    iteration of that element."""
     caught = 0
     for name, g in golden_corpus().items():
         for builder in (min_cointerval_cover, min_threshold_cover):
@@ -467,9 +466,7 @@ def test_validate_run_names_the_iteration_of_every_tampered_element():
             for t, trace in enumerate(traces):
                 k = trace.added_element_index
                 el = cover.elements[k]
-                bad_copies = [bad for bad in tampered_elements(g, el) if bad != el]
-                bad_copies.append(EdgeSubgraph(el.vertices, el.edges))
-                for bad in bad_copies:
+                for bad in [bad for bad in tampered_elements(g, el) if bad != el]:
                     elements = cover.elements[:k] + (bad,) + cover.elements[k + 1:]
                     with pytest.raises(InputError, match=f"^iteration {t}[ :]"):
                         validate_run(g, cover._replace(elements=elements), traces)
@@ -764,7 +761,7 @@ def test_verify_cover_reports():
 
     missing = Cover(
         g,
-        (EdgeSubgraph(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)})),),
+        (BigAnt(frozenset({1, 2}), 1, 1, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)})),),
         "cointerval",
     )
     report = verify_cover(g, missing)
@@ -773,7 +770,7 @@ def test_verify_cover_reports():
     two_k2 = build_graph(4, [(0, 1), (2, 3)])
     bogus = Cover(
         two_k2,
-        (EdgeSubgraph(frozenset(range(4)), two_k2.edges),),
+        (BigAnt(frozenset({0, 1}), 0, 1, frozenset(range(4)), two_k2.edges),),
         "cointerval",
     )
     report = verify_cover(two_k2, bogus)
@@ -781,14 +778,14 @@ def test_verify_cover_reports():
 
     foreign = Cover(
         g,
-        (EdgeSubgraph(frozenset({0, 1}), frozenset({(0, 2)})),),
+        (BigAnt(frozenset({0, 1}), 0, 0, frozenset({0, 1}), frozenset({(0, 2)})),),
         "cointerval",
     )
     assert verify_cover(g, foreign).not_subgraphs == (0,)
 
     outside = Cover(
         g,
-        (EdgeSubgraph(frozenset({0, 1, 99}), frozenset({(0, 1)})),),
+        (BigAnt(frozenset({0, 1}), 0, 1, frozenset({0, 1, 99}), frozenset({(0, 1)})),),
         "cointerval",
     )
     report = verify_cover(g, outside)
@@ -813,39 +810,33 @@ def test_certified_verify_and_box_make_no_recogniser_call():
             assert rep.dimension == len(cover.elements), (name, kind)
 
 
-def blockless(g, cover):
-    """The cover as its JSON would give it with every "block" set to null."""
-    payload = cover_to_dict(cover)
-    for entry in payload["elements"]:
-        entry["block"] = None
-    return cover_from_dict(g, payload)
-
-
 def test_blockless_covers_fail_verify_and_the_box_model():
+    """A cover element whose block is null or missing is malformed input,
+    named by its index, before verify or the box model reads the cover:
+    the solvers only ever write big ants."""
     rng = random.Random(64)
     graphs = [spider_graph(), path_graph(11), star_graph(7)]
     graphs += [random_block_graph(rng.randint(4, 40), seed=6400 + i) for i in range(12)]
+    empty = {"block": None, "u": None, "v": None, "vertices": [], "edges": []}
     for g in graphs:
         for kind in (COINTERVAL, THRESHOLD):
-            cover = blockless(g, min_cover(g, kind)[0])
-            assert all(isinstance(el, EdgeSubgraph) for el in cover.elements)
-            report = verify_cover(g, cover)
-            # with no block an element has no certificate, whatever its edges
-            assert report.recognition_failures == tuple(range(len(cover.elements)))
-            assert report.not_subgraphs == () and report.uncovered == frozenset()
-            with pytest.raises(InputError, match="requires a valid cover"):
-                cover_to_box_representation(g, cover)
-    # nor has an element with no vertices
-    g = spider_graph()
-    cover = min_cointerval_cover(g)[0]
-    cover = Cover(g, cover.elements + (EdgeSubgraph(frozenset(), frozenset()),), COINTERVAL)
-    assert verify_cover(g, cover).recognition_failures == (len(cover.elements) - 1,)
+            payload = cover_to_dict(min_cover(g, kind)[0])
+            entries = payload["elements"]
+            cases = [(len(entries), entries + [empty])]  # nor has an element with no vertices
+            for i in sorted({0, len(entries) - 1}):
+                nulled = dict(entries[i], block=None)
+                dropped = {key: x for key, x in entries[i].items() if key != "block"}
+                cases += [(i, entries[:i] + [bad] + entries[i + 1:]) for bad in (nulled, dropped)]
+            for i, elements in cases:
+                with pytest.raises(InputError) as info:
+                    cover_from_dict(g, dict(payload, elements=elements, size=len(elements)))
+                assert str(info.value) == f"malformed cover payload: cover element {i} has no block"
 
 
-def test_blockless_star_verify_memory_is_linear():
+def test_star_verify_memory_is_linear():
     g = star_graph(600)
     for kind in (COINTERVAL, THRESHOLD):
-        cover = blockless(g, min_cover(g, kind)[0])
+        cover = min_cover(g, kind)[0]
         g.edges  # the host's own edge-set cache, not part of verification
         tracemalloc.start()
         try:
@@ -853,14 +844,14 @@ def test_blockless_star_verify_memory_is_linear():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.recognition_failures == (0,) and not report.valid
+        assert report.valid and len(cover.elements) == 1
         # a complement of the element would take about 37 MB here
         assert peak < 4 * 1024 * 1024, (kind, peak)
 
 
 def _tampered(g, el):
-    """The element with a clique edge dropped, an apex moved, an extra
-    vertex, and no block; each keeps the element a subgraph of g."""
+    """The element with a clique edge dropped, an apex moved, and an extra
+    vertex; each keeps the element a subgraph of g."""
     out = []
     block = sorted(el.block)
     clique = [(a, b) for i, a in enumerate(block) for b in block[i + 1:]]
@@ -872,7 +863,6 @@ def _tampered(g, el):
     spare = sorted(set(g.vertices) - el.vertices)
     if spare:
         out.append(el._replace(vertices=el.vertices | {spare[0]}))
-    out.append(EdgeSubgraph(el.vertices, el.edges))
     return out
 
 
@@ -892,18 +882,15 @@ def test_tampered_elements_get_the_recognisers_verdict():
                 for bad in _tampered(g, el):
                     report = verify_cover(g, Cover(g, (bad,), kind))
                     order = ant_order(bad)
-                    certified = order is not None and (
-                        prefix_counts(bad.vertices, bad.edges, order, threshold) is not None
-                    )
+                    certified = prefix_counts(bad.vertices, bad.edges, order, threshold) is not None
                     assert report.recognition_failures == (() if certified else (0,))
                     eg = Graph.from_data(bad.vertices, bad.edges)
                     ok = is_threshold(eg) if threshold else is_cointerval(eg) is not None
                     assert ok or not certified  # a certificate is only issued to a good element
                     verdicts[certified, ok] += 1
-    # the tampering produced elements of every kind of verdict; 834 that
-    # the recogniser accepts have no certificate, the blockless ones among
-    # them, and verify rejects them
-    assert verdicts == {(True, True): 546, (False, True): 834, (False, False): 83}
+    # the tampering produced elements of every kind of verdict; 458 that
+    # the recogniser accepts have no certificate, and verify rejects them
+    assert verdicts == {(True, True): 546, (False, True): 458, (False, False): 83}
 
 
 def test_box_model_memory_is_linear():
@@ -1102,7 +1089,7 @@ def test_cover_serialization_round_trip():
     assert again == cover
     assert verify_cover(g, again).valid
     # an empty block is written as [], not as null, so it reads back as a
-    # big ant and not as a blockless element
+    # big ant and not as an element without a block
     entry = payload["elements"][0]
     entry["block"] = []
     empty = cover_from_dict(g, payload)
@@ -1158,7 +1145,7 @@ def test_validate_run_catches_tampering():
     # an index outside the cover must not wrap around or raise IndexError
     for index in (-1, len(cover.elements)):
         bad = [traces[0]._replace(added_element_index=index)] + traces[1:]
-        with pytest.raises(InputError, match=f"^iteration 0 names element {index}, not in the cover$"):
+        with pytest.raises(InputError, match=f"^iteration 0 names element {index}, not element 0$"):
             validate_run(g, cover, bad)
     # a vertex the graph never had is not a vertex removed twice
     bad = [traces[0]._replace(removed=traces[0].removed | {99})] + traces[1:]
@@ -1167,6 +1154,48 @@ def test_validate_run_catches_tampering():
     bad = traces[:1] + [traces[1]._replace(removed=traces[1].removed | traces[0].removed)]
     with pytest.raises(InputError, match="^iteration 1 removed vertices twice$"):
         validate_run(g, cover, bad)
+
+
+def _extra_element(g, cover, traces):
+    """One element more than the run has iterations."""
+    return cover._replace(elements=cover.elements + cover.elements[:1]), traces
+
+
+def _swapped_elements(g, cover, traces):
+    """Elements 0 and 1 swapped, each trace still naming its own ant."""
+    first, second, *rest = cover.elements
+    swapped = [traces[0]._replace(added_element_index=1), traces[1]._replace(added_element_index=0)]
+    return cover._replace(elements=(second, first, *rest)), swapped + traces[2:]
+
+
+def _apex_only_removal(g, cover, traces):
+    """K3 peeled by its one-apex ant with only the apex removed: the ant
+    holds edge (1, 2), but no iteration removes 1 or 2."""
+    g = complete_graph(3)
+    cover, traces = min_threshold_cover(g)
+    return cover, [traces[0]._replace(removed=frozenset({cover.elements[0].apex_u}))]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_extra_element, "the run has 2 traces for 3 elements"),
+        (_swapped_elements, "iteration 0 names element 1, not element 0"),
+        (_apex_only_removal, r"edge \(1, 2\) is left between vertices that no iteration removed"),
+    ],
+    ids=["extra-element", "another-iterations-element", "edge-never-removed"],
+)
+def test_validate_run_walks_traces_and_elements_in_step(tamper, message):
+    """Each cover below covers its graph and passes verify_cover, and each
+    trace names an element that is its residual big ant; the run is still
+    not the one the cover came from."""
+    g = path_graph(7)
+    cover, traces = min_cointerval_cover(g)
+    assert len(cover.elements) == 2
+    cover, traces = tamper(g, cover, traces)
+    assert verify_cover(cover.host, cover).valid
+    with pytest.raises(InputError, match=f"^{message}$"):
+        validate_run(cover.host, cover, traces)
 
 
 def test_validate_run_catches_a_removal_outside_the_element():
