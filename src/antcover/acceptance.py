@@ -8,9 +8,10 @@ which also checks that each element is the big ant over its block and
 apexes in the residual graph of its iteration, and criterion 9 builds the
 box model of each co-interval cover of criterion 2; both fail when there
 was nothing to check. Criterion 10 checks its two 100k covers with
-verify_cover and validate_run. README.md lists what each criterion
-checks, at its full and --quick (fast) sizes. All randomness is seeded,
-so the harness is reproducible bit for bit.
+verify_cover and validate_run, and that coboxicity and cothdim, which
+count without building a cover, equal their sizes. README.md lists what
+each criterion checks, at its full and --quick (fast) sizes. All
+randomness is seeded, so the harness is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .cointerval import (
 from .cover import (
     Cover,
     coboxicity,
+    cothdim,
     cover_to_box_representation,
     min_cointerval_cover,
     min_cover,
@@ -289,7 +291,7 @@ def _large_instance(run: AcceptanceRun) -> tuple[bool, str]:
     n = 20_000 if run.fast else HUGE_VERTICES
     g = random_block_graph(n, seed=424242)
     parts, problems = [], []
-    for kind, name in ((COINTERVAL, "co-interval"), (THRESHOLD, "threshold")):
+    for kind, name, value in ((COINTERVAL, "co-interval", coboxicity), (THRESHOLD, "threshold", cothdim)):
         start = time.perf_counter()
         cover, traces = min_cover(g, kind, trace_components=False)
         took = time.perf_counter() - start
@@ -299,6 +301,9 @@ def _large_instance(run: AcceptanceRun) -> tuple[bool, str]:
         problem = _run_problem(g, cover, traces)
         if problem is not None:
             problems.append(f"{name} {problem}")
+        counted = value(g)
+        if counted != len(cover.elements):
+            problems.append(f"{value.__name__} is {counted}, the {name} cover has {len(cover.elements)} elements")
     return not problems, "; ".join([f"n={n}: " + ", ".join(parts)] + problems)
 
 

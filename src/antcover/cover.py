@@ -170,15 +170,13 @@ def min_threshold_cover(
 
 
 def _cover_size(g: Graph, kind: str) -> int:
-    """Size of a minimum cover, from the cover loop run without elements."""
+    """Size of a minimum cover: the iteration count of the cover loop, run
+    with no element and no trace, so that it keeps nothing per iteration."""
     from .blocks import checked_block_decomposition
     from .peel import peel_count
 
-    # the traces are dropped inside the block: held until the return, they
-    # would be scanned by the collection that gc.enable() lets run
     with _gc_paused():
-        size = peel_count(g, checked_block_decomposition(g), kind)[0]
-    return size
+        return peel_count(g, checked_block_decomposition(g), kind)
 
 
 def coboxicity(g: Graph) -> int:
@@ -245,6 +243,10 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
     return _verify(g, c)[0]
 
 
+# the peel cases of each cover kind, as traces name them
+_CASES = {COINTERVAL: ("1", "2", "3a", "3b"), THRESHOLD: ("1", "2", "3*-2cuts", "3*-many")}
+
+
 def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     """Replay a run and check its progress, covering and element invariants.
 
@@ -252,7 +254,10 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     must delete vertices of its element and at least one residual edge,
     and its element must contain every residual edge at every deleted
     vertex. The trace must name its element's apexes, and its element's
-    block or, in case 1 only, none. The element must be exactly the big
+    block or, in case 1 only, none. Its case must be one of the cover
+    kind's four, and its protected vertex none in cases 1 and 2; otherwise
+    a vertex of the block, which case 3a takes as an apex and removes and
+    every other case neither. The element must be exactly the big
     ant over its block and apexes in the residual graph: the block a
     clique of that graph holding the apexes, which the iteration deletes,
     the edges the clique's plus every residual edge at an apex, and the
@@ -283,8 +288,22 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
         block = element.block
         apexes = {element.apex_u, element.apex_v}
         chosen = trace.chosen_block
-        if set(trace.apexes) != apexes or not (chosen == block or chosen is None and trace.case_taken == "1"):
+        case, protected = trace.case_taken, trace.protected_vertex
+        if case not in _CASES[cover.kind]:
+            raise InputError(f"iteration {t} takes case {case!r}, which no {cover.kind} run has")
+        if set(trace.apexes) != apexes or not (chosen == block or chosen is None and case == "1"):
             raise InputError(f"iteration {t} names apexes or a block other than its element's")
+        if case in ("1", "2"):
+            protected_ok = protected is None
+        else:
+            # case 3a takes its protected vertex as an apex and removes it;
+            # the other cases leave it in the residual graph
+            taken = case == "3a"
+            protected_ok = (
+                protected in block and (protected in apexes) is taken and (protected in trace.removed) is taken
+            )
+        if not protected_ok:
+            raise InputError(f"iteration {t} protects {protected!r}, which case {case} does not")
         # before the ant is built: a removed apex is never an apex again, so
         # each adjacency is read for one apex at most, and a clique of g has
         # no more pairs than g has edges

@@ -16,7 +16,8 @@ the whole graph: the least big leaf block anywhere is also the least of
 its own component, and likewise for near-leaf blocks. When both heaps are
 empty, every component left is one block or a star, and a sweep in order
 of least vertex takes case 1 once for each. Component snapshots are not
-kept during the run; they are rebuilt after it by one backward replay.
+kept during the run; they are rebuilt after it by one backward replay. A
+count run makes the same decisions and keeps nothing per iteration.
 """
 
 from __future__ import annotations
@@ -311,34 +312,41 @@ def peel_cover(
 ) -> tuple[list[BigAnt], list[IterationTrace]]:
     """Run the cover loop over every component; see cover.min_cointerval_cover."""
     elements: list[BigAnt] = []
-    traces = _peel(g, bd, kind, trace_components, elements)
+    traces: list[IterationTrace] = []
+    _peel(g, bd, kind, elements, traces)
+    if trace_components:
+        _replay_components(bd, traces)
+    if bd.ids is not None:
+        _relabel(bd.ids, elements, traces)
     return elements, traces
 
 
-def peel_count(g: Graph, bd: BlockDecomposition, kind: str) -> tuple[int, list[IterationTrace]]:
-    """The cover size from the loop of peel_cover, run without building any
-    element; also returns the iteration traces, without component snapshots."""
-    traces = _peel(g, bd, kind, False, None)
-    return len(traces), traces
+def peel_count(g: Graph, bd: BlockDecomposition, kind: str) -> int:
+    """The cover size: the number of iterations of peel_cover's loop, run
+    with every decision the same but with no element, no trace and no
+    component snapshot, so that the run keeps nothing per iteration."""
+    return _peel(g, bd, kind, None, None)
 
 
 def _peel(
     g: Graph,
     bd: BlockDecomposition,
     kind: str,
-    trace_components: bool,
     elements: list[BigAnt] | None,
-) -> list[IterationTrace]:
-    """The cover loop. One element per iteration is appended to elements,
-    unless that is None; the traces are returned."""
+    traces: list[IterationTrace] | None,
+) -> int:
+    """The cover loop over vertex indices; returns its iteration count.
+    elements and traces are both lists or both None: with lists, each
+    iteration appends its element and its trace, without a component;
+    with None the loop only counts."""
     st = _Peel(g, bd)
     remove_all = st.remove_all
     vblocks, alive = st.vblocks, st.alive
     case_three = _case_three if kind == COINTERVAL else _case_three_threshold
-    traces: list[IterationTrace] = []
     new = tuple.__new__
     n = len(vblocks)
     x = 0  # the sweep's next vertex
+    k = 0  # the iteration under way; the count when the loop ends
 
     try:
         while True:
@@ -360,28 +368,23 @@ def _peel(
                         break
                     step = _case_one(st, x)
             ant_block, apexes, case, chosen, protected, removed = step
-            if elements is not None:
+            if traces is not None:
                 elements.append(_ant(ant_block, apexes, st.residual_neighbors))
-            # tuple.__new__ skips the Python-level __new__ of the record
-            traces.append(new(IterationTrace, (None, case, chosen, protected, apexes, removed, len(traces))))
+                # tuple.__new__ skips the Python-level __new__ of the record
+                traces.append(new(IterationTrace, (None, case, chosen, protected, apexes, removed, k)))
             remove_all(removed)
+            k += 1
     except InternalInvariantError as exc:
-        # the iteration's case is chosen together with its trace, which
-        # traces then holds; until then case is None. The cases check
-        # before the iteration deletes anything, so the chosen block's
-        # component is still whole.
+        # case is None until the iteration's case is chosen. The cases
+        # check before the iteration deletes anything, so the chosen
+        # block's component is still whole.
         least = min(st.component(x if b is None else min(st.bverts[b])))
         region = least if st.ids is None else st.ids[least]
-        where = f"iteration {len(traces) - (case is not None)}, region {region}"
+        where = f"iteration {k}, region {region}"
         if case is not None:
             where += f", case {case}"
         raise InternalInvariantError(f"{exc} ({where})") from exc
-
-    if trace_components:
-        _replay_components(bd, traces)
-    if st.ids is not None:
-        _relabel(st.ids, elements, traces)
-    return traces
+    return k
 
 
 def _replay_components(bd: BlockDecomposition, traces: list[IterationTrace]) -> None:
@@ -421,7 +424,7 @@ def _replay_components(bd: BlockDecomposition, traces: list[IterationTrace]) -> 
         traces[k] = IterationTrace(frozenset(owner[r]), *t[1:])
 
 
-def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[IterationTrace]) -> None:
+def _relabel(ids: tuple[int, ...], elements: list[BigAnt], traces: list[IterationTrace]) -> None:
     """Map a run over vertex indices back to the vertex ids, in place."""
     def lab(s):
         return None if s is None else frozenset(ids[x] for x in s)
@@ -436,7 +439,7 @@ def _relabel(ids: tuple[int, ...], elements: list[BigAnt] | None, traces: list[I
             lab(t.removed),
             t.added_element_index,
         )
-    for k, el in enumerate(elements or ()):
+    for k, el in enumerate(elements):
         elements[k] = BigAnt(
             lab(el.block),
             ids[el.apex_u],

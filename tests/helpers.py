@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from antcover import graph
+from antcover import graph, peel
 from antcover.acceptance import free_trees, path_graph, random_graph  # noqa: F401 (re-exported)
 from antcover.blocks import block_decomposition
 from antcover.cover import min_cointerval_cover, min_threshold_cover
@@ -376,3 +376,38 @@ def engine_run_tuples(g: Graph, kind: str):
         for t in traces
     ]
     return els, trs
+
+
+class BatchRecordingPeel(peel._Peel):
+    """The peel engine, recording each vertex set that remove_all deletes."""
+
+    def __init__(self, g: Graph, bd):
+        super().__init__(g, bd)
+        self.batches: list[frozenset[int]] = []
+
+    def remove_all(self, removed):
+        self.batches.append(removed)
+        super().remove_all(removed)
+
+    def removed_sets(self) -> list[frozenset[int]]:
+        """The recorded batches in vertex ids, in the order deleted."""
+        ids = self.ids
+        return self.batches if ids is None else [frozenset(ids[x] for x in b) for b in self.batches]
+
+
+def counted_run(g: Graph, bd, kind: str, engine=BatchRecordingPeel):
+    """peel_count's value on g, and the engine it ran on, an instance of
+    engine, which records the batches that the count loop deleted."""
+    made = []
+
+    def make(g, bd):
+        made.append(engine(g, bd))
+        return made[-1]
+
+    original, peel._Peel = peel._Peel, make
+    try:
+        size = peel.peel_count(g, bd, kind)
+    finally:
+        peel._Peel = original
+    (st,) = made
+    return size, st

@@ -54,11 +54,13 @@ from antcover.oracle import (
 )
 from antcover.peel import COINTERVAL, THRESHOLD, peel_count, peel_cover
 from helpers import (
+    BatchRecordingPeel,
     benchmark_scale_corpus,
     broom_graph,
     caterpillar_graph,
     complete_graph,
     connected_components,
+    counted_run,
     cycle_graph,
     engine_run_tuples,
     free_trees,
@@ -236,26 +238,23 @@ def test_no_solve_builds_the_id_keyed_views(monkeypatch):
         blocks.block_decomposition(path_graph(3)).blocks
 
 
-class _CheckedPeel(peel._Peel):
+class _CheckedPeel(BatchRecordingPeel):
     """The engine, checking at the start of every iteration that each
     vertex's block set is shared with the decomposition until the vertex
     loses a block, and emptied when it is deleted."""
 
     def __init__(self, g, bd):
         super().__init__(g, bd)
-        self.bd, self.deleted, self.checks = bd, set(), 0
-
-    def remove_all(self, removed):
-        self.deleted |= removed
-        super().remove_all(removed)
+        self.bd, self.checks = bd, 0
 
     def pop_big_leaf(self):
         live = [set() for _ in self.vblocks]
         for i, members in enumerate(self.bverts):
             for x in members:
                 live[x].add(i)
+        deleted = set().union(*self.batches)
         for x, held in enumerate(self.vblocks):
-            if x in self.deleted:
+            if x in deleted:
                 assert held == () and not live[x]
             elif live[x] == set(self.bd.incidence[x]):
                 assert held is self.bd.incidence[x]
@@ -315,7 +314,7 @@ def _recount_mismatches(st, bd):
     return out
 
 
-class _RecountedPeel(peel._Peel):
+class _RecountedPeel(BatchRecordingPeel):
     """The engine, comparing at the start of every iteration the state it
     maintains with a recount from scratch."""
 
@@ -338,39 +337,34 @@ def _checked_graphs():
     return graphs + [path_graph(30), caterpillar_graph(12, 3), broom_graph(15, 8), triangle_chain_graph(14)]
 
 
-def _checked_runs(monkeypatch, engine, graphs):
+def _checked_runs(engine, graphs):
     """Count runs of both kinds over graphs on the given engine class, as
-    (engine, traces) pairs; the engine checks itself once per iteration
-    and once when no case is left."""
-    runs = []
-
-    def make(g, bd):
-        runs.append(engine(g, bd))
-        return runs[-1]
-
-    monkeypatch.setattr(peel, "_Peel", make)
+    (engine, traces) pairs, where traces are those of the cover run. The
+    engine checks itself once per iteration and once when no case is left,
+    and the count run deletes the cover run's removed sets, batch by
+    batch, in the same order."""
     out = []
     for g in graphs:
         bd = blocks.block_decomposition(g)
         for kind in (COINTERVAL, THRESHOLD):
-            _, traces = peel_count(g, bd, kind)
-            assert runs[-1].checks == len(traces) + 1
-            out.append((runs[-1], traces))
-    assert len(runs) == len(out) == 2 * len(graphs)
+            _, traces = peel_cover(g, bd, kind, False)
+            size, st = counted_run(g, bd, kind, engine)
+            assert st.checks == size + 1 == len(traces) + 1
+            assert st.removed_sets() == [t.removed for t in traces]
+            out.append((st, traces))
     return out
 
 
-def test_vertex_block_sets_are_copied_only_when_a_block_is_lost(monkeypatch):
-    for st, traces in _checked_runs(monkeypatch, _CheckedPeel, _checked_graphs()):
-        assert st.deleted == set().union(*(t.removed for t in traces))
+def test_vertex_block_sets_are_copied_only_when_a_block_is_lost():
+    assert _checked_runs(_CheckedPeel, _checked_graphs())
 
 
-def test_engine_state_equals_a_recount_at_every_iteration(monkeypatch):
+def test_engine_state_equals_a_recount_at_every_iteration():
     """Each iteration deletes its removed set in one batch, and the state
     it leaves for the next is the one the residual graph determines."""
     union = disjoint_union(disjoint_union(random_block_graph(60, seed=72), build_graph(1, [])), caterpillar_graph(8, 2))
     graphs = _checked_graphs() + [relabel_offset(union, 10**6)]
-    for st, traces in _checked_runs(monkeypatch, _RecountedPeel, graphs):
+    for st, traces in _checked_runs(_RecountedPeel, graphs):
         ids = st.ids or range(len(st.vblocks))
         deleted = {ids[x] for x, held in enumerate(st.vblocks) if held == ()}
         assert deleted == set().union(*(t.removed for t in traces))
@@ -638,8 +632,8 @@ def test_count_path_takes_the_same_iterations():
         bd = blocks.block_decomposition(g)
         for kind, value in ((COINTERVAL, coboxicity), (THRESHOLD, cothdim)):
             elements, traces = peel_cover(g, bd, kind, False)
-            size, count_traces = peel_count(g, bd, kind)
-            assert count_traces == traces  # same cases, removed sets and order
+            size, st = counted_run(g, bd, kind)
+            assert st.removed_sets() == [t.removed for t in traces]  # same batches, same order
             assert size == value(g) == len(elements)
 
 
@@ -693,6 +687,30 @@ def test_count_solves_leave_no_traces_to_collect():
     # traces still alive when gc.enable() runs are scanned by the collection
     # it lets run, which frees none of them
     assert sum(seen) == 0, seen
+
+
+def test_count_run_keeps_nothing_per_iteration():
+    """Beyond the engine state, a count run holds only what one iteration
+    needs: it keeps no trace or element per iteration, which took its
+    tracemalloc peak to about 1.8x the state."""
+    g = random_block_graph(20_000, seed=1)
+    bd = blocks.block_decomposition(g)
+    coboxicity(g)  # the block index and the peel start state are cached now
+    tracemalloc.start()
+    try:
+        st = peel._Peel(g, bd)
+        state = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del st
+    for kind in (COINTERVAL, THRESHOLD):
+        tracemalloc.start()
+        try:
+            peel_count(g, bd, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * state, (kind, peak / state)
 
 
 def shift_ids(x, offset):
@@ -941,9 +959,13 @@ def test_invariant_failure_names_iteration_region_and_case(monkeypatch, tmp_path
         original(st, removed)
 
     monkeypatch.setattr(peel._Peel, "remove_all", faulty)
-    with pytest.raises(InternalInvariantError) as info:
-        min_cointerval_cover(g)
-    message = str(info.value)
+    messages = []
+    for solve in (min_cointerval_cover, coboxicity):  # the cover and the count loop
+        with pytest.raises(InternalInvariantError) as info:
+            solve(g)
+        messages.append(str(info.value))
+    message = messages[0]
+    assert messages[1] == message
     assert message.startswith("injected (")
     assert f"iteration {first}," in message and message.endswith("case 2)")
     assert "region " in message
@@ -1196,6 +1218,25 @@ def test_validate_run_walks_traces_and_elements_in_step(tamper, message):
     assert verify_cover(cover.host, cover).valid
     with pytest.raises(InputError, match=f"^{message}$"):
         validate_run(cover.host, cover, traces)
+
+
+@pytest.mark.parametrize(
+    "g, kind, t, field, value, message",
+    [
+        (path_graph(7), COINTERVAL, 0, "case_taken", "zzz", "iteration 0 takes case 'zzz', which no cointerval run has"),
+        (path_graph(7), THRESHOLD, 1, "case_taken", "3a", "iteration 1 takes case '3a', which no threshold run has"),
+        (path_graph(7), COINTERVAL, 1, "protected_vertex", -5, "iteration 1 protects -5, which case 3a does not"),
+        # iteration 1 is case 3b over block {0, 2, 3, 4} with apexes 2 and 3,
+        # and it removes 4 as well
+        (random_block_graph(12, seed=4), COINTERVAL, 1, "protected_vertex", 4, "iteration 1 protects 4, which case 3b does not"),
+    ],
+    ids=["unknown-case", "cointerval-case-in-threshold-run", "protected-vertex-outside-the-graph", "removed-protected-vertex-in-3b"],
+)
+def test_validate_run_checks_each_case_and_protected_vertex(g, kind, t, field, value, message):
+    cover, traces = min_cover(g, kind)
+    bad = traces[:t] + [traces[t]._replace(**{field: value})] + traces[t + 1:]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        validate_run(g, cover, bad)
 
 
 def test_validate_run_catches_a_removal_outside_the_element():

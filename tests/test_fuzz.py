@@ -42,8 +42,8 @@ from antcover.graph import (
     serialize_structured,
 )
 from antcover.oracle import brute_coboxicity, brute_cothdim
-from antcover.peel import COINTERVAL, THRESHOLD, peel_count
-from helpers import in_order, naive_cover, parsed_in_order, spy_on_parse_rows
+from antcover.peel import COINTERVAL, THRESHOLD
+from helpers import counted_run, in_order, naive_cover, parsed_in_order, spy_on_parse_rows
 
 ORACLE_LIMIT = 12  # vertices; the brute-force oracle is exponential
 
@@ -71,9 +71,9 @@ def test_engine_agrees_with_its_references(g):
     bd = block_decomposition(g)
     for kind in (COINTERVAL, THRESHOLD):
         cover, traces = min_cover(g, kind)
-        size, count_traces = peel_count(g, bd, kind)
+        size, st = counted_run(g, bd, kind)
         assert size == len(cover.elements)
-        assert count_traces == [t._replace(component=None) for t in traces]
+        assert st.removed_sets() == [t.removed for t in traces]  # same batches, same order
         report = verify_cover(g, cover)
         assert report.valid
         rep = cover_to_box_representation(g, cover)
