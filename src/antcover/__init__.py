@@ -27,6 +27,7 @@ _EXPORTS = {
     "cover": (
         "BoxRepresentation",
         "Cover",
+        "IterationTrace",
         "VerificationReport",
         "coboxicity",
         "cothdim",
@@ -36,6 +37,7 @@ _EXPORTS = {
         "min_cointerval_cover",
         "min_threshold_cover",
         "path_coboxicity",
+        "traces_from_dict",
         "validate_run",
         "verify_cover",
     ),
@@ -55,7 +57,6 @@ _EXPORTS = {
         "serialize_edgelist",
         "serialize_structured",
     ),
-    "peel": ("IterationTrace",),
     "oracle": (
         "SetCoverInstance",
         "brute_coboxicity",

@@ -2,10 +2,12 @@
 
 Exit codes:
   0  success
-  1  failed verification or failed acceptance check
+  1  failed verification, of a cover or of the run its file records, or
+     failed acceptance check
   2  unreadable or malformed input, including a cover element without a
-     block, a graph above the --oracle bound and --input and --cover both
-     on stdin (or, for harness, networkx missing)
+     block, malformed traces in a cover file, a graph above the --oracle
+     bound and --input and --cover both on stdin (or, for harness,
+     networkx missing)
   2  an output file or stdout that cannot be written (disk full, closed
      pipe)
   2  out of memory
@@ -32,6 +34,8 @@ from .cover import (
     cover_to_box_representation,
     cover_to_dict,
     min_cover,
+    traces_from_dict,
+    validate_run,
     verify_cover,
 )
 from .errors import InputError, InternalInvariantError, NotBlockGraphError
@@ -88,9 +92,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return parse_edgelist(text)
 
 
-def _load_graph_and_cover(args: argparse.Namespace) -> tuple[Graph, Cover | None]:
-    """The graph, and the cover that --cover names, or None without one.
-    stdin can be read once only, so both on it fail before either is read."""
+def _load_graph_and_cover_json(args: argparse.Namespace) -> tuple[Graph, object]:
+    """The graph, and the parsed JSON of the cover file that --cover names
+    (None without --cover). stdin can be read once only, so both on it fail
+    before either is read."""
     path = args.cover_path
     if path == "-" and args.input in (None, "-"):
         raise InputError("only one of --input and --cover can be -, and --input is - when omitted")
@@ -101,10 +106,9 @@ def _load_graph_and_cover(args: argparse.Namespace) -> tuple[Graph, Cover | None
     # JSONDecodeError is a ValueError, and so is an integer of more than
     # 4,300 digits; deep nesting raises RecursionError
     try:
-        payload = json.loads(text)
+        return g, json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed cover JSON: {exc}") from None
-    return g, cover_from_dict(g, payload)
 
 
 def export_dot(g: Graph, c: Cover | None = None) -> str:
@@ -153,8 +157,18 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g, cover = _load_graph_and_cover(args)
+    """Check the cover; when its file records the run, replay that too."""
+    g, payload = _load_graph_and_cover_json(args)
+    cover = cover_from_dict(g, payload)
+    traces = traces_from_dict(payload) if "traces" in payload else None
     report = verify_cover(g, cover)
+    if report.valid and traces is not None:
+        try:
+            validate_run(g, cover, traces)
+        except InputError as exc:
+            _print("invalid")
+            _print(f"  run: {exc}")
+            return 1
     if report.valid:
         _print("valid")
         return 0
@@ -169,8 +183,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_boxrep(args: argparse.Namespace) -> int:
-    g, cover = _load_graph_and_cover(args)
-    if cover is None:
+    g, payload = _load_graph_and_cover_json(args)
+    if args.cover_path:
+        cover = cover_from_dict(g, payload)
+    else:
         cover, _ = min_cover(g, COINTERVAL, trace_components=False)
     rep = cover_to_box_representation(g, cover)
     _write_json(args.output, box_to_dict(rep))

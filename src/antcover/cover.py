@@ -13,7 +13,7 @@ from __future__ import annotations
 import gc
 from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .cointerval import (
     COINTERVAL,
@@ -25,16 +25,34 @@ from .cointerval import (
 from .errors import InputError
 from .graph import Edge, Graph, _json_int, clique_edges, missing_clique_pair, norm_edge
 
-# verify, boxrep and serialization never solve, so the block decomposition
-# and the peel engine load only when a solver runs
-if TYPE_CHECKING:
-    from .peel import IterationTrace
-
 
 class Cover(NamedTuple):
     host: Graph
     elements: tuple[BigAnt, ...]
     kind: str  # "cointerval" or "threshold"
+
+
+class IterationTrace(NamedTuple):
+    """What one iteration of the cover loop did.
+
+    Iterations run in one global order: each takes the big leaf block
+    with the least vertex, whatever its component, else the near-leaf
+    block with the least vertex; when neither is left, case 1 runs once
+    for each component left, by least vertex. component is the connected
+    component of the residual graph that the iteration worked in, without
+    isolated vertices; it is rebuilt after the run, and it is None when
+    component snapshots are disabled. removed is the very set the
+    iteration deletes, in one batch. A trace is a tuple of its fields, so
+    it equals that plain tuple.
+    """
+
+    component: frozenset[int] | None
+    case_taken: str  # "1", "2", "3a", "3b", "3*-2cuts" or "3*-many"
+    chosen_block: frozenset[int] | None
+    protected_vertex: int | None
+    apexes: tuple[int, ...]
+    removed: frozenset[int]
+    added_element_index: int
 
 
 class VerificationReport(NamedTuple):
@@ -137,6 +155,8 @@ def min_cover(
     g: Graph, kind: str, trace_components: bool = True
 ) -> tuple[Cover, list[IterationTrace]]:
     """Minimum cover of the given kind, with its traces."""
+    # verify, boxrep and serialization never solve, so the block
+    # decomposition and the peel engine load only when a solver runs
     from .blocks import checked_block_decomposition
     from .peel import peel_cover
 
@@ -255,7 +275,8 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     and its element must contain every residual edge at every deleted
     vertex. The trace must name its element's apexes, and its element's
     block or, in case 1 only, none. Its case must be one of the cover
-    kind's four, and its protected vertex none in cases 1 and 2; otherwise
+    kind's four, with two distinct apexes in cases 3a and 3b and one in
+    every other, and its protected vertex none in cases 1 and 2; otherwise
     a vertex of the block, which case 3a takes as an apex and removes and
     every other case neither. The element must be exactly the big
     ant over its block and apexes in the residual graph: the block a
@@ -293,6 +314,10 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
             raise InputError(f"iteration {t} takes case {case!r}, which no {cover.kind} run has")
         if set(trace.apexes) != apexes or not (chosen == block or chosen is None and case == "1"):
             raise InputError(f"iteration {t} names apexes or a block other than its element's")
+        count = 2 if case in ("3a", "3b") else 1
+        if len(trace.apexes) != count or len(apexes) != count:
+            want = "two distinct apexes" if count == 2 else "one apex"
+            raise InputError(f"iteration {t} names apexes {list(trace.apexes)}, but case {case} takes {want}")
         if case in ("1", "2"):
             protected_ok = protected is None
         else:
@@ -419,6 +444,48 @@ def cover_from_dict(g: Graph, payload: object) -> Cover:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed cover payload: {exc}") from None
     return Cover(g, tuple(elements), kind)
+
+
+def _json_ids(entry: dict, key: str) -> list[int]:
+    """The vertex ids of a trace's array under key. The types are tested
+    in one pass at C speed, since component snapshots hold many ids."""
+    value = entry[key]
+    if type(value) is not list:
+        raise TypeError(f'a trace\'s "{key}" must be a JSON array')
+    if not set(map(type, value)) <= {int}:
+        for v in value:
+            _json_int(v, f'a vertex in "{key}"')  # raises at the first id that is no int
+    return value
+
+
+def traces_from_dict(payload: object) -> list[IterationTrace]:
+    """The traces in the JSON form of a cover, an object whose "traces" is
+    an array of objects with every key that cover_to_dict writes. Every
+    vertex id and element index must be a JSON integer, the case a string,
+    and each vertex set an array, or null for a component or a block."""
+    try:
+        if type(payload) is not dict:
+            raise InputError("cover JSON must be an object")
+        entries = payload["traces"]
+        if type(entries) is not list or not all(type(entry) is dict for entry in entries):
+            raise InputError("cover traces must be a JSON array of objects")
+        traces = []
+        for entry in entries:
+            case, protected = entry["case"], entry["protected"]
+            if type(case) is not str:
+                raise TypeError(f"a trace's case must be a JSON string, got {case!r}")
+            traces.append(IterationTrace(
+                None if entry["component"] is None else frozenset(_json_ids(entry, "component")),
+                case,
+                None if entry["block"] is None else frozenset(_json_ids(entry, "block")),
+                None if protected is None else _json_int(protected, "a protected vertex"),
+                tuple(_json_ids(entry, "apexes")),
+                frozenset(_json_ids(entry, "removed")),
+                _json_int(entry["element"], "an element index"),
+            ))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed cover traces: {exc}") from None
+    return traces
 
 
 def box_to_dict(rep: BoxRepresentation) -> dict:

@@ -73,8 +73,6 @@ def enumerate_maximal_cointerval_edge_sets(g: Graph) -> list[frozenset[Edge]]:
         return ants
     sets = all_sigma_edge_sets(g)
     maximal = [s for s in sets if not any(s < t for t in sets)]
-    if not maximal and g.edge_count == 0:
-        return []
     return sorted(maximal, key=lambda s: (len(s), sorted(s)), reverse=True)
 
 

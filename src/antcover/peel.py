@@ -15,46 +15,26 @@ of the residual graph evolve independently, so one pair of heaps serves
 the whole graph: the least big leaf block anywhere is also the least of
 its own component, and likewise for near-leaf blocks. When both heaps are
 empty, every component left is one block or a star, and a sweep in order
-of least vertex takes case 1 once for each. Component snapshots are not
-kept during the run; they are rebuilt after it by one backward replay. A
-count run makes the same decisions and keeps nothing per iteration.
+of least vertex takes case 1 once for each. The loop only decides: it
+records each iteration's step over vertex indices, and a cover run then
+rebuilds the component snapshots by one backward replay and writes each
+element and trace once, in vertex ids, by one forward pass. A count run
+makes the same decisions and keeps nothing per iteration.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import compress
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cointerval import COINTERVAL, THRESHOLD, BigAnt, _ant  # noqa: F401 (THRESHOLD re-exported)
+from .cover import IterationTrace
 from .errors import InternalInvariantError
 from .graph import Graph
 
 if TYPE_CHECKING:
     from .blocks import BlockDecomposition
-
-
-class IterationTrace(NamedTuple):
-    """What one iteration of the cover loop did.
-
-    Iterations run in one global order: each takes the big leaf block
-    with the least vertex, whatever its component, else the near-leaf
-    block with the least vertex; when neither is left, case 1 runs once
-    for each component left, by least vertex. component is the connected
-    component of the residual graph that the iteration worked in, without
-    isolated vertices; it is rebuilt after the run, and it is None when
-    component snapshots are disabled. removed is the very set the
-    iteration deletes, in one batch. A trace is a tuple of its fields, so
-    it equals that plain tuple.
-    """
-
-    component: frozenset[int] | None
-    case_taken: str  # "1", "2", "3a", "3b", "3*-2cuts" or "3*-many"
-    chosen_block: frozenset[int] | None
-    protected_vertex: int | None
-    apexes: tuple[int, ...]
-    removed: frozenset[int]
-    added_element_index: int
 
 
 class _Start(NamedTuple):
@@ -108,9 +88,9 @@ class _Peel:
     and block index.
 
     Vertex ids that are not exactly 0..n-1 are compacted (ids[k] is the id
-    of index k), so per-vertex lists have n slots; the run is mapped back
-    to ids at the end. Index order is id order, so every minimum-id choice
-    is the same in both.
+    of index k), so per-vertex lists have n slots; peel_cover writes the
+    run in ids. Index order is id order, so every minimum-id choice is the
+    same in both.
 
     bverts[i] is the set of block i's live members; each run copies these
     from the decomposition, since every deletion shrinks them. vblocks[x]
@@ -310,40 +290,52 @@ def peel_cover(
     kind: str,
     trace_components: bool = True,
 ) -> tuple[list[BigAnt], list[IterationTrace]]:
-    """Run the cover loop over every component; see cover.min_cointerval_cover."""
+    """Run the cover loop over every component; see cover.min_cointerval_cover.
+
+    The loop only records each iteration's step over vertex indices. One
+    forward pass then writes every element and trace once, in vertex ids:
+    each element is the big ant over its step's block and apexes in g
+    less the vertices that earlier steps removed."""
+    steps: list[tuple] = []
+    _peel(g, bd, kind, steps)
+    components = _replay_components(bd, steps) if trace_components else repeat(None)
+    ids = bd.ids
+    alive = set(g.vertices)
+    neighbors = g.neighbors
+
+    def residual_neighbors(a: int) -> set[int]:
+        return neighbors(a) & alive
+
     elements: list[BigAnt] = []
     traces: list[IterationTrace] = []
-    _peel(g, bd, kind, elements, traces)
-    if trace_components:
-        _replay_components(bd, traces)
-    if bd.ids is not None:
-        _relabel(bd.ids, elements, traces)
+    for k, ((block, apexes, case, chosen, protected, removed), component) in enumerate(zip(steps, components)):
+        if ids is not None:
+            block = frozenset([ids[x] for x in block])
+            apexes = tuple([ids[a] for a in apexes])
+            protected = None if protected is None else ids[protected]
+            removed = frozenset([ids[x] for x in removed])
+        chosen = None if chosen is None else block  # the element's block, in ids
+        elements.append(_ant(block, apexes, residual_neighbors))
+        traces.append(IterationTrace(component, case, chosen, protected, apexes, removed, k))
+        alive -= removed
     return elements, traces
 
 
 def peel_count(g: Graph, bd: BlockDecomposition, kind: str) -> int:
     """The cover size: the number of iterations of peel_cover's loop, run
-    with every decision the same but with no element, no trace and no
-    component snapshot, so that the run keeps nothing per iteration."""
-    return _peel(g, bd, kind, None, None)
+    with every decision the same but with no step recorded, so that the
+    run keeps nothing per iteration."""
+    return _peel(g, bd, kind, None)
 
 
-def _peel(
-    g: Graph,
-    bd: BlockDecomposition,
-    kind: str,
-    elements: list[BigAnt] | None,
-    traces: list[IterationTrace] | None,
-) -> int:
+def _peel(g: Graph, bd: BlockDecomposition, kind: str, steps: list[tuple] | None) -> int:
     """The cover loop over vertex indices; returns its iteration count.
-    elements and traces are both lists or both None: with lists, each
-    iteration appends its element and its trace, without a component;
-    with None the loop only counts."""
+    With a list for steps, each iteration appends its step, the tuple its
+    case returns; with None the loop only counts."""
     st = _Peel(g, bd)
     remove_all = st.remove_all
     vblocks, alive = st.vblocks, st.alive
     case_three = _case_three if kind == COINTERVAL else _case_three_threshold
-    new = tuple.__new__
     n = len(vblocks)
     x = 0  # the sweep's next vertex
     k = 0  # the iteration under way; the count when the loop ends
@@ -367,11 +359,9 @@ def _peel(
                     if x == n:
                         break
                     step = _case_one(st, x)
-            ant_block, apexes, case, chosen, protected, removed = step
-            if traces is not None:
-                elements.append(_ant(ant_block, apexes, st.residual_neighbors))
-                # tuple.__new__ skips the Python-level __new__ of the record
-                traces.append(new(IterationTrace, (None, case, chosen, protected, apexes, removed, k)))
+            _, _, case, _, _, removed = step
+            if steps is not None:
+                steps.append(step)
             remove_all(removed)
             k += 1
     except InternalInvariantError as exc:
@@ -387,15 +377,15 @@ def _peel(
     return k
 
 
-def _replay_components(bd: BlockDecomposition, traces: list[IterationTrace]) -> None:
-    """Fill in each trace's component, in place, by running the deletions
-    backwards: starting from the vertices no iteration removed, each
-    iteration adds its removed vertices back with their host edges to the
+def _replay_components(bd: BlockDecomposition, steps: list[tuple]) -> list[frozenset[int]]:
+    """The component each step worked in, in vertex ids, found by running
+    the deletions backwards: starting from the vertices no step removed,
+    each step adds its removed vertices back with their host edges to the
     vertices already there, and the component through them is the one it
     worked in. Components are member sets, the smaller merged into the
     larger; present members of a block are joined by the block's clique,
     so one of them stands for all when a vertex of the block comes back."""
-    members, incidence = bd.members, bd.incidence
+    members, incidence, ids = bd.members, bd.incidence, bd.ids
     owner: list[set[int] | None] = [None] * len(incidence)
     held = [-1] * len(members)  # a present member of each block
 
@@ -415,43 +405,22 @@ def _replay_components(bd: BlockDecomposition, traces: list[IterationTrace]) -> 
             for z in other:
                 owner[z] = own
 
-    for x in set(range(len(incidence))).difference(*(t.removed for t in traces)):
+    for x in set(range(len(incidence))).difference(*(removed for *_, removed in steps)):
         add(x)
-    for k in range(len(traces) - 1, -1, -1):
-        t = traces[k]
-        for r in t.removed:
+    components: list[frozenset[int]] = []
+    for *_, removed in reversed(steps):
+        for r in removed:
             add(r)
-        traces[k] = IterationTrace(frozenset(owner[r]), *t[1:])
-
-
-def _relabel(ids: tuple[int, ...], elements: list[BigAnt], traces: list[IterationTrace]) -> None:
-    """Map a run over vertex indices back to the vertex ids, in place."""
-    def lab(s):
-        return None if s is None else frozenset(ids[x] for x in s)
-
-    for k, t in enumerate(traces):
-        traces[k] = IterationTrace(
-            lab(t.component),
-            t.case_taken,
-            lab(t.chosen_block),
-            None if t.protected_vertex is None else ids[t.protected_vertex],
-            tuple(ids[a] for a in t.apexes),
-            lab(t.removed),
-            t.added_element_index,
-        )
-    for k, el in enumerate(elements):
-        elements[k] = BigAnt(
-            lab(el.block),
-            ids[el.apex_u],
-            ids[el.apex_v],
-            lab(el.vertices),
-            frozenset((ids[a], ids[b]) for a, b in el.edges),
-        )
+        own = owner[r]
+        components.append(frozenset(own) if ids is None else frozenset([ids[x] for x in own]))
+    components.reverse()
+    return components
 
 
 # Each case returns the step of one iteration: (element block, apexes,
-# case, chosen block, protected vertex, removed). removed is both the
-# trace's set and the batch that remove_all deletes.
+# case, chosen block, protected vertex, removed), over vertex indices. The
+# chosen block is the element block, or None in case 1. removed is both
+# the trace's set and the batch that remove_all deletes.
 
 
 def _case_one(st: _Peel, x: int):

@@ -469,6 +469,50 @@ def test_cover_file_with_malformed_elements_or_size_exits_2(tmp_path, capsys, co
     assert message in captured.err
 
 
+def _first_trace(**change):
+    def edit(traces):
+        traces[0].update(change)
+        return traces
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, status, out, err",
+    [
+        (None, 0, "valid\n", ""),
+        (lambda traces: traces, 0, "valid\n", ""),
+        (_first_trace(removed=[]), 1,
+         "invalid\n  run: iteration 0 protects 2, which case 3a does not\n", ""),
+        (_first_trace(case="zzz"), 1, "invalid\n  run: iteration 0 takes case 'zzz', which no cointerval run has\n", ""),
+        (lambda traces: traces[:1], 1, "invalid\n  run: the run has 1 traces for 2 elements\n", ""),
+        (lambda traces: [{"garbage": 1}], 2, "", "error: malformed cover traces: 'case'\n"),
+        (lambda traces: None, 2, "", "error: malformed cover traces: cover traces must be a JSON array of objects\n"),
+        (_first_trace(removed="0 1"), 2, "", "error: malformed cover traces: a trace's \"removed\" must be a JSON array\n"),
+        (_first_trace(apexes=[1.0]), 2, "", "error: malformed cover traces: a vertex in \"apexes\" must be a JSON integer, got 1.0\n"),
+        (_first_trace(case=1), 2, "", "error: malformed cover traces: a trace's case must be a JSON string, got 1\n"),
+    ],
+    ids=[
+        "no-traces", "untouched", "nothing-removed", "unknown-case", "a-trace-missing",
+        "garbage", "null", "removed-not-an-array", "float-apex", "integer-case",
+    ],
+)
+def test_verify_replays_the_run_a_cover_file_records(tmp_path, capsys, edit, status, out, err):
+    """edit changes the traces of path_graph(7)'s cover file, or drops
+    them when it is None; boxrep --cover never reads them."""
+    gpath = write_graph(tmp_path, path_graph(7))
+    cpath = tmp_path / "cover.json"
+    assert main(["cover", "-i", gpath, "-o", str(cpath)]) == 0
+    payload = json.loads(cpath.read_text())
+    traces = payload.pop("traces")
+    if edit is not None:
+        payload["traces"] = edit(traces)
+    cpath.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == status
+    assert capsys.readouterr() == (out, err)
+    assert main(["boxrep", "-i", gpath, "--cover", str(cpath)]) == 0
+
+
 def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(4))
     bad = tmp_path / "bad.json"

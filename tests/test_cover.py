@@ -15,6 +15,7 @@ import pytest
 from antcover import blocks, cli, peel
 from antcover.cointerval import (
     BigAnt,
+    _ant,
     ant_order,
     is_cointerval,
     is_threshold,
@@ -1229,12 +1230,33 @@ def test_validate_run_walks_traces_and_elements_in_step(tamper, message):
         # iteration 1 is case 3b over block {0, 2, 3, 4} with apexes 2 and 3,
         # and it removes 4 as well
         (random_block_graph(12, seed=4), COINTERVAL, 1, "protected_vertex", 4, "iteration 1 protects 4, which case 3b does not"),
+        # a second apex that is no cut of a case-2 leaf block, or that is the
+        # leaf of a case-1 edge, adds no edge to the ant; iteration 0 of
+        # either kind is case 2 over block {0, 10, 11} with apex 0
+        (random_block_graph(60, seed=5), THRESHOLD, 0, "apexes", (0, 10), r"iteration 0 names apexes \[0, 10\], but case 2 takes one apex"),
+        (random_block_graph(60, seed=5), COINTERVAL, 0, "apexes", (0, 11), r"iteration 0 names apexes \[0, 11\], but case 2 takes one apex"),
+        (path_graph(7), THRESHOLD, 2, "apexes", (4, 5), r"iteration 2 names apexes \[4, 5\], but case 1 takes one apex"),
+        (random_block_graph(12, seed=4), COINTERVAL, 2, "apexes", (0, 5), r"iteration 2 names apexes \[0, 5\], but case 1 takes one apex"),
+        # an apex named twice leaves the ant as it is
+        (path_graph(7), THRESHOLD, 0, "apexes", (1, 1), r"iteration 0 names apexes \[1, 1\], but case 3\*-2cuts takes one apex"),
+        (path_graph(7), COINTERVAL, 0, "apexes", (1, 1, 2), r"iteration 0 names apexes \[1, 1, 2\], but case 3a takes two distinct apexes"),
     ],
-    ids=["unknown-case", "cointerval-case-in-threshold-run", "protected-vertex-outside-the-graph", "removed-protected-vertex-in-3b"],
+    ids=[
+        "unknown-case", "cointerval-case-in-threshold-run", "protected-vertex-outside-the-graph",
+        "removed-protected-vertex-in-3b", "two-apex-ant-in-threshold-case-2", "two-apex-ant-in-cointerval-case-2",
+        "two-apex-ant-in-threshold-case-1", "two-apex-ant-in-cointerval-case-1", "apex-named-twice-in-threshold-run",
+        "apex-named-twice-in-3a",
+    ],
 )
 def test_validate_run_checks_each_case_and_protected_vertex(g, kind, t, field, value, message):
     cover, traces = min_cover(g, kind)
     bad = traces[:t] + [traces[t]._replace(**{field: value})] + traces[t + 1:]
+    if field == "apexes":
+        # the element follows its trace: the residual big ant over its
+        # block and the new apexes, so that only the apex count is wrong
+        alive = g.vertices - set().union(*(tr.removed for tr in traces[:t]))
+        el = _ant(cover.elements[t].block, value, lambda a: g.neighbors(a) & alive)
+        cover = cover._replace(elements=(*cover.elements[:t], el, *cover.elements[t + 1:]))
     with pytest.raises(InputError, match=f"^{message}$"):
         validate_run(g, cover, bad)
 

@@ -9,6 +9,7 @@ stays deterministic.
 """
 
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from antcover.graph import (
 )
 from antcover.oracle import brute_coboxicity, brute_cothdim
 from antcover.peel import COINTERVAL, THRESHOLD
-from helpers import counted_run, in_order, naive_cover, parsed_in_order, spy_on_parse_rows
+from helpers import counted_run, golden_corpus, in_order, naive_cover, parsed_in_order, spy_on_parse_rows
 
 ORACLE_LIMIT = 12  # vertices; the brute-force oracle is exponential
 
@@ -99,10 +100,15 @@ def _cli_verify(g, cover):
     or None when g's ids are not 0..n-1, which no graph file can hold."""
     if g.vertices != set(range(g.vertex_count)):
         return None
+    return _cli_verify_json(g, cover_to_dict(cover))
+
+
+def _cli_verify_json(g, payload):
+    """The exit code of the verify command on g and a cover's JSON form."""
     with tempfile.TemporaryDirectory() as tmp:
         gpath, cpath = Path(tmp, "g.txt"), Path(tmp, "c.json")
         gpath.write_text(serialize_edgelist(g))
-        cpath.write_text(json.dumps(cover_to_dict(cover)))
+        cpath.write_text(json.dumps(payload))
         return cli.main(["verify", "-i", str(gpath), "--cover", str(cpath)])
 
 
@@ -140,6 +146,55 @@ def test_tampered_covers_are_caught(g, kind, data):
     report = verify_cover(g, added)
     assert report.not_subgraphs == (i,) and report.uncovered == el.edges - elsewhere
     assert _cli_verify(g, added) in (None, 1)
+
+
+TRACE_MUTATIONS = (
+    "apex-not-removed", "removed-again", "another-element", "unknown-case",
+    "protected-outside-the-block", "another-block", "non-integer-id",
+)
+
+
+def _mutate_trace(mutation, trace, element, earlier, vertices):
+    """Change one trace of a cover file in place; element is the trace's
+    element and earlier the vertices that the iterations before it removed."""
+    if mutation == "apex-not-removed":
+        trace["removed"].remove(trace["apexes"][0])
+    elif mutation == "removed-again":
+        trace["removed"].append(min(earlier))
+    elif mutation == "another-element":
+        trace["element"] += 1
+    elif mutation == "unknown-case":
+        trace["case"] = "zzz"
+    elif mutation == "protected-outside-the-block":
+        trace["protected"] = min(vertices - set(element["block"]))
+    elif mutation == "another-block":
+        trace["block"] = element["block"][1:]
+    elif mutation == "non-integer-id":
+        trace["removed"][0] = str(trace["removed"][0])
+
+
+@pytest.mark.parametrize("kind", (COINTERVAL, THRESHOLD))
+def test_tampered_traces_are_caught(kind):
+    """verify replays the run that a cover file records: each golden cover
+    file is valid, one trace changed in a well-formed way makes it invalid
+    (exit 1), and a vertex id that is no integer makes it malformed (exit
+    2). The trace to change is drawn by a seeded generator."""
+    for name, g in golden_corpus().items():
+        cover, traces = min_cover(g, kind)
+        payload = cover_to_dict(cover, traces)
+        assert _cli_verify_json(g, payload) == 0, name
+        rng = random.Random(f"{name}:{kind}")
+        for mutation in TRACE_MUTATIONS:
+            # a run of one iteration removes nothing before it
+            first = 1 if mutation == "removed-again" else 0
+            if first == len(traces):
+                continue
+            t = rng.randrange(first, len(traces))
+            tampered = json.loads(json.dumps(payload))
+            earlier = set().union(*(tr.removed for tr in traces[:t]))
+            _mutate_trace(mutation, tampered["traces"][t], tampered["elements"][t], earlier, g.vertices)
+            status = 2 if mutation == "non-integer-id" else 1
+            assert _cli_verify_json(g, tampered) == status, (name, mutation, t)
 
 
 # Edge-list text mutations. The content ones keep the canonical form (digits,
