@@ -27,6 +27,7 @@ from pathlib import Path
 from .cointerval import COINTERVAL, THRESHOLD
 from .cover import (
     Cover,
+    _gc_paused,
     box_to_dict,
     coboxicity,
     cothdim,
@@ -289,7 +290,10 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
         raise
     try:
-        return args.handler(args)
+        # commands build long-lived containers that make no cycles, so a
+        # collection would scan live state and free nothing
+        with _gc_paused():
+            return args.handler(args)
     except NotBlockGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

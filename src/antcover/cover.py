@@ -40,10 +40,10 @@ class IterationTrace(NamedTuple):
     block with the least vertex; when neither is left, case 1 runs once
     for each component left, by least vertex. component is the connected
     component of the residual graph that the iteration worked in, without
-    isolated vertices; it is rebuilt after the run, and it is None when
-    component snapshots are disabled. removed is the very set the
-    iteration deletes, in one batch. A trace is a tuple of its fields, so
-    it equals that plain tuple.
+    isolated vertices, or None when snapshots are disabled; validate_run
+    checks it exactly, in O(n + m) time beyond reading the traces. removed
+    is the very set the iteration deletes, in one batch. A trace is a
+    tuple of its fields, so it equals that plain tuple.
     """
 
     component: frozenset[int] | None
@@ -267,6 +267,35 @@ def verify_cover(g: Graph, c: Cover) -> VerificationReport:
 _CASES = {COINTERVAL: ("1", "2", "3a", "3b"), THRESHOLD: ("1", "2", "3*-2cuts", "3*-many")}
 
 
+def _component_walk(g: Graph, removed_sets: Sequence[frozenset[int]]) -> Iterator[set[int]]:
+    """The component that each iteration of a run worked in, last first:
+    from the vertices no iteration removed, each removed set (nonempty, in
+    one component) is added back with its edges, the smaller member set
+    merged into the larger. A yielded set grows later, so read it at once."""
+    owner: dict[int, set[int]] = {}
+    neighbors = g.neighbors
+
+    def add(x: int) -> set[int]:
+        own = owner[x] = {x}
+        for y in neighbors(x):
+            other = owner.get(y)
+            if other is None or other is own:
+                continue
+            if len(other) > len(own):
+                own, other = other, own
+            own |= other
+            for z in other:
+                owner[z] = own
+        return own
+
+    for x in set(g.vertices).difference(*removed_sets):
+        add(x)
+    for removed in reversed(removed_sets):
+        for r in removed:
+            own = add(r)
+        yield own
+
+
 def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     """Replay a run and check its progress, covering and element invariants.
 
@@ -282,10 +311,11 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     ant over its block and apexes in the residual graph: the block a
     clique of that graph holding the apexes, which the iteration deletes,
     the edges the clique's plus every residual edge at an apex, and the
-    vertices their endpoints. Last, no edge may join two vertices that no
-    iteration deleted, so the cover covers g. Raises InputError on the
-    first violation, naming its iteration. The replay is linear in the
-    size of the graph, the cover and the traces.
+    vertices their endpoints. No edge may join two vertices that no
+    iteration deleted, and a component snapshot must be exactly the one
+    that _component_walk finds. Raises InputError on the first violation,
+    naming its iteration. The replay is linear in the size of the graph,
+    the cover and the traces.
     """
     if len(traces) != len(cover.elements):
         raise InputError(f"the run has {len(traces)} traces for {len(cover.elements)} elements")
@@ -298,8 +328,6 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
             if stray:
                 raise InputError(f"iteration {t} removed vertices not in the graph: {stray}")
             raise InputError(f"iteration {t} removed vertices twice")
-        if trace.component is not None and not trace.removed <= trace.component:
-            raise InputError(f"iteration {t} removed outside its component")
         if not trace.removed <= element.vertices:
             raise InputError(f"iteration {t} removed vertices outside its element")
         for r in sorted(trace.removed):
@@ -351,6 +379,11 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
     left = sorted(norm_edge(v, x) for v in alive for x in g.neighbors(v) if x in alive)
     if left:
         raise InputError(f"edge {left[0]} is left between vertices that no iteration removed")
+    if any(trace.component is not None for trace in traces):
+        walk = _component_walk(g, [trace.removed for trace in traces])
+        wrong = [t for t, c in zip(range(len(traces) - 1, -1, -1), walk) if traces[t].component not in (None, c)]
+        if wrong:
+            raise InputError(f"iteration {min(wrong)}: its component is not the one it worked in")
 
 
 def cover_to_box_representation(g: Graph, c: Cover) -> BoxRepresentation:
@@ -414,7 +447,8 @@ def cover_from_dict(g: Graph, payload: object) -> Cover:
     """Cover of g from its JSON form, an object; every vertex id in it must
     be a JSON integer (not a float, boolean or string), elements must be an
     array of objects, each with a block, and size, when present, the number
-    of elements."""
+    of elements. A missing key is named with the element that lacks it."""
+    i = None  # the element being read
     try:
         if type(payload) is not dict:
             raise InputError("cover JSON must be an object")
@@ -441,7 +475,10 @@ def cover_from_dict(g: Graph, payload: object) -> Cover:
             block = frozenset(_json_int(v, "a block vertex") for v in entry["block"])
             apexes = _json_int(entry["u"], "apex u"), _json_int(entry["v"], "apex v")
             elements.append(BigAnt(block, *apexes, vertices, edges))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        where = "cover JSON" if i is None else f"cover element {i}"
+        raise InputError(f'malformed cover payload: {where} has no "{exc.args[0]}"') from None
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed cover payload: {exc}") from None
     return Cover(g, tuple(elements), kind)
 
@@ -462,7 +499,9 @@ def traces_from_dict(payload: object) -> list[IterationTrace]:
     """The traces in the JSON form of a cover, an object whose "traces" is
     an array of objects with every key that cover_to_dict writes. Every
     vertex id and element index must be a JSON integer, the case a string,
-    and each vertex set an array, or null for a component or a block."""
+    and each vertex set an array, or null for a component or a block. A
+    missing key is named with the trace that lacks it."""
+    t = None  # the trace being read
     try:
         if type(payload) is not dict:
             raise InputError("cover JSON must be an object")
@@ -470,7 +509,7 @@ def traces_from_dict(payload: object) -> list[IterationTrace]:
         if type(entries) is not list or not all(type(entry) is dict for entry in entries):
             raise InputError("cover traces must be a JSON array of objects")
         traces = []
-        for entry in entries:
+        for t, entry in enumerate(entries):
             case, protected = entry["case"], entry["protected"]
             if type(case) is not str:
                 raise TypeError(f"a trace's case must be a JSON string, got {case!r}")
@@ -483,7 +522,10 @@ def traces_from_dict(payload: object) -> list[IterationTrace]:
                 frozenset(_json_ids(entry, "removed")),
                 _json_int(entry["element"], "an element index"),
             ))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        where = "cover JSON" if t is None else f"trace {t}"
+        raise InputError(f'malformed cover traces: {where} has no "{exc.args[0]}"') from None
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed cover traces: {exc}") from None
     return traces
 

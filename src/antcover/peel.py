@@ -17,9 +17,10 @@ its own component, and likewise for near-leaf blocks. When both heaps are
 empty, every component left is one block or a star, and a sweep in order
 of least vertex takes case 1 once for each. The loop only decides: it
 records each iteration's step over vertex indices, and a cover run then
-rebuilds the component snapshots by one backward replay and writes each
-element and trace once, in vertex ids, by one forward pass. A count run
-makes the same decisions and keeps nothing per iteration.
+takes the component snapshots from cover._component_walk, the backward
+replay that validate_run also checks them with, and writes each element
+and trace once, in vertex ids, by one forward pass. A count run makes
+the same decisions and keeps nothing per iteration.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import compress, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cointerval import COINTERVAL, THRESHOLD, BigAnt, _ant  # noqa: F401 (THRESHOLD re-exported)
-from .cover import IterationTrace
+from .cover import IterationTrace, _component_walk
 from .errors import InternalInvariantError
 from .graph import Graph
 
@@ -292,14 +293,19 @@ def peel_cover(
 ) -> tuple[list[BigAnt], list[IterationTrace]]:
     """Run the cover loop over every component; see cover.min_cointerval_cover.
 
-    The loop only records each iteration's step over vertex indices. One
-    forward pass then writes every element and trace once, in vertex ids:
-    each element is the big ant over its step's block and apexes in g
-    less the vertices that earlier steps removed."""
+    The loop only records each iteration's step over vertex indices. Each
+    step's removed set is mapped to vertex ids once, for the component
+    walk and for one forward pass that then writes every element and
+    trace once, in vertex ids: each element is the big ant over its
+    step's block and apexes in g less the vertices that earlier steps
+    removed."""
     steps: list[tuple] = []
     _peel(g, bd, kind, steps)
-    components = _replay_components(bd, steps) if trace_components else repeat(None)
     ids = bd.ids
+    removed_sets = [step[5] if ids is None else frozenset([ids[x] for x in step[5]]) for step in steps]
+    components = repeat(None)
+    if trace_components:
+        components = [frozenset(own) for own in _component_walk(g, removed_sets)][::-1]
     alive = set(g.vertices)
     neighbors = g.neighbors
 
@@ -308,12 +314,12 @@ def peel_cover(
 
     elements: list[BigAnt] = []
     traces: list[IterationTrace] = []
-    for k, ((block, apexes, case, chosen, protected, removed), component) in enumerate(zip(steps, components)):
+    for k, (step, removed, component) in enumerate(zip(steps, removed_sets, components)):
+        block, apexes, case, chosen, protected, _ = step
         if ids is not None:
             block = frozenset([ids[x] for x in block])
             apexes = tuple([ids[a] for a in apexes])
             protected = None if protected is None else ids[protected]
-            removed = frozenset([ids[x] for x in removed])
         chosen = None if chosen is None else block  # the element's block, in ids
         elements.append(_ant(block, apexes, residual_neighbors))
         traces.append(IterationTrace(component, case, chosen, protected, apexes, removed, k))
@@ -375,46 +381,6 @@ def _peel(g: Graph, bd: BlockDecomposition, kind: str, steps: list[tuple] | None
             where += f", case {case}"
         raise InternalInvariantError(f"{exc} ({where})") from exc
     return k
-
-
-def _replay_components(bd: BlockDecomposition, steps: list[tuple]) -> list[frozenset[int]]:
-    """The component each step worked in, in vertex ids, found by running
-    the deletions backwards: starting from the vertices no step removed,
-    each step adds its removed vertices back with their host edges to the
-    vertices already there, and the component through them is the one it
-    worked in. Components are member sets, the smaller merged into the
-    larger; present members of a block are joined by the block's clique,
-    so one of them stands for all when a vertex of the block comes back."""
-    members, incidence, ids = bd.members, bd.incidence, bd.ids
-    owner: list[set[int] | None] = [None] * len(incidence)
-    held = [-1] * len(members)  # a present member of each block
-
-    def add(x: int) -> None:
-        own = owner[x] = {x}
-        for i in incidence[x]:
-            y = held[i]
-            if y < 0:
-                held[i] = x
-                continue
-            other = owner[y]
-            if other is own:
-                continue
-            if len(other) > len(own):
-                own, other = other, own
-            own |= other
-            for z in other:
-                owner[z] = own
-
-    for x in set(range(len(incidence))).difference(*(removed for *_, removed in steps)):
-        add(x)
-    components: list[frozenset[int]] = []
-    for *_, removed in reversed(steps):
-        for r in removed:
-            add(r)
-        own = owner[r]
-        components.append(frozenset(own) if ids is None else frozenset([ids[x] for x in own]))
-    components.reverse()
-    return components
 
 
 # Each case returns the step of one iteration: (element block, apexes,

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, round trips, exit codes, DOT export."""
 
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import antcover
 
-from antcover import generate, graph, oracle, peel
+from antcover import cli, generate, graph, oracle, peel
 from antcover.blocks import block_decomposition, is_block_graph
 from antcover.cli import export_dot, main
 from antcover.cover import min_cointerval_cover
@@ -260,19 +261,41 @@ def test_gen_max_block_two_makes_every_block_an_edge(capsys):
 
 def test_boxrep_takes_no_component_snapshots(tmp_path, capsys, monkeypatch):
     replays = []
-    original = peel._replay_components
+    original = peel._component_walk
 
-    def recording(bd, traces):
-        replays.append(len(traces))
-        return original(bd, traces)
+    def recording(g, removed_sets):
+        replays.append(len(removed_sets))
+        return original(g, removed_sets)
 
-    monkeypatch.setattr(peel, "_replay_components", recording)
+    monkeypatch.setattr(peel, "_component_walk", recording)
     gpath = write_graph(tmp_path, path_graph(7))
     assert main(["cover", "-i", gpath, "-o", str(tmp_path / "c.json")]) == 0
     assert replays == [2]  # the cover's traces carry their components
     assert main(["boxrep", "-i", gpath]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 2
     assert replays == [2]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_with_gc_off_and_leaves_it_as_it_found_it(tmp_path, capsys, monkeypatch, enabled):
+    seen = []
+
+    def count(g):
+        seen.append(gc.isenabled())
+        return 2
+
+    monkeypatch.setattr(cli, "coboxicity", count)
+    gpath = write_graph(tmp_path, path_graph(7))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["coboxicity", "-i", gpath]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["coboxicity", "-i", str(tmp_path / "missing.txt")]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def test_exit_code_parse_failure(tmp_path, capsys):
@@ -470,47 +493,56 @@ def test_cover_file_with_malformed_elements_or_size_exits_2(tmp_path, capsys, co
 
 
 def _first_trace(**change):
-    def edit(traces):
-        traces[0].update(change)
-        return traces
-    return edit
+    return lambda payload: payload["traces"][0].update(change)
+
+
+def _first_component_is_removed(payload):
+    trace = payload["traces"][0]
+    trace["component"] = trace["removed"]
 
 
 @pytest.mark.parametrize(
     "edit, status, out, err",
     [
-        (None, 0, "valid\n", ""),
-        (lambda traces: traces, 0, "valid\n", ""),
+        (lambda payload: payload.pop("traces"), 0, "valid\n", ""),
+        (lambda payload: None, 0, "valid\n", ""),
         (_first_trace(removed=[]), 1,
          "invalid\n  run: iteration 0 protects 2, which case 3a does not\n", ""),
         (_first_trace(case="zzz"), 1, "invalid\n  run: iteration 0 takes case 'zzz', which no cointerval run has\n", ""),
-        (lambda traces: traces[:1], 1, "invalid\n  run: the run has 1 traces for 2 elements\n", ""),
-        (lambda traces: [{"garbage": 1}], 2, "", "error: malformed cover traces: 'case'\n"),
-        (lambda traces: None, 2, "", "error: malformed cover traces: cover traces must be a JSON array of objects\n"),
+        (lambda payload: payload["traces"].pop(), 1, "invalid\n  run: the run has 1 traces for 2 elements\n", ""),
+        (_first_component_is_removed, 1,
+         "invalid\n  run: iteration 0: its component is not the one it worked in\n", ""),
+        (lambda payload: payload.update(traces=[{"garbage": 1}]), 2, "",
+         'error: malformed cover traces: trace 0 has no "case"\n'),
+        (lambda payload: payload.update(traces=None), 2, "",
+         "error: malformed cover traces: cover traces must be a JSON array of objects\n"),
         (_first_trace(removed="0 1"), 2, "", "error: malformed cover traces: a trace's \"removed\" must be a JSON array\n"),
         (_first_trace(apexes=[1.0]), 2, "", "error: malformed cover traces: a vertex in \"apexes\" must be a JSON integer, got 1.0\n"),
         (_first_trace(case=1), 2, "", "error: malformed cover traces: a trace's case must be a JSON string, got 1\n"),
+        (lambda payload: payload["elements"][0].pop("edges"), 2, "",
+         'error: malformed cover payload: cover element 0 has no "edges"\n'),
+        (lambda payload: payload.pop("kind"), 2, "", 'error: malformed cover payload: cover JSON has no "kind"\n'),
     ],
     ids=[
         "no-traces", "untouched", "nothing-removed", "unknown-case", "a-trace-missing",
-        "garbage", "null", "removed-not-an-array", "float-apex", "integer-case",
+        "component-is-removed", "garbage", "null", "removed-not-an-array", "float-apex", "integer-case",
+        "element-without-edges", "no-kind",
     ],
 )
 def test_verify_replays_the_run_a_cover_file_records(tmp_path, capsys, edit, status, out, err):
-    """edit changes the traces of path_graph(7)'s cover file, or drops
-    them when it is None; boxrep --cover never reads them."""
+    """edit changes path_graph(7)'s cover file in place; boxrep --cover
+    reads its elements and never its traces."""
     gpath = write_graph(tmp_path, path_graph(7))
     cpath = tmp_path / "cover.json"
     assert main(["cover", "-i", gpath, "-o", str(cpath)]) == 0
     payload = json.loads(cpath.read_text())
-    traces = payload.pop("traces")
-    if edit is not None:
-        payload["traces"] = edit(traces)
+    edit(payload)
     cpath.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == status
     assert capsys.readouterr() == (out, err)
-    assert main(["boxrep", "-i", gpath, "--cover", str(cpath)]) == 0
+    malformed_elements = "malformed cover payload" in err
+    assert main(["boxrep", "-i", gpath, "--cover", str(cpath)]) == (2 if malformed_elements else 0)
 
 
 def test_boxrep_malformed_cover_file_exit_code(tmp_path, capsys):

@@ -13,6 +13,7 @@ from itertools import compress
 import pytest
 
 from antcover import blocks, cli, peel
+from antcover import cover as cover_module
 from antcover.cointerval import (
     BigAnt,
     _ant,
@@ -1177,6 +1178,29 @@ def test_validate_run_catches_tampering():
     bad = traces[:1] + [traces[1]._replace(removed=traces[1].removed | traces[0].removed)]
     with pytest.raises(InputError, match="^iteration 1 removed vertices twice$"):
         validate_run(g, cover, bad)
+
+
+def test_validate_run_checks_each_component_snapshot_exactly(monkeypatch):
+    """A snapshot one vertex short or one vertex over fails, naming the
+    earliest such iteration; a run with no snapshots skips the walk."""
+    g = disjoint_union(path_graph(7), build_graph(2, []))  # 7 and 8 isolated
+    cover, traces = min_cointerval_cover(g)
+    validate_run(g, cover, traces)
+    first, last = traces[0].component, traces[-1].component
+    for t, wrong in ((0, first - {min(first - traces[0].removed)}), (0, first | {7}), (1, last | {0})):
+        bad = list(traces)
+        bad[t] = bad[t]._replace(component=wrong)
+        with pytest.raises(InputError, match=f"^iteration {t}: its component is not the one it worked in$"):
+            validate_run(g, cover, bad)
+    both = [traces[0]._replace(component=first | {7}), traces[1]._replace(component=last | {0})]
+    with pytest.raises(InputError, match="^iteration 0: its component"):
+        validate_run(g, cover, both)
+
+    def no_walk(*args):
+        raise AssertionError("walked a run without snapshots")
+
+    monkeypatch.setattr(cover_module, "_component_walk", no_walk)
+    validate_run(g, cover, [trace._replace(component=None) for trace in traces])
 
 
 def _extra_element(g, cover, traces):

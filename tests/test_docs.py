@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from antcover import cli, peel
+from antcover import cli, cover, peel
 from antcover.blocks import BlockDecomposition
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -77,10 +77,12 @@ def test_readme_block_decomposition_names_match_the_class():
 def test_readme_peel_names_exist():
     """Every `_Peel.<name>` and `peel.<name>` README names is a method of
     the engine or a function of its module, and README names none of the
-    deletion code that the batch replaced."""
+    deletion code that the batch replaced, nor the peel module's own
+    component replay, which cover._component_walk replaced."""
     named = re.findall(r"`(_Peel|peel)\.(\w+)", README)
     assert ("_Peel", "remove_all") in named
     owner = {"_Peel": peel._Peel, "peel": peel}
     assert [(o, name) for o, name in named if not hasattr(owner[o], name)] == []
-    for gone in ("_remove_vertex", "remove_leaf_members", "removal plan"):
+    for gone in ("_remove_vertex", "remove_leaf_members", "removal plan", "_replay_components"):
         assert gone not in README
+    assert "`cover._component_walk`" in README and hasattr(cover, "_component_walk")

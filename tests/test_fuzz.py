@@ -151,7 +151,17 @@ def test_tampered_covers_are_caught(g, kind, data):
 TRACE_MUTATIONS = (
     "apex-not-removed", "removed-again", "another-element", "unknown-case",
     "protected-outside-the-block", "another-block", "non-integer-id",
+    "component-misses-a-vertex", "component-gains-a-vertex",
 )
+
+
+def _can_mutate(mutation, trace, vertices):
+    """Whether the snapshot mutations have a vertex to drop or to add."""
+    if mutation == "component-misses-a-vertex":
+        return trace.component > trace.removed
+    if mutation == "component-gains-a-vertex":
+        return trace.component != vertices
+    return True
 
 
 def _mutate_trace(mutation, trace, element, earlier, vertices):
@@ -171,6 +181,10 @@ def _mutate_trace(mutation, trace, element, earlier, vertices):
         trace["block"] = element["block"][1:]
     elif mutation == "non-integer-id":
         trace["removed"][0] = str(trace["removed"][0])
+    elif mutation == "component-misses-a-vertex":
+        trace["component"].remove(min(set(trace["component"]) - set(trace["removed"])))
+    elif mutation == "component-gains-a-vertex":
+        trace["component"] = sorted({*trace["component"], min(vertices - set(trace["component"]))})
 
 
 @pytest.mark.parametrize("kind", (COINTERVAL, THRESHOLD))
@@ -187,9 +201,10 @@ def test_tampered_traces_are_caught(kind):
         for mutation in TRACE_MUTATIONS:
             # a run of one iteration removes nothing before it
             first = 1 if mutation == "removed-again" else 0
-            if first == len(traces):
+            candidates = [t for t in range(first, len(traces)) if _can_mutate(mutation, traces[t], g.vertices)]
+            if not candidates:
                 continue
-            t = rng.randrange(first, len(traces))
+            t = rng.choice(candidates)
             tampered = json.loads(json.dumps(payload))
             earlier = set().union(*(tr.removed for tr in traces[:t]))
             _mutate_trace(mutation, tampered["traces"][t], tampered["elements"][t], earlier, g.vertices)
