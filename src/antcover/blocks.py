@@ -22,7 +22,10 @@ class BlockDecomposition(NamedTuple):
     lists each block's vertex indices in increasing order, blocks are
     ordered by their member tuples (so by least vertex first), cuts are
     the vertices in two or more blocks, incidence holds the blocks at each
-    vertex and cut_counts the number of cut-vertices in each block.
+    vertex and cut_counts the number of cut-vertices in each block. The
+    rest is the state every peel run starts from: a vertex in two or more
+    internal blocks is an internal attachment of each of its blocks, and
+    the leaf lists are sorted, so also heaps.
 
     blocks, cut_vertices and block_cuts are the same structure in vertex
     ids. Each is built anew at every access, and no solver reads them; a
@@ -37,6 +40,12 @@ class BlockDecomposition(NamedTuple):
     cuts: tuple[int, ...]  # cut-vertex indices, increasing
     incidence: tuple[tuple[int, ...], ...]  # the blocks at each index, increasing
     cut_counts: tuple[int, ...]  # cut-vertices in each block
+    edged: tuple[bool, ...]  # blocks of two or more members: all but isolated vertices
+    internal: tuple[bool, ...]  # blocks with two or more cuts
+    internal_at: tuple[int, ...]  # internal blocks at each index
+    attachments: tuple[int, ...]  # internal attachments in each block
+    big_leaves: tuple[tuple[int, int], ...]  # (least member, block): one cut, 3+ members
+    near_leaves: tuple[tuple[int, int], ...]  # (least member, block): internal, attachments <= 1
 
     def _labels(self, xs):
         """The vertex ids of the indices xs, in their order."""
@@ -222,13 +231,24 @@ def _index(
     for x in cuts:
         for i in incidence[x]:
             cut_counts[i] += 1
+    internal = [c >= 2 for c in cut_counts]
+    internal_at = [0] * n
+    for b in compress(raw_blocks, internal):
+        for x in b:
+            internal_at[x] += 1
+    attachments = [0] * len(raw_blocks)
+    for x in cuts:
+        if internal_at[x] >= 2:
+            for i in incidence[x]:
+                attachments[i] += 1
+    # each member tuple leads with its least member and the blocks are
+    # sorted, so both leaf lists come out sorted
+    big_leaves = [(b[0], i) for i, b in enumerate(raw_blocks) if cut_counts[i] == 1 and len(b) >= 3]
+    near_leaves = [(b[0], i) for i, b in enumerate(raw_blocks) if internal[i] and attachments[i] <= 1]
+    edged = [len(b) >= 2 for b in raw_blocks]
+    start = (edged, internal, internal_at, attachments, big_leaves, near_leaves)
     return BlockDecomposition(
-        cliques,
-        ids,
-        tuple(raw_blocks),
-        cuts,
-        tuple(map(tuple, incidence)),
-        tuple(cut_counts),
+        cliques, ids, tuple(raw_blocks), cuts, tuple(map(tuple, incidence)), tuple(cut_counts), *map(tuple, start)
     )
 
 

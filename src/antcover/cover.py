@@ -196,7 +196,7 @@ def _cover_size(g: Graph, kind: str) -> int:
     from .peel import peel_count
 
     with _gc_paused():
-        return peel_count(g, checked_block_decomposition(g), kind)
+        return peel_count(checked_block_decomposition(g), kind)
 
 
 def coboxicity(g: Graph) -> int:
@@ -446,8 +446,8 @@ def cover_to_dict(c: Cover, traces: list[IterationTrace] | None = None) -> dict:
 def cover_from_dict(g: Graph, payload: object) -> Cover:
     """Cover of g from its JSON form, an object; every vertex id in it must
     be a JSON integer (not a float, boolean or string), elements must be an
-    array of objects, each with a block, and size, when present, the number
-    of elements. A missing key is named with the element that lacks it."""
+    array of objects, each with a block, and size, when present, the
+    number of elements. An error inside an element names the element."""
     i = None  # the element being read
     try:
         if type(payload) is not dict:
@@ -464,43 +464,62 @@ def cover_from_dict(g: Graph, payload: object) -> Cover:
         for i, entry in enumerate(entries):
             if entry.get("block") is None:
                 raise InputError(f"cover element {i} has no block")
-            vertices = frozenset(_json_int(v, "a vertex") for v in entry["vertices"])
-            edges = frozenset(
-                norm_edge(_json_int(a, "an edge endpoint"), _json_int(b, "an edge endpoint"))
-                for a, b in entry["edges"]
-            )
+            vertices = frozenset(_json_ids(entry, "vertices"))
+            edges = _json_edges(entry)
             stray = {v for e in edges for v in e} - vertices
             if stray:
-                raise InputError(f"element edges use undeclared vertices {sorted(stray)}")
-            block = frozenset(_json_int(v, "a block vertex") for v in entry["block"])
+                raise ValueError(f"element edges use undeclared vertices {sorted(stray)}")
+            block = frozenset(_json_ids(entry, "block"))
             apexes = _json_int(entry["u"], "apex u"), _json_int(entry["v"], "apex v")
             elements.append(BigAnt(block, *apexes, vertices, edges))
     except KeyError as exc:
         where = "cover JSON" if i is None else f"cover element {i}"
         raise InputError(f'malformed cover payload: {where} has no "{exc.args[0]}"') from None
     except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed cover payload: {exc}") from None
+        # an InputError raised above already says where it is
+        where = "" if i is None or isinstance(exc, InputError) else f"cover element {i}: "
+        raise InputError(f"malformed cover payload: {where}{exc}") from None
     return Cover(g, tuple(elements), kind)
 
 
 def _json_ids(entry: dict, key: str) -> list[int]:
-    """The vertex ids of a trace's array under key. The types are tested
-    in one pass at C speed, since component snapshots hold many ids."""
+    """The vertex ids of an entry's array under key. The types are tested
+    in one pass at C speed, since an array may hold many ids."""
     value = entry[key]
     if type(value) is not list:
-        raise TypeError(f'a trace\'s "{key}" must be a JSON array')
+        raise TypeError(f'"{key}" must be a JSON array')
     if not set(map(type, value)) <= {int}:
         for v in value:
             _json_int(v, f'a vertex in "{key}"')  # raises at the first id that is no int
     return value
 
 
+def _json_edges(entry: dict) -> frozenset[Edge]:
+    """An element's "edges", pairs of vertex ids, in (min, max) form; the
+    first edge that is no pair of JSON integers is looked for only after
+    one pass reads fewer pairs than the array holds."""
+    value = entry["edges"]
+    if type(value) is not list:
+        raise TypeError('"edges" must be a JSON array')
+    try:
+        pairs = [(a, b) if a < b else (b, a) for a, b in value if type(a) is int and type(b) is int]
+    except (TypeError, ValueError):  # an edge that does not unpack into two
+        pairs = []
+    if len(pairs) != len(value):
+        for k, e in enumerate(value):
+            if type(e) is not list or len(e) != 2:
+                raise TypeError(f"edge {k} must be a JSON array of two vertices")
+            for v in e:
+                _json_int(v, "an edge endpoint")
+    return frozenset(pairs)
+
+
 def traces_from_dict(payload: object) -> list[IterationTrace]:
     """The traces in the JSON form of a cover, an object whose "traces" is
     an array of objects with every key that cover_to_dict writes. Every
     vertex id and element index must be a JSON integer, the case a string,
-    and each vertex set an array, or null for a component or a block. A
-    missing key is named with the trace that lacks it."""
+    and each vertex set an array, or null for a component or a block. An
+    error inside a trace names the trace."""
     t = None  # the trace being read
     try:
         if type(payload) is not dict:
@@ -512,7 +531,7 @@ def traces_from_dict(payload: object) -> list[IterationTrace]:
         for t, entry in enumerate(entries):
             case, protected = entry["case"], entry["protected"]
             if type(case) is not str:
-                raise TypeError(f"a trace's case must be a JSON string, got {case!r}")
+                raise TypeError(f'"case" must be a JSON string, got {case!r}')
             traces.append(IterationTrace(
                 None if entry["component"] is None else frozenset(_json_ids(entry, "component")),
                 case,
@@ -526,7 +545,8 @@ def traces_from_dict(payload: object) -> list[IterationTrace]:
         where = "cover JSON" if t is None else f"trace {t}"
         raise InputError(f'malformed cover traces: {where} has no "{exc.args[0]}"') from None
     except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed cover traces: {exc}") from None
+        where = "" if t is None else f"trace {t}: "
+        raise InputError(f"malformed cover traces: {where}{exc}") from None
     return traces
 
 

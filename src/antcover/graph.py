@@ -28,20 +28,17 @@ class Graph:
     Vertex ids are non-negative integers that survive deletions unchanged,
     so graphs derived from a host keep referring to the host's labels.
     The sets returned by neighbors() are internal state; callers must not
-    mutate them. Three caches fill on first use: the edge set, the
-    blocks.BlockDecomposition that blocks.block_decomposition computes, and
-    the starting state of the peel runs, which the first peel run computes
-    from that decomposition. The last two refer to vertex ids and block
-    indices only, never back to the graph.
+    mutate them. Two caches fill on first use: the edge set and the
+    blocks.BlockDecomposition that blocks.block_decomposition computes,
+    which refers to vertex and block indices only, never back to the graph.
     """
 
-    __slots__ = ("_adj", "_edges", "_block_index", "_peel_start")
+    __slots__ = ("_adj", "_edges", "_block_index")
 
     def __init__(self, adj: dict[int, set[int]]):
         self._adj = adj
         self._edges: frozenset[Edge] | None = None
         self._block_index = None
-        self._peel_start = None
 
     @classmethod
     def from_data(cls, vertices: Iterable[int], edges: Iterable[Edge]) -> Graph:

@@ -20,14 +20,15 @@ records each iteration's step over vertex indices, and a cover run then
 takes the component snapshots from cover._component_walk, the backward
 replay that validate_run also checks them with, and writes each element
 and trace once, in vertex ids, by one forward pass. A count run makes
-the same decisions and keeps nothing per iteration.
+the same decisions and keeps nothing per iteration. Only peel_cover
+reads the graph; the engine and the loop read the block decomposition.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import compress, repeat
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import repeat
+from typing import TYPE_CHECKING
 
 from .cointerval import COINTERVAL, THRESHOLD, BigAnt, _ant  # noqa: F401 (THRESHOLD re-exported)
 from .cover import IterationTrace, _component_walk
@@ -36,52 +37,6 @@ from .graph import Graph
 
 if TYPE_CHECKING:
     from .blocks import BlockDecomposition
-
-
-class _Start(NamedTuple):
-    """The state every peel run on one graph starts from, computed once per
-    graph by _start_state and cached on it. It holds vertex and block
-    indices only, never the graph."""
-
-    alive: tuple[bool, ...]
-    is_int: tuple[bool, ...]
-    nint: tuple[int, ...]
-    catt: tuple[int, ...]
-    bigleaf: tuple[tuple[int, int], ...]  # sorted, so also a heap
-    nearleaf: tuple[tuple[int, int], ...]
-
-
-def _start_state(bd: BlockDecomposition) -> _Start:
-    """The block flags, attachment counters and leaf heaps of a peel run
-    over the graph whose block decomposition is bd."""
-    members = bd.members
-    # singleton blocks are isolated vertices, which no case takes, so they
-    # start dead
-    alive = [len(b) >= 2 for b in members]
-    bcut = bd.cut_counts
-    is_int = [c >= 2 for c in bcut]
-    # nint[v]: internal blocks at v; v attaches its blocks to the internal
-    # part of the tree when it has two or more
-    nint = [0] * len(bd.incidence)
-    for b in compress(members, is_int):
-        for x in b:
-            nint[x] += 1
-    catt = [0] * len(members)
-    for x in bd.cuts:
-        if nint[x] >= 2:
-            for i in bd.incidence[x]:
-                catt[i] += 1
-
-    # blocks come by minimum vertex, which leads each member tuple, so each
-    # heap below is sorted
-    bigleaf = []
-    nearleaf = []
-    for i, b in enumerate(members):
-        if bcut[i] == 1 and len(b) >= 3:
-            bigleaf.append((b[0], i))
-        if is_int[i] and catt[i] <= 1:
-            nearleaf.append((b[0], i))
-    return _Start(tuple(alive), tuple(is_int), tuple(nint), tuple(catt), tuple(bigleaf), tuple(nearleaf))
 
 
 class _Peel:
@@ -100,27 +55,23 @@ class _Peel:
     becomes (), and a vertex that loses a block and stays alive (the last
     member of a block that dies) gets a set of its own at that moment.
 
-    remove_all deletes one iteration's vertex set. The flags, counters
-    and heaps hold their invariants at iteration boundaries; inside the
-    batch they are stale until its rechecks have run.
+    The flags, counters and heaps start as copies of the decomposition's
+    start state. remove_all deletes one iteration's vertex set. The flags,
+    counters and heaps hold their invariants at iteration boundaries;
+    inside the batch they are stale until its rechecks have run.
     """
 
-    def __init__(self, g: Graph, bd: BlockDecomposition):
-        # bd is the decomposition cached on g, and the start state cached
-        # next to it was computed from bd
-        start = g._peel_start
-        if start is None:
-            start = g._peel_start = _start_state(bd)
+    def __init__(self, bd: BlockDecomposition):
         self.ids = bd.ids
         self.bverts: list[set[int]] = list(map(set, bd.members))
         self.vblocks: list[tuple[int, ...] | set[int]] = list(bd.incidence)
-        self.alive = list(start.alive)
+        self.alive = list(bd.edged)
         self.bcut = list(bd.cut_counts)
-        self.is_int = list(start.is_int)
-        self.nint = list(start.nint)
-        self.catt = list(start.catt)
-        self.bigleaf = list(start.bigleaf)
-        self.nearleaf = list(start.nearleaf)
+        self.is_int = list(bd.internal)
+        self.nint = list(bd.internal_at)
+        self.catt = list(bd.attachments)
+        self.bigleaf = list(bd.big_leaves)
+        self.nearleaf = list(bd.near_leaves)
 
     # -- incremental deletion ------------------------------------------
 
@@ -293,16 +244,16 @@ def peel_cover(
 ) -> tuple[list[BigAnt], list[IterationTrace]]:
     """Run the cover loop over every component; see cover.min_cointerval_cover.
 
-    The loop only records each iteration's step over vertex indices. Each
-    step's removed set is mapped to vertex ids once, for the component
-    walk and for one forward pass that then writes every element and
-    trace once, in vertex ids: each element is the big ant over its
-    step's block and apexes in g less the vertices that earlier steps
-    removed."""
+    The loop reads only bd, g's decomposition, and records each
+    iteration's step over vertex indices. Each step's removed set is
+    mapped to vertex ids once, for the component walk and for one
+    forward pass that then writes every element and trace once, in
+    vertex ids: each element is the big ant over its step's block and
+    apexes in g less the vertices that earlier steps removed."""
     steps: list[tuple] = []
-    _peel(g, bd, kind, steps)
+    _peel(bd, kind, steps)
     ids = bd.ids
-    removed_sets = [step[5] if ids is None else frozenset([ids[x] for x in step[5]]) for step in steps]
+    removed_sets = [step[4] if ids is None else frozenset([ids[x] for x in step[4]]) for step in steps]
     components = repeat(None)
     if trace_components:
         components = [frozenset(own) for own in _component_walk(g, removed_sets)][::-1]
@@ -315,30 +266,30 @@ def peel_cover(
     elements: list[BigAnt] = []
     traces: list[IterationTrace] = []
     for k, (step, removed, component) in enumerate(zip(steps, removed_sets, components)):
-        block, apexes, case, chosen, protected, _ = step
+        block, apexes, case, protected, _ = step
         if ids is not None:
             block = frozenset([ids[x] for x in block])
             apexes = tuple([ids[a] for a in apexes])
             protected = None if protected is None else ids[protected]
-        chosen = None if chosen is None else block  # the element's block, in ids
+        chosen = None if case == "1" else block  # the element's block, in ids
         elements.append(_ant(block, apexes, residual_neighbors))
         traces.append(IterationTrace(component, case, chosen, protected, apexes, removed, k))
         alive -= removed
     return elements, traces
 
 
-def peel_count(g: Graph, bd: BlockDecomposition, kind: str) -> int:
+def peel_count(bd: BlockDecomposition, kind: str) -> int:
     """The cover size: the number of iterations of peel_cover's loop, run
     with every decision the same but with no step recorded, so that the
     run keeps nothing per iteration."""
-    return _peel(g, bd, kind, None)
+    return _peel(bd, kind, None)
 
 
-def _peel(g: Graph, bd: BlockDecomposition, kind: str, steps: list[tuple] | None) -> int:
+def _peel(bd: BlockDecomposition, kind: str, steps: list[tuple] | None) -> int:
     """The cover loop over vertex indices; returns its iteration count.
     With a list for steps, each iteration appends its step, the tuple its
     case returns; with None the loop only counts."""
-    st = _Peel(g, bd)
+    st = _Peel(bd)
     remove_all = st.remove_all
     vblocks, alive = st.vblocks, st.alive
     case_three = _case_three if kind == COINTERVAL else _case_three_threshold
@@ -365,7 +316,7 @@ def _peel(g: Graph, bd: BlockDecomposition, kind: str, steps: list[tuple] | None
                     if x == n:
                         break
                     step = _case_one(st, x)
-            _, _, case, _, _, removed = step
+            _, _, case, _, removed = step
             if steps is not None:
                 steps.append(step)
             remove_all(removed)
@@ -384,9 +335,9 @@ def _peel(g: Graph, bd: BlockDecomposition, kind: str, steps: list[tuple] | None
 
 
 # Each case returns the step of one iteration: (element block, apexes,
-# case, chosen block, protected vertex, removed), over vertex indices. The
-# chosen block is the element block, or None in case 1. removed is both
-# the trace's set and the batch that remove_all deletes.
+# case, protected vertex, removed), over vertex indices. The trace's
+# chosen block is the element block in every case but case 1. removed is
+# both the trace's set and the batch that remove_all deletes.
 
 
 def _case_one(st: _Peel, x: int):
@@ -407,7 +358,7 @@ def _case_one(st: _Peel, x: int):
         if len(st.vblocks[center]) != len(verts) - 1:
             raise InternalInvariantError("no near-leaf block in a pointed non-star region")
         block = frozenset({center, min(verts - {center})})
-    return block, (center,), "1", None, None, verts
+    return block, (center,), "1", None, verts
 
 
 def _case_two(st: _Peel, b: int):
@@ -415,7 +366,7 @@ def _case_two(st: _Peel, b: int):
     block = frozenset(st.bverts[b])
     vblocks = st.vblocks
     v = next(x for x in block if len(vblocks[x]) >= 2)
-    return block, (v,), "2", block, None, block
+    return block, (v,), "2", None, block
 
 
 def _pick_protected(st: _Peel, block: frozenset[int]) -> tuple[list[int], int]:
@@ -441,14 +392,14 @@ def _case_three(st: _Peel, b: int):
     if len(cuts) == 2:
         u = cuts[0] if cuts[1] == v else cuts[1]
         removed = frozenset(block | st.residual_neighbors(u))
-        return block, (u, v), "3a", block, v, removed
+        return block, (u, v), "3a", v, removed
     rest = [c for c in cuts if c != v]
     u, w = rest[0], rest[1]
     if len(cuts) == 3:
         removed = frozenset((block | st.residual_neighbors(u) | st.residual_neighbors(w)) - {v})
     else:
         removed = frozenset((*st.pendant_leaves(u), *st.pendant_leaves(w), u, w))
-    return block, (u, w), "3b", block, v, removed
+    return block, (u, w), "3b", v, removed
 
 
 def _case_three_threshold(st: _Peel, b: int):
@@ -457,5 +408,5 @@ def _case_three_threshold(st: _Peel, b: int):
     u = cuts[1] if cuts[0] == v else cuts[0]
     if len(cuts) == 2:
         removed = frozenset((block | st.residual_neighbors(u)) - {v})
-        return block, (u,), "3*-2cuts", block, v, removed
-    return block, (u,), "3*-many", block, v, frozenset((*st.pendant_leaves(u), u))
+        return block, (u,), "3*-2cuts", v, removed
+    return block, (u,), "3*-many", v, frozenset((*st.pendant_leaves(u), u))

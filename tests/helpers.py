@@ -381,8 +381,8 @@ def engine_run_tuples(g: Graph, kind: str):
 class BatchRecordingPeel(peel._Peel):
     """The peel engine, recording each vertex set that remove_all deletes."""
 
-    def __init__(self, g: Graph, bd):
-        super().__init__(g, bd)
+    def __init__(self, bd):
+        super().__init__(bd)
         self.batches: list[frozenset[int]] = []
 
     def remove_all(self, removed):
@@ -395,18 +395,19 @@ class BatchRecordingPeel(peel._Peel):
         return self.batches if ids is None else [frozenset(ids[x] for x in b) for b in self.batches]
 
 
-def counted_run(g: Graph, bd, kind: str, engine=BatchRecordingPeel):
-    """peel_count's value on g, and the engine it ran on, an instance of
-    engine, which records the batches that the count loop deleted."""
+def counted_run(bd, kind: str, engine=BatchRecordingPeel):
+    """peel_count's value on the decomposition bd, and the engine it ran
+    on, an instance of engine, which records the batches that the count
+    loop deleted."""
     made = []
 
-    def make(g, bd):
-        made.append(engine(g, bd))
+    def make(bd):
+        made.append(engine(bd))
         return made[-1]
 
     original, peel._Peel = peel._Peel, make
     try:
-        size = peel.peel_count(g, bd, kind)
+        size = peel.peel_count(bd, kind)
     finally:
         peel._Peel = original
     (st,) = made

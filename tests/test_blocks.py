@@ -103,7 +103,7 @@ def test_edge_partition_over_blocks():
 
 def test_classify_blocks():
     # a block is isolated, leaf or internal by its number of cut vertices;
-    # the peel engine's start state flags the internal ones
+    # the decomposition flags the internal ones
     def kinds(g):
         bd = block_decomposition(g)
         return [(len(cuts), len(b) == 2) for b, cuts in zip(bd.blocks, bd.block_cuts)]
@@ -111,7 +111,7 @@ def test_classify_blocks():
     assert kinds(path_graph(4)) == [(1, True), (2, True), (1, True)]
     assert kinds(complete_graph(5)) == [(0, False)]
     assert [k for k, _ in kinds(path_graph(5))] == [1, 2, 2, 1]
-    assert peel._start_state(block_decomposition(path_graph(5))).is_int == (False, True, True, False)
+    assert block_decomposition(path_graph(5)).internal == (False, True, True, False)
 
 
 def test_is_block_graph():
@@ -401,7 +401,7 @@ def test_near_leaf_choice_is_minimum_qualifying_block():
     checked = 0
     for i in range(150):
         g = random_block_graph(rng.randint(4, 14), seed=500 + i)
-        chosen = peel._Peel(g, block_decomposition(g)).pop_near_leaf()
+        chosen = peel._Peel(block_decomposition(g)).pop_near_leaf()
         if not near_leaf_candidates(g):
             assert chosen is None
             continue
@@ -417,7 +417,7 @@ def test_near_leaf_preconditions():
     triangle_pendant = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
     for g in (complete_graph(4), star_graph(3), build_graph(4, [(0, 1), (2, 3)]), triangle_pendant):
         assert near_leaf_candidates(g) == []
-        assert peel._Peel(g, block_decomposition(g)).pop_near_leaf() is None
+        assert peel._Peel(block_decomposition(g)).pop_near_leaf() is None
 
 
 def test_block_cut_tree_dot():

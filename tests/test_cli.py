@@ -433,7 +433,8 @@ def test_cover_file_non_integer_vertex_exit_code(tmp_path, capsys, value, named)
     assert main(["verify", "-i", gpath, "--cover", str(cpath)]) == 2
     captured = capsys.readouterr()
     assert not captured.out
-    assert f"a vertex must be a JSON integer, got {named}" in captured.err
+    where = "error: malformed cover payload: cover element 0: "
+    assert captured.err == f'{where}a vertex in "vertices" must be a JSON integer, got {named}\n'
 
 
 def test_gen_checks_the_vertex_limit_before_drawing_edges(monkeypatch, capsys):
@@ -496,6 +497,14 @@ def _first_trace(**change):
     return lambda payload: payload["traces"][0].update(change)
 
 
+def _second_trace(**change):
+    return lambda payload: payload["traces"][1].update(change)
+
+
+def _second_element(**change):
+    return lambda payload: payload["elements"][1].update(change)
+
+
 def _first_component_is_removed(payload):
     trace = payload["traces"][0]
     trace["component"] = trace["removed"]
@@ -516,17 +525,29 @@ def _first_component_is_removed(payload):
          'error: malformed cover traces: trace 0 has no "case"\n'),
         (lambda payload: payload.update(traces=None), 2, "",
          "error: malformed cover traces: cover traces must be a JSON array of objects\n"),
-        (_first_trace(removed="0 1"), 2, "", "error: malformed cover traces: a trace's \"removed\" must be a JSON array\n"),
-        (_first_trace(apexes=[1.0]), 2, "", "error: malformed cover traces: a vertex in \"apexes\" must be a JSON integer, got 1.0\n"),
-        (_first_trace(case=1), 2, "", "error: malformed cover traces: a trace's case must be a JSON string, got 1\n"),
+        (_first_trace(removed="0 1"), 2, "", 'error: malformed cover traces: trace 0: "removed" must be a JSON array\n'),
+        (_first_trace(apexes=[1.0]), 2, "",
+         'error: malformed cover traces: trace 0: a vertex in "apexes" must be a JSON integer, got 1.0\n'),
+        (_first_trace(case=1), 2, "", 'error: malformed cover traces: trace 0: "case" must be a JSON string, got 1\n'),
+        (_second_trace(removed=["x"]), 2, "",
+         'error: malformed cover traces: trace 1: a vertex in "removed" must be a JSON integer, got "x"\n'),
         (lambda payload: payload["elements"][0].pop("edges"), 2, "",
          'error: malformed cover payload: cover element 0 has no "edges"\n'),
+        (_second_element(block=5), 2, "", 'error: malformed cover payload: cover element 1: "block" must be a JSON array\n'),
+        (_second_element(vertices=None), 2, "",
+         'error: malformed cover payload: cover element 1: "vertices" must be a JSON array\n'),
+        (_second_element(edges=[[1, 2], [1, 2, 3]]), 2, "",
+         "error: malformed cover payload: cover element 1: edge 1 must be a JSON array of two vertices\n"),
+        (_second_element(edges=[5]), 2, "",
+         "error: malformed cover payload: cover element 1: edge 0 must be a JSON array of two vertices\n"),
+        (_second_element(edges={}), 2, "", 'error: malformed cover payload: cover element 1: "edges" must be a JSON array\n'),
         (lambda payload: payload.pop("kind"), 2, "", 'error: malformed cover payload: cover JSON has no "kind"\n'),
     ],
     ids=[
         "no-traces", "untouched", "nothing-removed", "unknown-case", "a-trace-missing",
         "component-is-removed", "garbage", "null", "removed-not-an-array", "float-apex", "integer-case",
-        "element-without-edges", "no-kind",
+        "removed-holds-a-string", "element-without-edges", "block-not-an-array", "null-vertices",
+        "edge-of-three", "edge-not-an-array", "edges-not-an-array", "no-kind",
     ],
 )
 def test_verify_replays_the_run_a_cover_file_records(tmp_path, capsys, edit, status, out, err):

@@ -120,8 +120,8 @@ def test_rejects_non_block_graph():
 
 
 def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
-    """One block decomposition and one peel start state per graph, however
-    many calls read them."""
+    """One block decomposition per graph, and so one start state for its
+    peel runs, however many calls read them."""
     computed = []
     original = blocks._decompose
 
@@ -129,15 +129,7 @@ def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
         computed.append(g)
         return original(g)
 
-    started = []
-    original_start = peel._start_state
-
-    def counting_start(ix):
-        started.append(ix)
-        return original_start(ix)
-
     monkeypatch.setattr(blocks, "_decompose", counting)
-    monkeypatch.setattr(peel, "_start_state", counting_start)
     large = random_block_graph(60, seed=5)
     small = random_block_graph(9, seed=6)
     graph_file = tmp_path / "large.txt"
@@ -145,16 +137,13 @@ def test_one_block_decomposition_per_call(monkeypatch, tmp_path):
 
     for fn in (blocks.is_block_graph, coboxicity, cothdim, min_cointerval_cover, min_threshold_cover):
         fn(large)
+    # four peel runs, all started from the one cached decomposition
     assert len(computed) == 1 and computed[0] is large
-    # four peel runs, one start state, computed from the cached decomposition
-    assert len(started) == 1 and started[0] is large._block_index
 
     computed.clear()
-    started.clear()
     args = ["cover", "-i", str(graph_file), "-o", str(tmp_path / "c.json")]
     assert cli.main(args + ["--dot", str(tmp_path / "c.dot")]) == 0
     assert computed == [large]  # the parsed copy, once for the cover and the DOT
-    assert len(started) == 1
 
     computed.clear()
     for fn in (
@@ -245,8 +234,8 @@ class _CheckedPeel(BatchRecordingPeel):
     vertex's block set is shared with the decomposition until the vertex
     loses a block, and emptied when it is deleted."""
 
-    def __init__(self, g, bd):
-        super().__init__(g, bd)
+    def __init__(self, bd):
+        super().__init__(bd)
         self.bd, self.checks = bd, 0
 
     def pop_big_leaf(self):
@@ -320,8 +309,8 @@ class _RecountedPeel(BatchRecordingPeel):
     """The engine, comparing at the start of every iteration the state it
     maintains with a recount from scratch."""
 
-    def __init__(self, g, bd):
-        super().__init__(g, bd)
+    def __init__(self, bd):
+        super().__init__(bd)
         self.bd, self.checks = bd, 0
 
     def pop_big_leaf(self):
@@ -350,7 +339,7 @@ def _checked_runs(engine, graphs):
         bd = blocks.block_decomposition(g)
         for kind in (COINTERVAL, THRESHOLD):
             _, traces = peel_cover(g, bd, kind, False)
-            size, st = counted_run(g, bd, kind, engine)
+            size, st = counted_run(bd, kind, engine)
             assert st.checks == size + 1 == len(traces) + 1
             assert st.removed_sets() == [t.removed for t in traces]
             out.append((st, traces))
@@ -381,10 +370,9 @@ def test_cached_block_index_equals_a_fresh_pass():
             assert again is first, name
             fresh = blocks.block_decomposition(Graph.from_data(h.vertices, h.edges))
             # the decomposition compares every field: blocks, cuts, verdict,
-            # incidence, labels
+            # incidence, labels, and the start state of the peel runs, which
+            # no run changed
             assert again == fresh, name
-            # no peel run changed the start state the runs share
-            assert h._peel_start == peel._start_state(fresh), name
 
 
 def test_p7_run_is_deterministic_and_traced():
@@ -634,7 +622,7 @@ def test_count_path_takes_the_same_iterations():
         bd = blocks.block_decomposition(g)
         for kind, value in ((COINTERVAL, coboxicity), (THRESHOLD, cothdim)):
             elements, traces = peel_cover(g, bd, kind, False)
-            size, st = counted_run(g, bd, kind)
+            size, st = counted_run(bd, kind)
             assert st.removed_sets() == [t.removed for t in traces]  # same batches, same order
             assert size == value(g) == len(elements)
 
@@ -671,7 +659,7 @@ def test_solvers_leave_gc_as_they_found_it(monkeypatch):
 
 def test_count_solves_leave_no_traces_to_collect():
     g = random_block_graph(5000, seed=1)
-    coboxicity(g)  # the block index and the peel start state are cached now
+    coboxicity(g)  # the block decomposition, start state included, is cached now
     seen = []
 
     def count_traces(phase, info):
@@ -696,11 +684,10 @@ def test_count_run_keeps_nothing_per_iteration():
     needs: it keeps no trace or element per iteration, which took its
     tracemalloc peak to about 1.8x the state."""
     g = random_block_graph(20_000, seed=1)
-    bd = blocks.block_decomposition(g)
-    coboxicity(g)  # the block index and the peel start state are cached now
+    bd = blocks.block_decomposition(g)  # start state included
     tracemalloc.start()
     try:
-        st = peel._Peel(g, bd)
+        st = peel._Peel(bd)
         state = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -708,7 +695,7 @@ def test_count_run_keeps_nothing_per_iteration():
     for kind in (COINTERVAL, THRESHOLD):
         tracemalloc.start()
         try:
-            peel_count(g, bd, kind)
+            peel_count(bd, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1126,10 +1113,10 @@ def test_cover_serialization_round_trip():
 @pytest.mark.parametrize(
     "field, value, named",
     [
-        ("vertices", 1.5, "a vertex must be a JSON integer, got 1.5"),
-        ("vertices", True, "a vertex must be a JSON integer, got true"),
+        ("vertices", 1.5, 'a vertex in "vertices" must be a JSON integer, got 1.5'),
+        ("vertices", True, 'a vertex in "vertices" must be a JSON integer, got true'),
         ("edges", "0", 'an edge endpoint must be a JSON integer, got "0"'),
-        ("block", 0.0, "a block vertex must be a JSON integer, got 0.0"),
+        ("block", 0.0, 'a vertex in "block" must be a JSON integer, got 0.0'),
         ("u", "1", 'apex u must be a JSON integer, got "1"'),
         ("v", 2.0, "apex v must be a JSON integer, got 2.0"),
     ],
@@ -1148,7 +1135,7 @@ def test_cover_json_accepts_only_json_integers(field, value, named):
         entry[field] = value
     with pytest.raises(InputError) as info:
         cover_from_dict(g, payload)
-    assert str(info.value) == f"malformed cover payload: {named}"
+    assert str(info.value) == f"malformed cover payload: cover element 0: {named}"
 
 
 def test_validate_run_catches_tampering():

@@ -72,7 +72,7 @@ def test_engine_agrees_with_its_references(g):
     bd = block_decomposition(g)
     for kind in (COINTERVAL, THRESHOLD):
         cover, traces = min_cover(g, kind)
-        size, st = counted_run(g, bd, kind)
+        size, st = counted_run(bd, kind)
         assert size == len(cover.elements)
         assert st.removed_sets() == [t.removed for t in traces]  # same batches, same order
         report = verify_cover(g, cover)
