@@ -150,7 +150,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cover, traces = min_cover(g, args.kind)
+    cover, traces = min_cover(g, args.kind, trace_components=False)
     _write_json(args.output, cover_to_dict(cover, traces))
     if args.dot_path:
         _write_text(args.dot_path, export_dot(g, cover))

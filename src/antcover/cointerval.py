@@ -84,13 +84,13 @@ def _ant(
 ) -> BigAnt:
     """The big ant over block, a clique, with the given apexes in it: the
     clique plus every edge at an apex, read from neighbors."""
-    edges = set(clique_edges(block))
-    verts = set(block)
+    edges = clique_edges(block)
+    verts = block
     for a in apexes:
         nbrs = neighbors(a)
-        verts |= nbrs
-        edges.update(norm_edge(a, w) for w in nbrs)
-    return BigAnt(block, min(apexes), max(apexes), frozenset(verts), frozenset(edges))
+        verts = verts.union(nbrs)
+        edges += [(a, w) if a < w else (w, a) for w in nbrs]
+    return BigAnt(block, min(apexes), max(apexes), verts, frozenset(edges))
 
 
 def is_cointerval(h: Graph) -> tuple[int, ...] | None:

@@ -19,11 +19,12 @@ from .cointerval import (
     COINTERVAL,
     THRESHOLD,
     BigAnt,
+    _ant,
     ant_order,
     prefix_counts,
 )
 from .errors import InputError
-from .graph import Edge, Graph, _json_int, clique_edges, missing_clique_pair, norm_edge
+from .graph import Edge, Graph, _json_int, missing_clique_pair, norm_edge
 
 
 class Cover(NamedTuple):
@@ -40,8 +41,10 @@ class IterationTrace(NamedTuple):
     block with the least vertex; when neither is left, case 1 runs once
     for each component left, by least vertex. component is the connected
     component of the residual graph that the iteration worked in, without
-    isolated vertices, or None when snapshots are disabled; validate_run
-    checks it exactly, in O(n + m) time beyond reading the traces. removed
+    isolated vertices, or None when snapshots are disabled, as in every
+    file that `antcover cover` writes: they follow from the graph and the
+    removed sets, and total quadratic size. validate_run checks a snapshot
+    exactly, in O(n + m) time beyond reading the traces. removed
     is the very set the iteration deletes, in one batch. A trace is a
     tuple of its fields, so it equals that plain tuple.
     """
@@ -176,8 +179,9 @@ def min_cointerval_cover(
     near-leaf block with the least vertex, and when neither is left, case
     1 on each component left, by least vertex. Each trace's component
     snapshot is rebuilt after the run by a backward replay of the
-    deletions; set trace_components=False on very large inputs to skip
-    the snapshots.
+    deletions. The snapshots total quadratic size, so the command line
+    never takes them; the default keeps them for library callers that
+    read them, and trace_components=False skips them.
     """
     return min_cover(g, COINTERVAL, trace_components)
 
@@ -364,13 +368,8 @@ def validate_run(g: Graph, cover: Cover, traces: list[IterationTrace]) -> None:
             raise InputError(f"iteration {t}: its element's apexes are not removed vertices of a residual block")
         if missing_clique_pair(g, block) is not None:
             raise InputError(f"iteration {t}: its element's block is not a clique of the graph")
-        ant_edges = set(clique_edges(block))
-        ant_vertices = set(block)
-        for a in apexes:
-            nbrs = g.neighbors(a) & alive
-            ant_vertices |= nbrs
-            ant_edges.update([(a, x) if a < x else (x, a) for x in nbrs])
-        if element.edges != ant_edges or element.vertices != ant_vertices:
+        ant = _ant(block, trace.apexes, lambda a: g.neighbors(a) & alive)
+        if element.edges != ant.edges or element.vertices != ant.vertices:
             raise InputError(f"iteration {t}: its element is not the big ant over its block and apexes")
         # the ant has an edge exactly when a removed apex has a residual neighbour
         if not element.edges:

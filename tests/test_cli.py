@@ -16,9 +16,10 @@ import antcover
 from antcover import cli, generate, graph, oracle, peel
 from antcover.blocks import block_decomposition, is_block_graph
 from antcover.cli import export_dot, main
-from antcover.cover import min_cointerval_cover
+from antcover.cointerval import COINTERVAL, THRESHOLD
+from antcover.cover import cover_to_dict, min_cointerval_cover, min_cover
 from antcover.graph import build_graph, parse_edgelist, serialize_edgelist
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import complete_graph, cycle_graph, golden_corpus, path_graph
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -60,9 +61,11 @@ def test_cover_emit_and_verify_round_trip(tmp_path, capsys):
     assert text == json.dumps(payload, separators=(",", ":")) + "\n"  # compact
     assert payload["kind"] == "cointerval" and payload["size"] == 2
     assert len(payload["traces"]) == 2
-    assert all(t["component"] for t in payload["traces"])
+    # a snapshot is derived from the graph and the removed sets, and all of
+    # them together are quadratic in size, so the CLI writes none
+    assert all(t["component"] is None for t in payload["traces"])
     assert main(["verify", "-i", gpath, "--cover", cpath]) == 0
-    assert capsys.readouterr().out.strip().endswith("valid")
+    assert capsys.readouterr().out == "valid\n"
 
 
 def test_verify_detects_missing_edge(tmp_path, capsys):
@@ -259,21 +262,34 @@ def test_gen_max_block_two_makes_every_block_an_edge(capsys):
         assert all(len(b) == 2 for b in block_decomposition(g).blocks)
 
 
-def test_boxrep_takes_no_component_snapshots(tmp_path, capsys, monkeypatch):
-    replays = []
+def test_no_command_runs_the_component_walk(tmp_path, capsys, monkeypatch):
+    walks = []
     original = peel._component_walk
 
     def recording(g, removed_sets):
-        replays.append(len(removed_sets))
+        walks.append(len(removed_sets))
         return original(g, removed_sets)
 
     monkeypatch.setattr(peel, "_component_walk", recording)
+    monkeypatch.setattr("antcover.cover._component_walk", recording)
     gpath = write_graph(tmp_path, path_graph(7))
-    assert main(["cover", "-i", gpath, "-o", str(tmp_path / "c.json")]) == 0
-    assert replays == [2]  # the cover's traces carry their components
+    cpath = str(tmp_path / "c.json")
+    assert main(["cover", "-i", gpath, "-o", cpath]) == 0
     assert main(["boxrep", "-i", gpath]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 2
-    assert replays == [2]
+    assert main(["verify", "-i", gpath, "--cover", cpath]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert walks == []
+
+
+@pytest.mark.parametrize("kind", [COINTERVAL, THRESHOLD])
+def test_cover_file_is_the_snapshot_free_library_payload(tmp_path, capsys, kind):
+    for name, g in golden_corpus().items():
+        gpath = write_graph(tmp_path, g)
+        cpath = tmp_path / "c.json"
+        assert main(["cover", "-i", gpath, "--kind", kind, "-o", str(cpath)]) == 0
+        payload = cover_to_dict(*min_cover(g, kind, trace_components=False))
+        assert cpath.read_text() == json.dumps(payload, separators=(",", ":")) + "\n", name
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -359,22 +375,53 @@ def test_oversized_vertex_count_exits_before_allocating(tmp_path):
     assert done.stderr.count("vertex count 1000001 exceeds the limit of 1000000\n") == 2
 
 
+# Runs one CLI command in a child. With a nonnegative budget, the child's
+# address space is capped at what it has mapped once the CLI is imported
+# plus that many bytes. Prints the exit code and how far the mapped size
+# rose above that start.
+CAPPED_CLI = """
+import json, re, resource, sys
+from antcover.cli import main
+
+def mapped(key):
+    status = open("/proc/self/status").read()
+    return int(re.search(key + r":\\s+(\\d+) kB", status).group(1)) << 10
+
+start = mapped("VmSize")
+budget = int(sys.argv[2])
+if budget >= 0:
+    resource.setrlimit(resource.RLIMIT_AS, (start + budget, start + budget))
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, mapped("VmPeak") - start]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the mapped size from /proc")
 def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
-    # component snapshots of a path take memory quadratic in its length:
-    # about 3 GB at 20,000 vertices, from 218 kB of input
-    n = 20_000
+    # 218 kB of input, whose cover needs about 36 MB more than the
+    # interpreter has mapped after import. Capped at an eighth of the
+    # measured need, the run fails while it builds the graph.
     path = tmp_path / "path.txt"
-    path.write_text(serialize_edgelist(path_graph(n)))
-    commands = [["cover", "-i", str(path), "-o", str(tmp_path / "cover.json")]]
+    path.write_text(serialize_edgelist(path_graph(20_000)))
+    out = tmp_path / "cover.json"
+    argv = json.dumps(["cover", "-i", str(path), "-o", str(out)])
     src = str(Path(antcover.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", TRACED_CLI, json.dumps(commands)],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
-    )
+
+    def run(budget):
+        return subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, argv, str(budget)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+
+    done = run(-1)
+    code, need = json.loads(done.stdout)
+    assert code == 0 and done.stderr == "" and out.exists()
+    out.unlink()
+    done = run(need // 8)
     assert done.returncode == 0, done.stderr
-    assert [json.loads(line)[0] for line in done.stdout.splitlines()] == [2]
+    assert json.loads(done.stdout)[0] == 2
     assert done.stderr == "error: out of memory\n"
-    assert not (tmp_path / "cover.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -8,12 +8,18 @@ Linear paths read 0.7-1.4 here: set tables grow in steps, so single
 steps of 4x in size can read 5-7x, which is why the span is 16-fold and
 the bound 2x. A path that grows as m^1.5 reads about 4x over this span,
 and a quadratic one about 16x.
+
+The CLI rows, the bytes of the file that `antcover cover` writes and the
+peak of `antcover verify` on it, leave out the clique corona: its cover
+elements repeat the clique's edges, m^1.5 of them in all.
 """
 
 import tracemalloc
 
 import pytest
 
+from antcover import cli
+from antcover.cointerval import COINTERVAL, THRESHOLD
 from antcover.cover import coboxicity, cothdim
 from antcover.generate import random_block_graph
 from antcover.graph import Graph, build_graph, parse_edgelist, serialize_edgelist
@@ -64,3 +70,28 @@ def test_peak_memory_per_input_size_stays_flat(family, build, small, large):
     before, after = _peaks_per_size(build(small)), _peaks_per_size(build(large))
     ratios = {path: after[path] / before[path] for path in before}
     assert all(ratio <= BOUND for ratio in ratios.values()), (family, ratios)
+
+
+def _cli_sizes_per_size(g: Graph, kind: str, tmp_path) -> dict[str, float]:
+    """Bytes of the cover file that `antcover cover` writes for g, and the
+    tracemalloc peak of `antcover verify` on that file, over n + m."""
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.json"
+    gpath.write_text(serialize_edgelist(g))
+    assert cli.main(["cover", "-i", str(gpath), "--kind", kind, "-o", str(cpath)]) == 0
+    verified, verify_peak = _peak(lambda: cli.main(["verify", "-i", str(gpath), "--cover", str(cpath)]))
+    assert verified == 0
+    size = g.vertex_count + g.edge_count
+    return {"cover bytes": cpath.stat().st_size / size, "verify": verify_peak / size}
+
+
+CLI_FAMILIES = [row for row in FAMILIES if row[0] != "clique-corona"]
+
+
+@pytest.mark.parametrize("kind", [COINTERVAL, THRESHOLD])
+@pytest.mark.parametrize("family, build, small, large", CLI_FAMILIES, ids=[row[0] for row in CLI_FAMILIES])
+def test_cover_file_and_verify_peak_per_input_size_stay_flat(tmp_path, capsys, family, build, small, large, kind):
+    _cli_sizes_per_size(path_graph(4), kind, tmp_path)  # loads what verify needs on first use
+    before, after = (_cli_sizes_per_size(build(size), kind, tmp_path) for size in (small, large))
+    ratios = {path: after[path] / before[path] for path in before}
+    assert capsys.readouterr().out == "valid\n" * 3
+    assert all(ratio <= BOUND for ratio in ratios.values()), (family, kind, ratios)
