@@ -4,13 +4,15 @@ Exit codes:
   0  success
   1  failed verification, of a cover or of the run its file records, or
      failed acceptance check
-  2  unreadable or malformed input, including a cover element without a
-     block, malformed traces in a cover file, a graph above the --oracle
-     bound and --input and --cover both on stdin (or, for harness,
-     networkx missing)
+  2  unreadable or malformed input, including a structured graph that is
+     no object with "n" and an "edges" array of pairs, a cover element
+     without a block, malformed traces in a cover file, a graph above the
+     --oracle bound and --input and --cover both on stdin (or, for
+     harness, networkx missing)
   2  an output file or stdout that cannot be written (disk full, closed
      pipe)
-  2  out of memory
+  2  out of memory, also when the failed allocation surfaces as a
+     SystemError
   3  non-block-graph input to a block-graph command
   4  internal invariant violation
 """
@@ -303,7 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except MemoryError:
+    except (MemoryError, SystemError):
+        # an allocation that fails inside the interpreter, with no room
+        # left to build the MemoryError, surfaces as "SystemError: error
+        # return without exception set"
         pass
     # reported once the handler has ended, which frees the failed
     # command's frames and everything they held

@@ -24,7 +24,7 @@ from .cointerval import (
     prefix_counts,
 )
 from .errors import InputError
-from .graph import Edge, Graph, _json_int, missing_clique_pair, norm_edge
+from .graph import Edge, Graph, _json_edges, _json_ids, _json_int, missing_clique_pair, norm_edge
 
 
 class Cover(NamedTuple):
@@ -463,12 +463,12 @@ def cover_from_dict(g: Graph, payload: object) -> Cover:
         for i, entry in enumerate(entries):
             if entry.get("block") is None:
                 raise InputError(f"cover element {i} has no block")
-            vertices = frozenset(_json_ids(entry, "vertices"))
-            edges = _json_edges(entry)
+            vertices = frozenset(_json_ids(entry["vertices"], "vertices"))
+            edges = frozenset(_json_edges(entry["edges"], "edges"))
             stray = {v for e in edges for v in e} - vertices
             if stray:
                 raise ValueError(f"element edges use undeclared vertices {sorted(stray)}")
-            block = frozenset(_json_ids(entry, "block"))
+            block = frozenset(_json_ids(entry["block"], "block"))
             apexes = _json_int(entry["u"], "apex u"), _json_int(entry["v"], "apex v")
             elements.append(BigAnt(block, *apexes, vertices, edges))
     except KeyError as exc:
@@ -479,38 +479,6 @@ def cover_from_dict(g: Graph, payload: object) -> Cover:
         where = "" if i is None or isinstance(exc, InputError) else f"cover element {i}: "
         raise InputError(f"malformed cover payload: {where}{exc}") from None
     return Cover(g, tuple(elements), kind)
-
-
-def _json_ids(entry: dict, key: str) -> list[int]:
-    """The vertex ids of an entry's array under key. The types are tested
-    in one pass at C speed, since an array may hold many ids."""
-    value = entry[key]
-    if type(value) is not list:
-        raise TypeError(f'"{key}" must be a JSON array')
-    if not set(map(type, value)) <= {int}:
-        for v in value:
-            _json_int(v, f'a vertex in "{key}"')  # raises at the first id that is no int
-    return value
-
-
-def _json_edges(entry: dict) -> frozenset[Edge]:
-    """An element's "edges", pairs of vertex ids, in (min, max) form; the
-    first edge that is no pair of JSON integers is looked for only after
-    one pass reads fewer pairs than the array holds."""
-    value = entry["edges"]
-    if type(value) is not list:
-        raise TypeError('"edges" must be a JSON array')
-    try:
-        pairs = [(a, b) if a < b else (b, a) for a, b in value if type(a) is int and type(b) is int]
-    except (TypeError, ValueError):  # an edge that does not unpack into two
-        pairs = []
-    if len(pairs) != len(value):
-        for k, e in enumerate(value):
-            if type(e) is not list or len(e) != 2:
-                raise TypeError(f"edge {k} must be a JSON array of two vertices")
-            for v in e:
-                _json_int(v, "an edge endpoint")
-    return frozenset(pairs)
 
 
 def traces_from_dict(payload: object) -> list[IterationTrace]:
@@ -532,12 +500,13 @@ def traces_from_dict(payload: object) -> list[IterationTrace]:
             if type(case) is not str:
                 raise TypeError(f'"case" must be a JSON string, got {case!r}')
             traces.append(IterationTrace(
-                None if entry["component"] is None else frozenset(_json_ids(entry, "component")),
+                None if entry["component"] is None
+                else frozenset(_json_ids(entry["component"], "component")),
                 case,
-                None if entry["block"] is None else frozenset(_json_ids(entry, "block")),
+                None if entry["block"] is None else frozenset(_json_ids(entry["block"], "block")),
                 None if protected is None else _json_int(protected, "a protected vertex"),
-                tuple(_json_ids(entry, "apexes")),
-                frozenset(_json_ids(entry, "removed")),
+                tuple(_json_ids(entry["apexes"], "apexes")),
+                frozenset(_json_ids(entry["removed"], "removed")),
                 _json_int(entry["element"], "an element index"),
             ))
     except KeyError as exc:

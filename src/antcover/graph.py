@@ -318,16 +318,48 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_ids(value, key: str) -> list[int]:
+    """The vertex ids of value, the array found under key. The types are
+    tested in one pass at C speed, since an array may hold many ids."""
+    if type(value) is not list:
+        raise TypeError(f'"{key}" must be a JSON array')
+    if not set(map(type, value)) <= {int}:
+        for v in value:
+            _json_int(v, f'a vertex in "{key}"')  # raises at the first id that is no int
+    return value
+
+
+def _json_edges(value, key: str) -> list[Edge]:
+    """The edges of value, the array found under key: pairs of vertex ids,
+    in array order and (min, max) form. The first edge that is no pair of
+    JSON integers is looked for only after one pass reads fewer pairs than
+    the array holds."""
+    if type(value) is not list:
+        raise TypeError(f'"{key}" must be a JSON array')
+    try:
+        pairs = [(a, b) if a < b else (b, a) for a, b in value if type(a) is int and type(b) is int]
+    except (TypeError, ValueError):  # an edge that does not unpack into two
+        pairs = []
+    if len(pairs) != len(value):
+        for k, e in enumerate(value):
+            if type(e) is not list or len(e) != 2:
+                raise TypeError(f"edge {k} must be a JSON array of two vertices")
+            for v in e:
+                _json_int(v, "an edge endpoint")
+    return pairs
+
+
 def parse_structured(text: str) -> Graph:
     """Graph of {"n": ..., "edges": [[u, v], ...]}; n and every endpoint
     must be JSON integers (not floats, booleans or strings)."""
     try:
         payload = json.loads(text)
+        if type(payload) is not dict:
+            raise TypeError("the input must be a JSON object")
         n = _json_int(payload["n"], "n")
-        edges = [
-            (_json_int(a, "an edge endpoint"), _json_int(b, "an edge endpoint"))
-            for a, b in payload["edges"]
-        ]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        edges = _json_edges(payload["edges"], "edges")
+    except KeyError as exc:
+        raise InputError(f'malformed structured input: the input has no "{exc.args[0]}"') from None
+    except (TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed structured input: {exc}") from None
     return build_graph(n, edges)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .blocks import is_block_graph
-from .cointerval import is_threshold, maximal_ants
+from .cointerval import COINTERVAL, THRESHOLD, maximal_ants
 from .errors import InputError, SizeLimitError
 from .graph import Edge, Graph, norm_edge
 
@@ -22,8 +22,15 @@ class SetCoverInstance(NamedTuple):
     candidates: tuple[frozenset, ...]
 
 
-def all_sigma_edge_sets(g: Graph) -> set[frozenset[Edge]]:
+def all_sigma_edge_sets(g: Graph, threshold: bool = False) -> set[frozenset[Edge]]:
     """Edge sets of every ordering-generated subgraph of g.
+
+    Each vertex of an ordering in turn is joined to the working set, the
+    common neighbourhood of the vertices before it. With threshold, every
+    vertex after the first is taken from the working set, so the vertices
+    taken form a clique, each joined to a working set nested in the one
+    before: a threshold graph. Such a vertex is never one already taken,
+    since no vertex is its own neighbour.
 
     Prefix search instead of raw permutations: once the shrinking working
     set is empty the edge set is final, so whole permutation families
@@ -36,7 +43,10 @@ def all_sigma_edge_sets(g: Graph) -> set[frozenset[Edge]]:
         if current is not None and not current:
             results.add(edges)
             return
-        remaining = [v for v in verts if v not in used]
+        if threshold and current is not None:
+            remaining = current
+        else:
+            remaining = [v for v in verts if v not in used]
         if not remaining:
             results.add(edges)
             return
@@ -49,17 +59,29 @@ def all_sigma_edge_sets(g: Graph) -> set[frozenset[Edge]]:
     return results
 
 
-def _maximal_ant_edge_sets(g: Graph, two_apex: bool) -> list[frozenset[Edge]] | None:
-    """Edge sets of the maximal big ants when g is a block graph, else None.
+def _maximal_edge_sets(g: Graph, kind: str) -> list[frozenset[Edge]]:
+    """Containment-maximal co-interval or threshold edge sets of g, largest
+    first, then by their sorted edges.
 
     Raises SizeLimitError above the oracle bound for g: BLOCK_GRAPH_BOUND
-    for a block graph, PERMUTATION_BOUND for any other.
+    for a block graph, PERMUTATION_BOUND for any other. A block graph's
+    maximal subgraphs are its maximal big ants; any other graph's are
+    among its ordering-generated subgraphs. For threshold this is exact:
+    the search yields only threshold graphs (see all_sigma_edge_sets), and
+    every threshold subgraph H lies in one it yields. Peeling H removes an
+    isolated or a dominating vertex at each step. An ordering that starts
+    with H's dominating vertices, in the order the peel removes them,
+    keeps each of them, and every edge H has at it, inside the working set.
     """
     block = is_block_graph(g)
     bound, name = (BLOCK_GRAPH_BOUND, "block-graph") if block else (PERMUTATION_BOUND, "general-graph")
     if g.vertex_count > bound:
         raise SizeLimitError(f"{g.vertex_count} vertices exceeds the {name} oracle bound of {bound}")
-    return [ant.edges for ant in maximal_ants(g, two_apex)] if block else None
+    if block:
+        return [ant.edges for ant in maximal_ants(g, kind == COINTERVAL)]
+    sets = all_sigma_edge_sets(g, kind == THRESHOLD)
+    maximal = [s for s in sets if not any(s < t for t in sets)]
+    return sorted(maximal, key=lambda s: (len(s), sorted(s)), reverse=True)
 
 
 def enumerate_maximal_cointerval_edge_sets(g: Graph) -> list[frozenset[Edge]]:
@@ -68,50 +90,13 @@ def enumerate_maximal_cointerval_edge_sets(g: Graph) -> list[frozenset[Edge]]:
     Block graphs use the big-ant characterization (polynomially many
     candidates); general graphs enumerate ordering-generated subgraphs.
     """
-    ants = _maximal_ant_edge_sets(g, two_apex=True)
-    if ants is not None:
-        return ants
-    sets = all_sigma_edge_sets(g)
-    maximal = [s for s in sets if not any(s < t for t in sets)]
-    return sorted(maximal, key=lambda s: (len(s), sorted(s)), reverse=True)
+    return _maximal_edge_sets(g, COINTERVAL)
 
 
 def maximal_threshold_edge_sets(g: Graph) -> list[frozenset[Edge]]:
-    """Containment-maximal threshold edge sets of g."""
-    ants = _maximal_ant_edge_sets(g, two_apex=False)
-    if ants is not None:
-        return ants
-
-    def edge_graph(edges: frozenset[Edge]) -> Graph:
-        verts = {v for e in edges for v in e}
-        return Graph.from_data(verts, edges)
-
-    frontier = {frozenset([e]) for e in g.edges}
-    good = set(frontier)
-    bad: set[frozenset[Edge]] = set()
-    maximal: set[frozenset[Edge]] = set()
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            grew = False
-            for e in g.edges - s:
-                s2 = s | {e}
-                if s2 in good:
-                    grew = True
-                    continue
-                if s2 in bad:
-                    continue
-                if is_threshold(edge_graph(s2)):
-                    good.add(s2)
-                    nxt.add(s2)
-                    grew = True
-                else:
-                    bad.add(s2)
-            if not grew:
-                maximal.add(s)
-        frontier = nxt
-    keep = [s for s in maximal if not any(s < t for t in maximal)]
-    return sorted(keep, key=lambda s: (len(s), sorted(s)), reverse=True)
+    """Containment-maximal threshold edge sets of g, ordered and found as
+    enumerate_maximal_cointerval_edge_sets finds the co-interval ones."""
+    return _maximal_edge_sets(g, THRESHOLD)
 
 
 def min_set_cover_exact(inst: SetCoverInstance) -> tuple[int, list[int]]:

@@ -137,6 +137,37 @@ def benchmark_scale_corpus() -> dict[str, Graph]:
     }
 
 
+def connected_block_graphs(max_vertices: int) -> dict[int, list[Graph]]:
+    """Every connected block graph of 2..max_vertices vertices, one per
+    isomorphism class, by vertex count.
+
+    A connected block graph is its vertex-block incidence tree: a
+    bipartite tree whose block nodes have degree at least 2, each block
+    the clique on its node's neighbours. The graph determines the tree, so
+    distinct trees give non-isomorphic graphs. With n vertex nodes and b
+    block nodes the tree's n + b - 1 edges meet each block node at least
+    twice, so n > b, and only the smaller side can be the blocks.
+    """
+    import networkx as nx
+
+    out: dict[int, list[Graph]] = {n: [] for n in range(2, max_vertices + 1)}
+    for order in range(3, 2 * max_vertices):
+        for tree in nx.nonisomorphic_trees(order):
+            sides = nx.bipartite.color(tree)
+            blocks = [x for x, side in sides.items() if side]
+            members = [x for x, side in sides.items() if not side]
+            if len(blocks) > len(members):
+                blocks, members = members, blocks
+            if len(members) > max_vertices or any(tree.degree(x) < 2 for x in blocks):
+                continue
+            index = {x: i for i, x in enumerate(sorted(members))}
+            edges = [
+                (index[a], index[b]) for x in blocks for a in tree[x] for b in tree[x] if index[a] < index[b]
+            ]
+            out[len(members)].append(build_graph(len(members), edges))
+    return out
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, sorted by minimum vertex id."""
     seen: set[int] = set()

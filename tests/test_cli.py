@@ -396,11 +396,9 @@ print(json.dumps([code, mapped("VmPeak") - start]))
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the mapped size from /proc")
-def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
-    # 218 kB of input, whose cover needs about 36 MB more than the
-    # interpreter has mapped after import. Capped at an eighth of the
-    # measured need, the run fails while it builds the graph.
+def capped_path_cover(tmp_path):
+    """The output path of a cover of a 20,000-vertex path, and a function
+    that runs that cover in a CAPPED_CLI child under a given budget."""
     path = tmp_path / "path.txt"
     path.write_text(serialize_edgelist(path_graph(20_000)))
     out = tmp_path / "cover.json"
@@ -413,6 +411,15 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
         )
 
+    return out, run
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the mapped size from /proc")
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    # 218 kB of input, whose cover needs about 36 MB more than the
+    # interpreter has mapped after import. Capped at an eighth of the
+    # measured need, the run fails while it builds the graph.
+    out, run = capped_path_cover(tmp_path)
     done = run(-1)
     code, need = json.loads(done.stdout)
     assert code == 0 and done.stderr == "" and out.exists()
@@ -422,6 +429,19 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
     assert json.loads(done.stdout)[0] == 2
     assert done.stderr == "error: out of memory\n"
     assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the mapped size from /proc")
+def test_out_of_memory_exits_2_at_every_small_cap(tmp_path):
+    # An allocation that fails with no room left to build a MemoryError
+    # can surface as SystemError instead; at a few caps in this range it
+    # did, and the run ended with a traceback and exit 1.
+    _, run = capped_path_cover(tmp_path)
+    need = json.loads(run(-1).stdout)[1]
+    for budget in range(need // 16, need // 2, 1 << 19):  # steps of 0.5 MB
+        done = run(budget)
+        assert done.stderr == "error: out of memory\n", (budget, done.stderr[-300:])
+        assert done.returncode == 0 and json.loads(done.stdout)[0] == 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -231,6 +231,13 @@ def test_small_chunks_keep_canonical_text_on_the_scan(monkeypatch, chunk):
         ('{"n": false, "edges": []}', "n must be a JSON integer, got false"),
         ('{"n": "3", "edges": []}', 'n must be a JSON integer, got "3"'),
         ('{"n": "%s", "edges": []}' % ("9" * 99), 'n must be a JSON integer, got "%s...' % ("9" * 36)),
+        ('{"edges": []}', 'the input has no "n"'),
+        ('{"n": 3}', 'the input has no "edges"'),
+        ("[1, 2]", "the input must be a JSON object"),
+        ("null", "the input must be a JSON object"),
+        ('{"n": 3, "edges": [[0, 1, 2]]}', "edge 0 must be a JSON array of two vertices"),
+        ('{"n": 3, "edges": [[0, 1], 2]}', "edge 1 must be a JSON array of two vertices"),
+        ('{"n": 3, "edges": {"0": 1}}', '"edges" must be a JSON array'),
     ],
 )
 def test_structured_accepts_only_json_integers(text, named):

@@ -1,11 +1,14 @@
 """Brute-force oracle: enumeration, exact set cover, reference values."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from antcover.cointerval import maximal_cointerval_subgraphs
-from antcover.cover import Cover, cothdim, verify_cover
+from antcover.blocks import is_block_graph
+from antcover.cointerval import COINTERVAL, THRESHOLD, is_cointerval, is_threshold, maximal_cointerval_subgraphs
+from antcover.cover import Cover, coboxicity, cothdim, min_cover, validate_run, verify_cover
 from antcover.errors import InputError, SizeLimitError
 from antcover.generate import random_block_graph
 from antcover.graph import Graph, build_graph
@@ -17,7 +20,14 @@ from antcover.oracle import (
     maximal_threshold_edge_sets,
     min_set_cover_exact,
 )
-from helpers import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from helpers import (
+    complete_graph,
+    connected_block_graphs,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def test_enumerate_examples():
@@ -108,3 +118,74 @@ def test_oracle_internal_consistency():
     for _ in range(40):
         g = random_graph(rng.randint(1, 7), rng.random(), rng)
         assert brute_coboxicity(g) <= brute_cothdim(g)
+
+
+def maximal_by_definition(g, recognise):
+    """Every non-empty edge set of g whose edge graph recognise accepts
+    (returns a true value for), kept when no other accepted set contains
+    it."""
+    edges = sorted(g.edges)
+    accepted = []
+    for size in range(1, len(edges) + 1):
+        for chosen in itertools.combinations(edges, size):
+            if recognise(Graph.from_data({v for e in chosen for v in e}, chosen)):
+                accepted.append(frozenset(chosen))
+    return {s for s in accepted if not any(s < t for t in accepted)}
+
+
+def small_and_seeded_graphs():
+    """Every labelled graph of at most 4 vertices, then seeded graphs of
+    5 or 6 vertices that are not block graphs."""
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for size in range(len(pairs) + 1):
+            for chosen in itertools.combinations(pairs, size):
+                yield build_graph(n, chosen)
+    rng = random.Random(32)
+    seeded = 0
+    while seeded < 24:
+        g = random_graph(rng.randint(5, 6), rng.uniform(0.4, 0.8), rng)
+        if not is_block_graph(g):
+            seeded += 1
+            yield g
+
+
+@pytest.mark.parametrize(
+    "enumerate_sets, recognise",
+    [(enumerate_maximal_cointerval_edge_sets, is_cointerval), (maximal_threshold_edge_sets, is_threshold)],
+    ids=["cointerval", "threshold"],
+)
+def test_enumerators_list_the_maximal_subgraphs_by_definition(enumerate_sets, recognise):
+    for g in small_and_seeded_graphs():
+        sets = enumerate_sets(g)
+        assert len(sets) == len(set(sets)), g
+        assert set(sets) == maximal_by_definition(g, recognise), sorted(g.edges)
+
+
+def test_threshold_oracle_on_k9_minus_two_disjoint_edges_stays_small():
+    # not a block graph, and at the general-graph bound of 9 vertices,
+    # where its 34 edges have 2^34 subsets
+    g = build_graph(9, [e for e in itertools.combinations(range(9), 2) if e not in {(0, 1), (2, 3)}])
+    tracemalloc.start()
+    try:
+        assert brute_cothdim(g) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
+
+
+def test_every_connected_block_graph_of_at_most_9_vertices_meets_the_oracle():
+    graphs = connected_block_graphs(9)
+    assert [len(graphs[n]) for n in range(2, 10)] == [1, 2, 4, 9, 22, 59, 165, 496]
+    for family in graphs.values():
+        for g in family:
+            for kind, value, brute in (
+                (COINTERVAL, coboxicity, brute_coboxicity),
+                (THRESHOLD, cothdim, brute_cothdim),
+            ):
+                want = brute(g)
+                assert value(g) == want, (kind, sorted(g.edges))
+                cover, traces = min_cover(g, kind)
+                assert len(cover.elements) == want, (kind, sorted(g.edges))
+                validate_run(g, cover, traces)
